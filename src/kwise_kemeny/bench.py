@@ -23,9 +23,8 @@ import numpy as np
 
 from . import __version__
 from .core import InternalCheckError, Profile, Ranking
-from .majority import partitioned_dp, preprocess
+from .majority import solve
 from .sampling import RNG_ALGORITHM, MallowsParams, mallows_sample
-from .solver import DEFAULT_ENUMERATION_LIMIT, dp_consensus, enumerate_consensus
 
 MODES = ("dp", "pre", "pre-refined")
 _MODE_ALIASES = {
@@ -53,7 +52,6 @@ class ExperimentConfig:
     seed: int = 0
     modes: tuple[str, ...] = ("dp",)
     timeout_s: float | None = None
-    enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT
 
     def __post_init__(self):
         if not self.ms or not self.ks or not self.phis:
@@ -199,21 +197,13 @@ def _run_cell(
     values: list[int] = []
     timeouts = 0
     for i, profile in enumerate(profiles):
+        # limit=1: one ranking plus the exact optimum count, in every mode
         started = time.perf_counter()
-        if mode == "dp":
-            result = dp_consensus(profile, k)
-            elapsed = (time.perf_counter() - started) * 1000.0
-            count = enumerate_consensus(profile, k, config.enumeration_limit).count
-            component = m  # no decomposition applied
-        else:
-            _, order = preprocess(profile, k, refine=(mode == "pre-refined"))
-            result = partitioned_dp(profile, k, order)
-            elapsed = (time.perf_counter() - started) * 1000.0
-            count = result.count
-            component = order.largest
+        result = solve(profile, k, mode, limit=1)
+        elapsed = (time.perf_counter() - started) * 1000.0
         times.append(elapsed)
-        consensus.append(count)
-        largest.append(component)
+        consensus.append(result.count)
+        largest.append(result.stats.largest_component)
         values.append(result.optimum)
         optima[i][mode] = result.optimum
         if config.timeout_s is not None and elapsed > config.timeout_s * 1000.0:

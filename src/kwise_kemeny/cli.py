@@ -22,21 +22,14 @@ from .core import (
     serialize_profile,
 )
 from .distance import profile_distance
-from .majority import preprocess, solve_preprocessed, to_dot
+from .majority import SOLVE_MODES, preprocess, solve, to_dot
 from .sampling import MallowsParams, impartial_culture, mallows_sample
-from .solver import (
-    DEFAULT_ENUMERATION_LIMIT,
-    brute_force_consensus,
-    dp_consensus,
-    enumerate_consensus,
-)
+from .solver import DEFAULT_ENUMERATION_LIMIT
 
 EXIT_OK = 0
 EXIT_INPUT = 2
 EXIT_GUARD = 3
 EXIT_INTERNAL = 4
-
-SOLVE_MODES = ("brute", "dp", "pre", "pre-refined")
 
 
 def _common_flags() -> argparse.ArgumentParser:
@@ -161,21 +154,8 @@ def cmd_solve(args) -> int:
     k = _need_k(args)
     if args.limit < 1:
         raise ValueError("--limit must be positive")
-    if args.mode == "brute":
-        result = brute_force_consensus(profile, k)
-    elif args.mode == "dp":
-        if args.all:
-            result = enumerate_consensus(profile, k, args.limit)
-        else:
-            result = dp_consensus(profile, k)
-    else:
-        result = solve_preprocessed(
-            profile,
-            k,
-            refine=args.mode == "pre-refined",
-            allow_exponential=args.force_exponential,
-            limit=args.limit if args.all else None,
-        )
+    limit = args.limit if args.all else None
+    result = solve(profile, k, args.mode, limit, args.force_exponential)
     print(json.dumps(_result_payload(result)))
     return EXIT_OK
 

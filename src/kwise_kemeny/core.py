@@ -38,6 +38,12 @@ class InternalCheckError(RuntimeError):
     """A cross-checked internal invariant failed; indicates a bug."""
 
 
+def validate_k(m: int, k: int) -> None:
+    """Reject a contest-set size bound outside ``2 <= k <= m``."""
+    if not 2 <= k <= m:
+        raise ValueError(f"k must satisfy 2 <= k <= m, got k={k}, m={m}")
+
+
 # ---------------------------------------------------------------------------
 # bitmask helpers
 
@@ -230,14 +236,6 @@ class Profile:
     def positions_matrix(self) -> np.ndarray:
         """``pos[g, c]`` = position of candidate ``c`` in group ``g``."""
         return np.array([r.inverse for r, _ in self.groups], dtype=np.int64)
-
-    def above_masks(self) -> np.ndarray:
-        """``above[g, c]`` = bitmask of candidates ranked above ``c`` by group ``g``."""
-        out = np.zeros((len(self.groups), self.m), dtype=np.uint64)
-        for g, (r, _) in enumerate(self.groups):
-            for c in range(self.m):
-                out[g, c] = r.above_set(c)
-        return out
 
     def relabel(self, image: Sequence[int]) -> "Profile":
         """Apply a candidate renaming to every voter ranking."""

@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import GuardError, Profile, Ranking
+from .core import GuardError, Profile, Ranking, validate_k
 
 # Enumeration budget for the naive subset walk.
 _NAIVE_M_SMALL_K = 20
@@ -37,8 +37,7 @@ class BinomialPrefixTable:
     def __init__(self, m: int, k: int):
         if m < 2:
             raise ValueError("table requires at least two candidates")
-        if not 2 <= k <= m:
-            raise ValueError(f"k must satisfy 2 <= k <= m, got k={k}, m={m}")
+        validate_k(m, k)
         cap = k - 2
         # row[i] = C(p, i) for i <= cap, updated in place per Pascal's rule
         row = [0] * (cap + 1)
@@ -61,11 +60,6 @@ class BinomialPrefixTable:
 
     def as_array(self) -> np.ndarray:
         return np.array(self._prefix, dtype=np.int64)
-
-
-def table_for(profile_or_m: Profile | int, k: int) -> BinomialPrefixTable:
-    m = profile_or_m.m if isinstance(profile_or_m, Profile) else profile_or_m
-    return BinomialPrefixTable(m, k)
 
 
 def _check_same_m(r: Ranking, r2: Ranking) -> int:
@@ -93,8 +87,7 @@ def kwise_distance_naive(r: Ranking, r2: Ranking, k: int) -> int:
     import itertools
 
     m = _check_same_m(r, r2)
-    if not 2 <= k <= m:
-        raise ValueError(f"k must satisfy 2 <= k <= m, got k={k}, m={m}")
+    validate_k(m, k)
     limit = _NAIVE_M_SMALL_K if k <= 5 else _NAIVE_M_LARGE_K
     if m > limit:
         raise GuardError(
@@ -122,8 +115,7 @@ def kwise_distance(
     c in ``r`` and below c' in ``r2``; the prefix table counts them.
     """
     m = _check_same_m(r, r2)
-    if not 2 <= k <= m:
-        raise ValueError(f"k must satisfy 2 <= k <= m, got k={k}, m={m}")
+    validate_k(m, k)
     if table.m != m or table.k != k:
         raise ValueError(
             f"binomial table built for (m={table.m}, k={table.k}), "

@@ -15,10 +15,15 @@ only a guarded exhaustive search is offered (`best_advantage_exhaustive`).
 A topological order of the digraph's strongly connected components splits
 the aggregation problem: some consensus ranking orders the components that
 way, so each component is solved by the subset DP with all later components
-fixed below it (`partitioned_dp`).  `refine_digraph` sharpens the split by
+fixed below it (`partitioned_dp`, a call of the shared component loop
+`solver.solve_components`).  `refine_digraph` sharpens the split by
 re-maximizing intra-component arcs under the placement constraints implied
 by the component order and by unanimous dominance, dropping arcs whose
 constrained advantage is no longer positive.
+
+`solve` is the single entry point that dispatches on the solve mode
+(`brute`, `dp`, `pre`, `pre-refined`); the CLI and the bench harness both
+call it.
 """
 
 from __future__ import annotations
@@ -33,29 +38,27 @@ import numpy as np
 from .core import (
     GuardError,
     InternalCheckError,
-    MAX_CANDIDATES,
     Mask,
     Profile,
-    Ranking,
     bit,
     full_mask,
     iter_mask,
     mask_members,
     mask_of,
     popcount_array,
+    validate_k,
 )
 from .distance import BinomialPrefixTable
 from .solver import (
     ConsensusResult,
-    SolveStats,
-    build_dp_table,
-    count_table_optima,
-    enumerate_table_orders,
-    _descend_lowest,
-    _trivial_result,
+    brute_force_consensus,
+    dp_consensus,
+    enumerate_consensus,
+    solve_components,
 )
 
 EXHAUSTIVE_FREE_BOUND = 20
+SOLVE_MODES = ("brute", "dp", "pre", "pre-refined")
 
 
 @dataclass(frozen=True)
@@ -130,9 +133,9 @@ class PairCounts:
     def margin(self, c: int, d: int) -> int:
         return int(self.above[c, d] - self.above[d, c])
 
-    def contribution(self, c: int, d: int, x: int) -> int:
-        """Advantage gained on (c, d) triples by adding x to the contest set."""
-        return int(self.joint[c, d, x] - self.joint[d, c, x])
+    def contributions(self, c: int, d: int) -> list[int]:
+        """Advantage gained on (c, d) triples by adding each x to the contest set."""
+        return (self.joint[c, d] - self.joint[d, c]).tolist()
 
     def unanimous_above(self, c: int) -> Mask:
         """Mask of candidates every voter prefers to ``c``."""
@@ -143,42 +146,11 @@ class PairCounts:
         return mask
 
 
-def pairwise_digraph(profile: Profile) -> KwiseDigraph:
-    """Majority digraph at k = 2: arcs carry the positive pairwise margins."""
-    counts = PairCounts(profile)
-    arcs: dict[tuple[int, int], Arc] = {}
-    for c in range(profile.m):
-        for d in range(profile.m):
-            if c == d:
-                continue
-            w = counts.margin(c, d)
-            if w > 0:
-                arcs[(c, d)] = Arc(w, bit(c) | bit(d))
-    return KwiseDigraph(profile.m, 2, arcs)
-
-
 def _check_pair_in_subset(subset: Mask, winner: int, loser: int) -> None:
     if winner == loser:
         raise ValueError("candidates must be distinct")
     if not (subset >> winner & 1 and subset >> loser & 1):
         raise ValueError("both candidates must belong to the contest set")
-
-
-def triple_support(profile: Profile, subset: Mask, winner: int, loser: int) -> int:
-    """Number of (voter, set) pairs where ``winner`` tops a <=3-subset of
-    ``subset`` containing both candidates.
-
-    Adding a third candidate x contributes one per voter who prefers the
-    winner to both the loser and x, hence the per-voter count is one (the
-    pair itself) plus the winner's dominated members of ``subset``.
-    """
-    _check_pair_in_subset(subset, winner, loser)
-    rest = subset & ~(bit(winner) | bit(loser))
-    total = 0
-    for ranking, count in profile.groups:
-        if ranking.prefers(winner, loser):
-            total += count * (1 + (ranking.below_set(winner) & rest).bit_count())
-    return total
 
 
 def setwise_support(
@@ -189,10 +161,17 @@ def setwise_support(
     k: int,
     table: BinomialPrefixTable | None = None,
 ) -> int:
-    """Like :func:`triple_support` for arbitrary k (subsets of size <= k)."""
+    """Number of (voter, set) pairs where ``winner`` tops a subset of
+    ``subset`` of size at most k containing both candidates.
+
+    A voter preferring the winner to the loser tops every such set whose
+    further members come from the winner's dominated members of
+    ``subset``; at k = 3 that is the pair itself plus one set per dominated
+    member.
+    """
     _check_pair_in_subset(subset, winner, loser)
-    if table is None:
-        table = BinomialPrefixTable(profile.m, k)
+    if table is None:  # sets larger than m do not exist, so k > m counts as m
+        table = BinomialPrefixTable(profile.m, min(k, profile.m))
     rest = subset & ~(bit(winner) | bit(loser))
     total = 0
     for ranking, count in profile.groups:
@@ -240,16 +219,12 @@ def best_triple_advantage(
     _check_forced(c, d, forced_in, forced_out)
     if counts is None:
         counts = PairCounts(profile)
-    weight = counts.margin(c, d)
+    gains = counts.contributions(c, d)
+    weight = counts.margin(c, d) + sum(gains[x] for x in iter_mask(forced_in))
     witness = bit(c) | bit(d) | forced_in
-    for x in iter_mask(forced_in):
-        weight += counts.contribution(c, d, x)
-    blocked = bit(c) | bit(d) | forced_in | forced_out
-    for x in range(profile.m):
-        if blocked >> x & 1:
-            continue
-        gain = counts.contribution(c, d, x)
-        if gain > 0:
+    blocked = witness | forced_out
+    for x, gain in enumerate(gains):
+        if gain > 0 and not blocked >> x & 1:
             weight += gain
             witness |= 1 << x
     return weight, witness
@@ -280,8 +255,7 @@ def best_advantage_exhaustive(
             f"{forced_out.bit_count()} forced-out exceeds the bound of "
             f"{EXHAUSTIVE_FREE_BOUND} (the maximization is NP-hard for k >= 4)"
         )
-    if not 2 <= k <= m:
-        raise ValueError(f"k must satisfy 2 <= k <= m, got k={k}, m={m}")
+    validate_k(m, k)
     table = BinomialPrefixTable(m, k)
     lookup = table.as_array()
     free = mask_members(full_mask(m) & ~(bit(c) | bit(d) | forced_in | forced_out))
@@ -311,25 +285,28 @@ def best_advantage_exhaustive(
 def kwise_digraph(
     profile: Profile, k: int, allow_exponential: bool = False
 ) -> KwiseDigraph:
-    """Majority digraph at order ``k``; arcs keep weight and witness set."""
+    """Majority digraph at order ``k``; arcs keep weight and witness set.
+
+    At k = 2 an arc carries the positive pairwise margin and the pair is its
+    witness.
+    """
     m = profile.m
-    if not 2 <= k <= m:
-        raise ValueError(f"k must satisfy 2 <= k <= m, got k={k}, m={m}")
-    if k == 2:
-        return pairwise_digraph(profile)
+    validate_k(m, k)
     if k > 3 and not allow_exponential:
         raise GuardError(
             f"constructing the {k}-wise majority digraph requires an "
             "exponential witness search (NP-hard for k >= 4); "
             "pass allow_exponential=True / --force-exponential to proceed"
         )
-    counts = PairCounts(profile) if k == 3 else None
+    counts = PairCounts(profile) if k <= 3 else None
     arcs: dict[tuple[int, int], Arc] = {}
     for c in range(m):
         for d in range(m):
             if c == d:
                 continue
-            if k == 3:
+            if k == 2:
+                weight, witness = counts.margin(c, d), bit(c) | bit(d)
+            elif k == 3:
                 weight, witness = best_triple_advantage(profile, c, d, counts=counts)
             else:
                 weight, witness = best_advantage_exhaustive(profile, c, d, k)
@@ -456,7 +433,6 @@ def refine_digraph(
         order = scc_decompose(graph)
     for _ in range(max(1, graph.m * graph.m)):
         comp_of = order.component_of()
-        later = _suffix_masks(order.components)
         earlier = _prefix_masks(order.components)
         removed: list[tuple[int, int]] = []
         for (c, d), _arc in graph.arc_items():
@@ -464,7 +440,7 @@ def refine_digraph(
             if comp_of[d] != i:
                 continue
             pair = bit(c) | bit(d)
-            forced_in = later[i]
+            forced_in = full_mask(graph.m) & ~(earlier[i] | order.components[i])
             forced_out = (earlier[i] | dominators[c] | dominators[d]) & ~pair
             if forced_in & forced_out:
                 raise InternalCheckError(
@@ -480,15 +456,6 @@ def refine_digraph(
         graph = graph.without(removed)
         order = scc_decompose(graph)
     return graph
-
-
-def _suffix_masks(components: tuple[Mask, ...]) -> list[Mask]:
-    out = [0] * len(components)
-    acc = 0
-    for i in range(len(components) - 1, -1, -1):
-        out[i] = acc
-        acc |= components[i]
-    return out
 
 
 def _prefix_masks(components: tuple[Mask, ...]) -> list[Mask]:
@@ -514,63 +481,7 @@ def partitioned_dp(
     reported ``count`` is the number of optimal rankings consistent with
     that order (the product over components).
     """
-    started = time.perf_counter()
-    m = profile.m
-    if m == 1:
-        return _trivial_result(profile, started)
-    union = 0
-    for mask in order.components:
-        if union & mask:
-            raise ValueError("components overlap")
-        union |= mask
-        if mask.bit_count() > MAX_CANDIDATES:
-            raise GuardError(
-                f"component of size {mask.bit_count()} exceeds the DP cap "
-                f"({MAX_CANDIDATES})"
-            )
-    if union != full_mask(m):
-        raise ValueError("components do not partition the candidate set")
-
-    later = _suffix_masks(order.components)
-    optimum = 0
-    states = 0
-    piece_orders: list[list[tuple[int, ...]]] = []
-    count = 1
-    for i, component in enumerate(order.components):
-        table = build_dp_table(profile, k, subset=component, context=later[i])
-        optimum += table.optimum
-        states += len(table.values)
-        piece_count = count_table_optima(table)
-        count *= piece_count
-        if limit is None:
-            piece_orders.append([tuple(_descend_lowest(table))])
-        else:
-            piece_orders.append(
-                enumerate_table_orders(table, min(limit, piece_count))
-            )
-    if limit is None:
-        chosen = [pieces[0] for pieces in piece_orders]
-        rankings = (Ranking([c for piece in chosen for c in piece]),)
-    else:
-        rankings = tuple(
-            Ranking([c for piece in combo for c in piece])
-            for combo in _product_limited(piece_orders, limit)
-        )
-    stats = SolveStats(states=states, millis=(time.perf_counter() - started) * 1000.0)
-    return ConsensusResult(optimum, rankings, count, count > len(rankings), stats)
-
-
-def _product_limited(
-    pieces: list[list[tuple[int, ...]]], limit: int
-) -> list[tuple[tuple[int, ...], ...]]:
-    import itertools
-
-    out = []
-    for combo in itertools.product(*pieces):
-        out.append(combo)
-        if len(out) >= limit:
-            break
-    return out
+    return solve_components(profile, k, order.components, limit, count_optima=True)
 
 
 def preprocess(
@@ -588,21 +499,38 @@ def preprocess(
     return graph, order
 
 
-def solve_preprocessed(
+def solve(
     profile: Profile,
     k: int,
-    refine: bool = False,
-    allow_exponential: bool = False,
+    mode: str = "dp",
     limit: int | None = None,
+    allow_exponential: bool = False,
 ) -> ConsensusResult:
-    """Digraph construction, SCC split (optionally refined), component DP."""
+    """Consensus ranking by one of :data:`SOLVE_MODES`.
+
+    ``limit=None`` reports one optimal ranking; an int reports up to that
+    many, and then ``count`` is exact in every mode (``dp`` only counts the
+    optima when a limit is given).  ``brute`` always reports every
+    minimizer.  The ``pre`` modes build the k-wise majority digraph (refined
+    for ``pre-refined``) and solve its components; their ``count`` is the
+    number of optima consistent with the component order, and their
+    ``stats.millis`` includes the preprocessing.
+    """
+    if mode not in SOLVE_MODES:
+        raise ValueError(
+            f"unknown solver mode {mode!r}; expected one of {SOLVE_MODES}"
+        )
+    if mode == "brute":
+        return brute_force_consensus(profile, k)
+    if mode == "dp" or profile.m == 1:  # one candidate: nothing to preprocess
+        if limit is None:
+            return dp_consensus(profile, k)
+        return enumerate_consensus(profile, k, limit)
     started = time.perf_counter()
-    if profile.m == 1:
-        return _trivial_result(profile, started)
-    _, order = preprocess(profile, k, refine, allow_exponential)
-    result = partitioned_dp(profile, k, order, limit=limit)
+    _, order = preprocess(profile, k, mode == "pre-refined", allow_exponential)
+    result = partitioned_dp(profile, k, order, limit)
     millis = (time.perf_counter() - started) * 1000.0
-    return replace(result, stats=SolveStats(result.stats.states, millis))
+    return replace(result, stats=replace(result.stats, millis=millis))
 
 
 # ---------------------------------------------------------------------------

@@ -3,14 +3,18 @@
 Two independent routes compute a ranking minimizing the k-wise distance to a
 profile: full enumeration of the m! rankings (`brute_force_consensus`, the
 oracle, guarded at m <= 8) and a dynamic program over candidate subsets
-(`dp_consensus`, O(2^m m^2 n)).  The DP peels the first-placed candidate:
-the optimal cost of ordering a subset S is the best, over c in S, of the
-cost of placing c above the rest plus the optimal cost of S without c.
+(O(2^m m^2 n)).  The DP peels the first-placed candidate: the optimal cost
+of ordering a subset S is the best, over c in S, of the cost of placing c
+above the rest plus the optimal cost of S without c.
 
 `build_dp_table` also accepts a *context* mask of candidates known to be
 ranked below every candidate of S; placement costs are then charged against
-the restriction to S plus the context, which is what the component-wise
-solver in :mod:`kwise_kemeny.majority` needs.
+the restriction to S plus the context.  `solve_components` is the one loop
+that runs the DP: it solves an ordered partition of the candidates piece by
+piece, each with the later pieces as context, and concatenates the pieces'
+optimal orders.  `dp_consensus` and `enumerate_consensus` call it with the
+whole candidate set as a single piece; the component-wise solver in
+:mod:`kwise_kemeny.majority` calls it with the strongly connected components.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ from .core import (
     full_mask,
     mask_members,
     popcount_array,
+    validate_k,
 )
 from .distance import BinomialPrefixTable
 
@@ -41,10 +46,12 @@ _INF = np.int64(1) << np.int64(62)
 
 @dataclass(frozen=True)
 class SolveStats:
-    """Work counters for one solve: DP states (or rankings) expanded and wall time."""
+    """Work counters for one solve: DP states (or rankings) expanded, wall
+    time, and the size of the largest candidate set solved as one piece."""
 
     states: int
     millis: float
+    largest_component: int
 
 
 @dataclass(frozen=True)
@@ -52,8 +59,9 @@ class ConsensusResult:
     """Optimum value plus the optimal rankings a solver materialized.
 
     ``count`` is the number of optimal rankings the solver established in
-    its search space (1 for the plain DP, which only proves one; the exact
-    total for enumeration, brute force and the component-wise solver).
+    its search space (the number reported when optima are not counted, as
+    by the plain DP; the exact total for enumeration, brute force and the
+    component-wise solver).
     ``rankings`` holds the ones actually built; ``truncated`` marks that
     the list is known to omit further optimal rankings.
     """
@@ -82,11 +90,6 @@ class DpTable:
     @property
     def optimum(self) -> int:
         return int(self.values[-1])
-
-
-def _validate_k(m: int, k: int) -> None:
-    if not 2 <= k <= m:
-        raise ValueError(f"k must satisfy 2 <= k <= m, got k={k}, m={m}")
 
 
 def placement_cost(
@@ -159,7 +162,7 @@ def build_dp_table(
             f"subset DP refused: m={m} exceeds the 2^m state cap "
             f"(m <= {MAX_CANDIDATES})"
         )
-    _validate_k(m, k)
+    validate_k(m, k)
     # costs accumulate in int64; a profile contributes at most n * 2^m
     if profile.n << m >= 1 << 62:
         raise GuardError(
@@ -223,19 +226,6 @@ def build_dp_table(
     return DpTable(candidates, context, values, argmin)
 
 
-def _descend_lowest(table: DpTable) -> list[int]:
-    """One optimal order: peel the lowest-id argmin candidate at each step."""
-    state = len(table.values) - 1
-    order: list[int] = []
-    while state:
-        choices = int(table.argmin[state])
-        low = choices & -choices
-        j = low.bit_length() - 1
-        order.append(table.candidates[j])
-        state ^= 1 << j
-    return order
-
-
 def count_table_optima(table: DpTable) -> int:
     """Exact number of distinct optimal orders encoded by the argmin sets."""
     size = len(table.argmin)
@@ -274,42 +264,83 @@ def enumerate_table_orders(table: DpTable, limit: int) -> list[tuple[int, ...]]:
     return results
 
 
-def _trivial_result(profile: Profile, started: float) -> ConsensusResult:
-    ranking = Ranking.identity(profile.m)
-    stats = SolveStats(states=1, millis=(time.perf_counter() - started) * 1000.0)
-    return ConsensusResult(0, (ranking,), 1, False, stats)
+def _elapsed_ms(started: float) -> float:
+    return (time.perf_counter() - started) * 1000.0
+
+
+def solve_components(
+    profile: Profile,
+    k: int,
+    components: tuple[Mask, ...],
+    limit: int | None = None,
+    count_optima: bool = False,
+) -> ConsensusResult:
+    """Subset DP over an ordered partition of the candidates.
+
+    Each component is solved with every later component fixed below it, and
+    the optimal orders of the pieces are concatenated.  ``limit=None``
+    reports one ranking (the lowest-id choice at every step); otherwise up
+    to ``limit`` rankings in peel-lexicographic order.  With
+    ``count_optima`` the result's ``count`` is the exact number of optimal
+    rankings consistent with the component order; without it, the number
+    of rankings reported.
+    """
+    if limit is not None and limit < 1:
+        raise ValueError("limit must be positive")
+    started = time.perf_counter()
+    m = profile.m
+    if m == 1:  # one ranking, no contest of two candidates
+        stats = SolveStats(1, _elapsed_ms(started), 1)
+        return ConsensusResult(0, (Ranking.identity(1),), 1, False, stats)
+    union = 0
+    for mask in components:
+        if union & mask:
+            raise ValueError("components overlap")
+        union |= mask
+        # a lone component is the whole set, which build_dp_table guards
+        if len(components) > 1 and mask.bit_count() > MAX_CANDIDATES:
+            raise GuardError(
+                f"component of size {mask.bit_count()} exceeds the DP cap "
+                f"({MAX_CANDIDATES})"
+            )
+    if union != full_mask(m):
+        raise ValueError("components do not partition the candidate set")
+
+    optimum = states = 0
+    count = 1
+    pieces: list[list[tuple[int, ...]]] = []
+    later = union  # candidates of the components not yet solved
+    for component in components:
+        later ^= component
+        table = build_dp_table(profile, k, subset=component, context=later)
+        optimum += table.optimum
+        states += len(table.values)
+        if count_optima:
+            count *= count_table_optima(table)
+        pieces.append(enumerate_table_orders(table, limit or 1))
+    rankings = tuple(
+        Ranking([c for piece in combo for c in piece])
+        for combo in itertools.islice(itertools.product(*pieces), limit or 1)
+    )
+    if not count_optima:
+        count = len(rankings)
+    largest = max(mask.bit_count() for mask in components)
+    stats = SolveStats(states, _elapsed_ms(started), largest)
+    return ConsensusResult(optimum, rankings, count, count > len(rankings), stats)
 
 
 def dp_consensus(profile: Profile, k: int) -> ConsensusResult:
     """Exact consensus by subset dynamic programming; one ranking reported."""
-    started = time.perf_counter()
-    if profile.m == 1:
-        return _trivial_result(profile, started)
-    table = build_dp_table(profile, k)
-    ranking = Ranking(_descend_lowest(table))
-    stats = SolveStats(
-        states=len(table.values), millis=(time.perf_counter() - started) * 1000.0
-    )
-    return ConsensusResult(table.optimum, (ranking,), 1, False, stats)
+    return solve_components(profile, k, (full_mask(profile.m),))
 
 
 def enumerate_consensus(
     profile: Profile, k: int, limit: int = DEFAULT_ENUMERATION_LIMIT
 ) -> ConsensusResult:
     """All optimal rankings (depth-first over argmin branches), up to ``limit``."""
-    if limit < 1:
-        raise ValueError("limit must be positive")
-    started = time.perf_counter()
-    if profile.m == 1:
-        return _trivial_result(profile, started)
-    table = build_dp_table(profile, k)
-    total = count_table_optima(table)
-    orders = enumerate_table_orders(table, min(limit, total))
-    rankings = tuple(Ranking(order) for order in orders)
-    stats = SolveStats(
-        states=len(table.values), millis=(time.perf_counter() - started) * 1000.0
+    return solve_components(
+        profile, k, (full_mask(profile.m),), limit, count_optima=True
     )
-    return ConsensusResult(table.optimum, rankings, total, total > limit, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -340,8 +371,8 @@ def brute_force_consensus(profile: Profile, k: int) -> ConsensusResult:
             f"{BRUTE_FORCE_MAX_M} ({BRUTE_FORCE_MAX_M}! = 40320 rankings)"
         )
     if m == 1:
-        return _trivial_result(profile, started)
-    _validate_k(m, k)
+        return solve_components(profile, k, (1,))
+    validate_k(m, k)
     if profile.n << m >= 1 << 62:
         raise GuardError(
             f"disagreement totals for n={profile.n}, m={m} would overflow "
@@ -362,7 +393,5 @@ def brute_force_consensus(profile: Profile, k: int) -> ConsensusResult:
     optimum = int(dist.min())
     winners = np.flatnonzero(dist == optimum)
     rankings = tuple(Ranking(perms[i]) for i in winners)
-    stats = SolveStats(
-        states=len(perms), millis=(time.perf_counter() - started) * 1000.0
-    )
+    stats = SolveStats(len(perms), _elapsed_ms(started), m)
     return ConsensusResult(optimum, rankings, len(rankings), False, stats)

@@ -27,7 +27,6 @@ from kwise_kemeny import (
     kwise_distance_naive,
     mallows_sample,
     mask_members,
-    pairwise_digraph,
     partitioned_dp,
     position_weighted_kendall_tau,
     preprocess,
@@ -35,7 +34,7 @@ from kwise_kemeny import (
     refine_digraph,
     scc_decompose,
     setwise_advantage,
-    solve_preprocessed,
+    solve,
 )
 from kwise_kemeny.majority import PairCounts
 from conftest import random_profile
@@ -96,7 +95,7 @@ class TestFixedInstances:
         with criterion("1d"):
             pairwise = {
                 (c + 1, d + 1): a.weight
-                for (c, d), a in pairwise_digraph(six_profile).arcs.items()
+                for (c, d), a in kwise_digraph(six_profile, 2).arcs.items()
             }
             assert pairwise == {
                 (1, 2): 10, (1, 3): 10, (1, 4): 10, (1, 5): 10, (1, 6): 6,
@@ -183,9 +182,9 @@ class TestOracleEquivalence:
                     )
                     profile = mallows_sample(MallowsParams(sigma, phi, n, seed))
                     expected = dp_consensus(profile, 3).optimum
-                    assert solve_preprocessed(profile, 3).optimum == expected
+                    assert solve(profile, 3, "pre").optimum == expected
                     assert (
-                        solve_preprocessed(profile, 3, refine=True).optimum
+                        solve(profile, 3, "pre-refined").optimum
                         == expected
                     )
 
@@ -370,7 +369,7 @@ class TestTrends:
                 plain = dp_consensus(profile, 3)
                 dp_total += time.perf_counter() - started
                 started = time.perf_counter()
-                pre = solve_preprocessed(profile, 3)
+                pre = solve(profile, 3, "pre")
                 pre_total += time.perf_counter() - started
                 assert pre.optimum == plain.optimum
             assert dp_total >= 5.0 * pre_total

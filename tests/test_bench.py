@@ -11,6 +11,7 @@ from kwise_kemeny import (
     mallows_sample,
     run_bench,
 )
+from kwise_kemeny import solver
 from kwise_kemeny.bench import CSV_HEADER, instance_seed, normalize_mode
 
 TINY = ExperimentConfig(
@@ -108,6 +109,21 @@ class TestRunBench:
             counts.append(enumerate_consensus(profile, 3).count)
         assert cell.avg_consensus == pytest.approx(sum(counts) / len(counts))
         assert cell.avg_largest_scc == pytest.approx(4.0)
+
+    def test_dp_cell_builds_one_table_per_instance(self, monkeypatch):
+        built = []
+        original = solver.build_dp_table
+
+        def counting(*args, **kwargs):
+            built.append(args)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(solver, "build_dp_table", counting)
+        config = ExperimentConfig(
+            ms=(5,), ks=(3,), phis=(0.8,), n=6, instances=3, seed=4, modes=("dp",)
+        )
+        run_bench(config)
+        assert len(built) == config.instances
 
     def test_preprocessed_reports_component_size(self):
         config = ExperimentConfig(

@@ -1,4 +1,5 @@
 import json
+import re
 
 import pytest
 
@@ -124,6 +125,153 @@ class TestSolve:
         )
         payload = json.loads(out)
         assert payload["rankings"] == [[1, 2, 4, 3, 5, 6]]
+
+
+# One candidate, and a profile whose two voters disagree on every pair, so
+# optima tie and `count`/`truncated` differ between modes and flags.
+GOLDEN_TEXTS = {
+    "six": SIX_TEXT,
+    "tension": TENSION_TEXT,
+    "single": "1 3\n3: 1\n",
+    "reversal": "4 2\n1: 1,2,3,4\n1: 4,3,2,1\n",
+}
+
+# `solve` stdout for every mode and enumeration flag, `stats.millis` removed.
+GOLDEN_SOLVE = [
+    ('six', 3, 'brute', '',
+     '{"optimum": 63, "rankings": [[1, 2, 4, 3, 5, 6]], "count": 1, "truncated": false, "stats": {"states": 720}}'),
+    ('six', 3, 'brute', '--all --limit 1',
+     '{"optimum": 63, "rankings": [[1, 2, 4, 3, 5, 6]], "count": 1, "truncated": false, "stats": {"states": 720}}'),
+    ('six', 3, 'brute', '--all',
+     '{"optimum": 63, "rankings": [[1, 2, 4, 3, 5, 6]], "count": 1, "truncated": false, "stats": {"states": 720}}'),
+    ('six', 3, 'dp', '',
+     '{"optimum": 63, "rankings": [[1, 2, 4, 3, 5, 6]], "count": 1, "truncated": false, "stats": {"states": 64}}'),
+    ('six', 3, 'dp', '--all --limit 1',
+     '{"optimum": 63, "rankings": [[1, 2, 4, 3, 5, 6]], "count": 1, "truncated": false, "stats": {"states": 64}}'),
+    ('six', 3, 'dp', '--all',
+     '{"optimum": 63, "rankings": [[1, 2, 4, 3, 5, 6]], "count": 1, "truncated": false, "stats": {"states": 64}}'),
+    ('six', 3, 'pre', '',
+     '{"optimum": 63, "rankings": [[1, 2, 4, 3, 5, 6]], "count": 1, "truncated": false, "stats": {"states": 12}}'),
+    ('six', 3, 'pre', '--all --limit 1',
+     '{"optimum": 63, "rankings": [[1, 2, 4, 3, 5, 6]], "count": 1, "truncated": false, "stats": {"states": 12}}'),
+    ('six', 3, 'pre', '--all',
+     '{"optimum": 63, "rankings": [[1, 2, 4, 3, 5, 6]], "count": 1, "truncated": false, "stats": {"states": 12}}'),
+    ('six', 3, 'pre-refined', '',
+     '{"optimum": 63, "rankings": [[1, 2, 4, 3, 5, 6]], "count": 1, "truncated": false, "stats": {"states": 12}}'),
+    ('six', 3, 'pre-refined', '--all --limit 1',
+     '{"optimum": 63, "rankings": [[1, 2, 4, 3, 5, 6]], "count": 1, "truncated": false, "stats": {"states": 12}}'),
+    ('six', 3, 'pre-refined', '--all',
+     '{"optimum": 63, "rankings": [[1, 2, 4, 3, 5, 6]], "count": 1, "truncated": false, "stats": {"states": 12}}'),
+    ('tension', 2, 'brute', '',
+     '{"optimum": 146, "rankings": [[2, 3, 1]], "count": 1, "truncated": false, "stats": {"states": 6}}'),
+    ('tension', 2, 'brute', '--all --limit 1',
+     '{"optimum": 146, "rankings": [[2, 3, 1]], "count": 1, "truncated": false, "stats": {"states": 6}}'),
+    ('tension', 2, 'brute', '--all',
+     '{"optimum": 146, "rankings": [[2, 3, 1]], "count": 1, "truncated": false, "stats": {"states": 6}}'),
+    ('tension', 2, 'dp', '',
+     '{"optimum": 146, "rankings": [[2, 3, 1]], "count": 1, "truncated": false, "stats": {"states": 8}}'),
+    ('tension', 2, 'dp', '--all --limit 1',
+     '{"optimum": 146, "rankings": [[2, 3, 1]], "count": 1, "truncated": false, "stats": {"states": 8}}'),
+    ('tension', 2, 'dp', '--all',
+     '{"optimum": 146, "rankings": [[2, 3, 1]], "count": 1, "truncated": false, "stats": {"states": 8}}'),
+    ('tension', 2, 'pre', '',
+     '{"optimum": 146, "rankings": [[2, 3, 1]], "count": 1, "truncated": false, "stats": {"states": 6}}'),
+    ('tension', 2, 'pre', '--all --limit 1',
+     '{"optimum": 146, "rankings": [[2, 3, 1]], "count": 1, "truncated": false, "stats": {"states": 6}}'),
+    ('tension', 2, 'pre', '--all',
+     '{"optimum": 146, "rankings": [[2, 3, 1]], "count": 1, "truncated": false, "stats": {"states": 6}}'),
+    ('tension', 2, 'pre-refined', '',
+     '{"optimum": 146, "rankings": [[2, 3, 1]], "count": 1, "truncated": false, "stats": {"states": 6}}'),
+    ('tension', 2, 'pre-refined', '--all --limit 1',
+     '{"optimum": 146, "rankings": [[2, 3, 1]], "count": 1, "truncated": false, "stats": {"states": 6}}'),
+    ('tension', 2, 'pre-refined', '--all',
+     '{"optimum": 146, "rankings": [[2, 3, 1]], "count": 1, "truncated": false, "stats": {"states": 6}}'),
+    ('tension', 3, 'brute', '',
+     '{"optimum": 201, "rankings": [[1, 2, 3]], "count": 1, "truncated": false, "stats": {"states": 6}}'),
+    ('tension', 3, 'brute', '--all --limit 1',
+     '{"optimum": 201, "rankings": [[1, 2, 3]], "count": 1, "truncated": false, "stats": {"states": 6}}'),
+    ('tension', 3, 'brute', '--all',
+     '{"optimum": 201, "rankings": [[1, 2, 3]], "count": 1, "truncated": false, "stats": {"states": 6}}'),
+    ('tension', 3, 'dp', '',
+     '{"optimum": 201, "rankings": [[1, 2, 3]], "count": 1, "truncated": false, "stats": {"states": 8}}'),
+    ('tension', 3, 'dp', '--all --limit 1',
+     '{"optimum": 201, "rankings": [[1, 2, 3]], "count": 1, "truncated": false, "stats": {"states": 8}}'),
+    ('tension', 3, 'dp', '--all',
+     '{"optimum": 201, "rankings": [[1, 2, 3]], "count": 1, "truncated": false, "stats": {"states": 8}}'),
+    ('tension', 3, 'pre', '',
+     '{"optimum": 201, "rankings": [[1, 2, 3]], "count": 1, "truncated": false, "stats": {"states": 8}}'),
+    ('tension', 3, 'pre', '--all --limit 1',
+     '{"optimum": 201, "rankings": [[1, 2, 3]], "count": 1, "truncated": false, "stats": {"states": 8}}'),
+    ('tension', 3, 'pre', '--all',
+     '{"optimum": 201, "rankings": [[1, 2, 3]], "count": 1, "truncated": false, "stats": {"states": 8}}'),
+    ('tension', 3, 'pre-refined', '',
+     '{"optimum": 201, "rankings": [[1, 2, 3]], "count": 1, "truncated": false, "stats": {"states": 8}}'),
+    ('tension', 3, 'pre-refined', '--all --limit 1',
+     '{"optimum": 201, "rankings": [[1, 2, 3]], "count": 1, "truncated": false, "stats": {"states": 8}}'),
+    ('tension', 3, 'pre-refined', '--all',
+     '{"optimum": 201, "rankings": [[1, 2, 3]], "count": 1, "truncated": false, "stats": {"states": 8}}'),
+    ('single', 2, 'brute', '',
+     '{"optimum": 0, "rankings": [[1]], "count": 1, "truncated": false, "stats": {"states": 1}}'),
+    ('single', 2, 'brute', '--all --limit 1',
+     '{"optimum": 0, "rankings": [[1]], "count": 1, "truncated": false, "stats": {"states": 1}}'),
+    ('single', 2, 'brute', '--all',
+     '{"optimum": 0, "rankings": [[1]], "count": 1, "truncated": false, "stats": {"states": 1}}'),
+    ('single', 2, 'dp', '',
+     '{"optimum": 0, "rankings": [[1]], "count": 1, "truncated": false, "stats": {"states": 1}}'),
+    ('single', 2, 'dp', '--all --limit 1',
+     '{"optimum": 0, "rankings": [[1]], "count": 1, "truncated": false, "stats": {"states": 1}}'),
+    ('single', 2, 'dp', '--all',
+     '{"optimum": 0, "rankings": [[1]], "count": 1, "truncated": false, "stats": {"states": 1}}'),
+    ('single', 2, 'pre', '',
+     '{"optimum": 0, "rankings": [[1]], "count": 1, "truncated": false, "stats": {"states": 1}}'),
+    ('single', 2, 'pre', '--all --limit 1',
+     '{"optimum": 0, "rankings": [[1]], "count": 1, "truncated": false, "stats": {"states": 1}}'),
+    ('single', 2, 'pre', '--all',
+     '{"optimum": 0, "rankings": [[1]], "count": 1, "truncated": false, "stats": {"states": 1}}'),
+    ('single', 2, 'pre-refined', '',
+     '{"optimum": 0, "rankings": [[1]], "count": 1, "truncated": false, "stats": {"states": 1}}'),
+    ('single', 2, 'pre-refined', '--all --limit 1',
+     '{"optimum": 0, "rankings": [[1]], "count": 1, "truncated": false, "stats": {"states": 1}}'),
+    ('single', 2, 'pre-refined', '--all',
+     '{"optimum": 0, "rankings": [[1]], "count": 1, "truncated": false, "stats": {"states": 1}}'),
+    ('reversal', 3, 'brute', '',
+     '{"optimum": 10, "rankings": [[1, 2, 3, 4], [1, 2, 4, 3], [1, 4, 2, 3], [1, 4, 3, 2], [4, 1, 2, 3], [4, 1, 3, 2], [4, 3, 1, 2], [4, 3, 2, 1]], "count": 8, "truncated": false, "stats": {"states": 24}}'),
+    ('reversal', 3, 'brute', '--all --limit 1',
+     '{"optimum": 10, "rankings": [[1, 2, 3, 4], [1, 2, 4, 3], [1, 4, 2, 3], [1, 4, 3, 2], [4, 1, 2, 3], [4, 1, 3, 2], [4, 3, 1, 2], [4, 3, 2, 1]], "count": 8, "truncated": false, "stats": {"states": 24}}'),
+    ('reversal', 3, 'brute', '--all',
+     '{"optimum": 10, "rankings": [[1, 2, 3, 4], [1, 2, 4, 3], [1, 4, 2, 3], [1, 4, 3, 2], [4, 1, 2, 3], [4, 1, 3, 2], [4, 3, 1, 2], [4, 3, 2, 1]], "count": 8, "truncated": false, "stats": {"states": 24}}'),
+    ('reversal', 3, 'dp', '',
+     '{"optimum": 10, "rankings": [[1, 2, 3, 4]], "count": 1, "truncated": false, "stats": {"states": 16}}'),
+    ('reversal', 3, 'dp', '--all --limit 1',
+     '{"optimum": 10, "rankings": [[1, 2, 3, 4]], "count": 8, "truncated": true, "stats": {"states": 16}}'),
+    ('reversal', 3, 'dp', '--all',
+     '{"optimum": 10, "rankings": [[1, 2, 3, 4], [1, 2, 4, 3], [1, 4, 2, 3], [1, 4, 3, 2], [4, 1, 2, 3], [4, 1, 3, 2], [4, 3, 1, 2], [4, 3, 2, 1]], "count": 8, "truncated": false, "stats": {"states": 16}}'),
+    ('reversal', 3, 'pre', '',
+     '{"optimum": 10, "rankings": [[1, 4, 2, 3]], "count": 2, "truncated": true, "stats": {"states": 8}}'),
+    ('reversal', 3, 'pre', '--all --limit 1',
+     '{"optimum": 10, "rankings": [[1, 4, 2, 3]], "count": 2, "truncated": true, "stats": {"states": 8}}'),
+    ('reversal', 3, 'pre', '--all',
+     '{"optimum": 10, "rankings": [[1, 4, 2, 3], [1, 4, 3, 2]], "count": 2, "truncated": false, "stats": {"states": 8}}'),
+    ('reversal', 3, 'pre-refined', '',
+     '{"optimum": 10, "rankings": [[1, 4, 2, 3]], "count": 1, "truncated": false, "stats": {"states": 8}}'),
+    ('reversal', 3, 'pre-refined', '--all --limit 1',
+     '{"optimum": 10, "rankings": [[1, 4, 2, 3]], "count": 1, "truncated": false, "stats": {"states": 8}}'),
+    ('reversal', 3, 'pre-refined', '--all',
+     '{"optimum": 10, "rankings": [[1, 4, 2, 3]], "count": 1, "truncated": false, "stats": {"states": 8}}'),
+]
+
+
+class TestSolveGolden:
+    @pytest.mark.parametrize("name, k, mode, flags, expected", GOLDEN_SOLVE)
+    def test_stdout_matches(self, capsys, tmp_path, name, k, mode, flags, expected):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(GOLDEN_TEXTS[name])
+        code, out, err = run(
+            capsys, "solve", "--input", str(path), "--k", str(k), "--mode", mode,
+            *flags.split(),
+        )
+        assert (code, err) == (0, "")
+        assert re.sub(r', "millis": [-+0-9.eE]+', "", out) == expected + "\n"
 
 
 class TestDigraph:

@@ -211,12 +211,6 @@ class TestSerialize:
 
 
 class TestNumpyViews:
-    def test_above_masks_match_rankings(self, six_profile):
-        above = six_profile.above_masks()
-        for g, (ranking, _) in enumerate(six_profile.groups):
-            for c in range(six_profile.m):
-                assert int(above[g, c]) == ranking.above_set(c)
-
     def test_restrict_reindexes_densely(self, six_profile):
         sub = six_profile.restrict(mask_of([2, 3, 4, 5]))
         assert sub.m == 4

@@ -16,18 +16,17 @@ from kwise_kemeny import (
     kwise_digraph,
     mask_members,
     mask_of,
-    pairwise_digraph,
     partitioned_dp,
     preprocess,
     profile_distance,
     refine_digraph,
     scc_decompose,
     setwise_advantage,
-    solve_preprocessed,
+    setwise_support,
+    solve,
     to_dot,
-    triple_support,
 )
-from kwise_kemeny.majority import KwiseDigraph, SccOrder
+from kwise_kemeny.majority import Arc, KwiseDigraph, SccOrder
 from kwise_kemeny.sampling import MallowsParams, mallows_sample
 from conftest import random_profile
 
@@ -96,14 +95,14 @@ class TestPairCounts:
 
 class TestPairwiseDigraph:
     def test_six_profile_matches_fixture(self, six_profile):
-        graph = pairwise_digraph(six_profile)
+        graph = kwise_digraph(six_profile, 2)
         assert arcs_one_based(graph) == PAIRWISE_ARCS
         for (c, d), arc in graph.arcs.items():
             assert arc.witness == mask_of([c, d])
 
     def test_unanimous_profile_is_complete(self):
         profile = Profile(4, [(Ranking([1, 3, 0, 2]), 7)])
-        graph = pairwise_digraph(profile)
+        graph = kwise_digraph(profile, 2)
         assert len(graph.arcs) == 6
         assert all(arc.weight == 7 for arc in graph.arcs.values())
 
@@ -111,21 +110,21 @@ class TestPairwiseDigraph:
         profile = Profile.from_rankings(
             3, [Ranking([0, 1, 2]), Ranking([2, 1, 0])]
         )
-        assert pairwise_digraph(profile).arcs == {}
+        assert kwise_digraph(profile, 2).arcs == {}
 
 
 class TestTripleSupport:
     def test_pair_only_counts_preferences(self, six_profile):
         counts = PairCounts(six_profile)
         for c, d in itertools.permutations(range(6), 2):
-            assert triple_support(six_profile, mask_of([c, d]), c, d) == (
+            assert setwise_support(six_profile, mask_of([c, d]), c, d, 3) == (
                 counts.above[c, d]
             )
 
     def test_known_margin(self, six_profile):
         subset = mask_of([1, 2, 3])
-        margin = triple_support(six_profile, subset, 2, 3) - triple_support(
-            six_profile, subset, 3, 2
+        margin = setwise_support(six_profile, subset, 2, 3, 3) - setwise_support(
+            six_profile, subset, 3, 2, 3
         )
         assert margin == 1
 
@@ -137,13 +136,13 @@ class TestTripleSupport:
             c, d = rng.choice(m, size=2, replace=False)
             extra = int(rng.integers(0, 1 << m)) & ~(1 << int(c)) & ~(1 << int(d))
             subset = extra | mask_of([int(c), int(d)])
-            assert triple_support(profile, subset, int(c), int(d)) == (
+            assert setwise_support(profile, subset, int(c), int(d), 3) == (
                 naive_triple_support(profile, subset, int(c), int(d))
             )
 
     def test_requires_pair_in_subset(self, six_profile):
         with pytest.raises(ValueError):
-            triple_support(six_profile, mask_of([0, 1]), 0, 2)
+            setwise_support(six_profile, mask_of([0, 1]), 0, 2, 3)
 
     def test_antisymmetry_of_advantage(self):
         rng = np.random.default_rng(12)
@@ -250,7 +249,13 @@ class TestKwiseDigraph:
         for _ in range(10):
             m = int(rng.integers(2, 7))
             profile = random_profile(rng, m, int(rng.integers(1, 10)))
-            assert kwise_digraph(profile, 2).arcs == pairwise_digraph(profile).arcs
+            graph = kwise_digraph(profile, 2)
+            for c, d in itertools.permutations(range(m), 2):
+                weight, witness = best_advantage_exhaustive(profile, c, d, 2)
+                if weight > 0:
+                    assert graph.arcs[(c, d)] == Arc(weight, witness)
+                else:
+                    assert (c, d) not in graph.arcs
 
     def test_k4_needs_opt_in(self, six_profile):
         with pytest.raises(GuardError, match="force"):
@@ -300,7 +305,7 @@ class TestSccDecompose:
         profile = Profile.from_rankings(
             3, [Ranking([0, 1, 2]), Ranking([1, 2, 0]), Ranking([2, 0, 1])]
         )
-        order = scc_decompose(pairwise_digraph(profile))
+        order = scc_decompose(kwise_digraph(profile, 2))
         assert order.components == (full_mask(3),)
         assert order.order_unique
 
@@ -335,7 +340,7 @@ class TestRefine:
             m = int(rng.integers(3, 9))
             profile = random_profile(rng, m, int(rng.integers(2, 12)))
             plain = dp_consensus(profile, 3).optimum
-            assert solve_preprocessed(profile, 3, refine=True).optimum == plain
+            assert solve(profile, 3, "pre-refined").optimum == plain
 
 
 class TestPartitionedDp:
@@ -356,7 +361,7 @@ class TestPartitionedDp:
         profile = Profile.from_rankings(
             3, [Ranking([0, 1, 2]), Ranking([1, 2, 0]), Ranking([2, 0, 1])]
         )
-        order = scc_decompose(pairwise_digraph(profile))
+        order = scc_decompose(kwise_digraph(profile, 2))
         assert order.components == (full_mask(3),)
         result = partitioned_dp(profile, 2, order)
         plain = dp_consensus(profile, 2)
@@ -370,8 +375,8 @@ class TestPartitionedDp:
                     MallowsParams(Ranking.identity(m), phi, 30, seed)
                 )
                 plain = dp_consensus(profile, 3).optimum
-                assert solve_preprocessed(profile, 3).optimum == plain
-                assert solve_preprocessed(profile, 3, refine=True).optimum == plain
+                assert solve(profile, 3, "pre").optimum == plain
+                assert solve(profile, 3, "pre-refined").optimum == plain
 
     def test_component_validation(self, six_profile):
         with pytest.raises(ValueError):
@@ -421,7 +426,7 @@ class TestPartitionedDp:
 
 class TestSolvePreprocessed:
     def test_tension_profile(self, tension_profile):
-        result = solve_preprocessed(tension_profile, 3)
+        result = solve(tension_profile, 3, "pre")
         assert result.optimum == 201
         assert result.rankings[0].to_one_based() == (1, 2, 3)
 
@@ -432,23 +437,47 @@ class TestSolvePreprocessed:
             profile = random_profile(rng, m, int(rng.integers(1, 14)))
             expected = dp_consensus(profile, 3 if m >= 3 else 2).optimum
             k = 3 if m >= 3 else 2
-            assert solve_preprocessed(profile, k).optimum == expected
-            assert solve_preprocessed(profile, k, refine=True).optimum == expected
+            assert solve(profile, k, "pre").optimum == expected
+            assert solve(profile, k, "pre-refined").optimum == expected
 
     def test_k4_requires_opt_in(self, six_profile):
         with pytest.raises(GuardError):
-            solve_preprocessed(six_profile, 4)
-        result = solve_preprocessed(six_profile, 4, allow_exponential=True)
+            solve(six_profile, 4, "pre")
+        result = solve(six_profile, 4, "pre", allow_exponential=True)
         assert result.optimum == dp_consensus(six_profile, 4).optimum
+
+
+class TestSolve:
+    def test_limit_counts_in_every_mode(self):
+        rng = np.random.default_rng(91)
+        for _ in range(15):
+            m = int(rng.integers(3, 8))
+            profile = random_profile(rng, m, int(rng.integers(1, 10)))
+            exact = enumerate_consensus(profile, 3).count
+            assert solve(profile, 3, "dp", limit=1).count == exact
+            assert solve(profile, 3, "brute", limit=1).count == exact
+            for mode, refine in (("pre", False), ("pre-refined", True)):
+                _, order = preprocess(profile, 3, refine)
+                result = solve(profile, 3, mode, limit=1)
+                assert result.count == partitioned_dp(profile, 3, order).count
+                assert result.stats.largest_component == order.largest
+
+    def test_largest_component_of_plain_modes(self, six_profile):
+        for mode in ("brute", "dp"):
+            assert solve(six_profile, 3, mode).stats.largest_component == 6
+
+    def test_unknown_mode_rejected(self, six_profile):
+        with pytest.raises(ValueError, match="unknown solver mode"):
+            solve(six_profile, 3, "fastest")
 
 
 class TestDotExport:
     def test_plain_rendering_is_stable(self, six_profile):
-        graph = pairwise_digraph(six_profile)
+        graph = kwise_digraph(six_profile, 2)
         dot = to_dot(graph)
         assert dot.startswith("digraph majority {\n  rankdir=LR;\n  c1;\n")
         assert '  c4 -> c3 [label="2"];' in dot
-        assert dot == to_dot(pairwise_digraph(six_profile))
+        assert dot == to_dot(kwise_digraph(six_profile, 2))
 
     def test_clustered_rendering(self, six_profile):
         graph, order = preprocess(six_profile, 3)

@@ -18,6 +18,7 @@ from kwise_kemeny import (
     placement_cost,
     profile_distance,
 )
+from kwise_kemeny.solver import solve_components
 from conftest import random_profile
 
 
@@ -269,3 +270,35 @@ class TestEnumerate:
     def test_limit_validation(self, tension_profile):
         with pytest.raises(ValueError):
             enumerate_consensus(tension_profile, 2, limit=0)
+
+
+class TestSolveComponents:
+    def test_dp_reports_first_enumerated_order(self):
+        rng = np.random.default_rng(33)
+        for _ in range(20):
+            m = int(rng.integers(2, 8))
+            profile = random_profile(rng, m, int(rng.integers(1, 10)))
+            k = int(rng.integers(2, m + 1))
+            plain = dp_consensus(profile, k)
+            first = enumerate_consensus(profile, k, limit=1)
+            assert plain.rankings == first.rankings
+            assert (plain.count, plain.truncated) == (1, False)
+            assert first.truncated == (first.count > 1)
+
+    def test_largest_component_recorded(self, six_profile):
+        assert dp_consensus(six_profile, 3).stats.largest_component == 6
+        pieces = (mask_of([0, 1]), mask_of([2, 3, 4]), mask_of([5]))
+        result = solve_components(six_profile, 3, pieces)
+        assert result.stats.largest_component == 3
+        assert result.stats.states == 4 + 8 + 2
+
+    def test_component_guard_messages(self):
+        profile = Profile.from_rankings(32, [Ranking(range(32))])
+        with pytest.raises(GuardError, match="component of size 31"):
+            solve_components(profile, 3, (full_mask(31), 1 << 31))
+        with pytest.raises(GuardError, match="m=32 exceeds the 2\\^m state cap"):
+            solve_components(profile, 3, (full_mask(32),))
+
+    def test_limit_validation(self, six_profile):
+        with pytest.raises(ValueError, match="limit"):
+            solve_components(six_profile, 3, (full_mask(6),), limit=0)
