@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: distance, solve, digraph, sample, bench.
-Exit codes: 0 success, 2 input error, 3 guard/limit refused, 4 internal
-assertion failure.
+Exit codes: 0 success, 2 input error, 3 guard/limit refused or out of
+memory, 4 internal assertion failure or recursion limit.
 """
 
 from __future__ import annotations
@@ -254,7 +254,14 @@ def main(argv=None) -> int:
     except GuardError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except InternalCheckError as exc:
+    except MemoryError:
+        print(
+            "refused: out of memory (the instance needs more memory than "
+            "this machine can allocate)",
+            file=sys.stderr,
+        )
+        return EXIT_GUARD
+    except (InternalCheckError, RecursionError) as exc:
         print(f"internal check failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
     except (ValueError, OSError) as exc:

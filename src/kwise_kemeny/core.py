@@ -1,14 +1,18 @@
-"""Election data model: candidates, rankings, profiles and subset masks.
+"""Election data model: candidates, rankings, profiles, subset masks and
+the pair statistics of a profile.
 
 Candidates are dense integer ids ``0..m-1``.  A subset of candidates is a
 plain ``int`` bitmask (``Mask``) with bit ``c`` set iff candidate ``c`` is a
 member; this is what every subset-indexed table in the solvers runs on.
-All types here are immutable after construction and safe to share between
-threads.
+All types here are immutable after construction (``PairCounts`` builds its
+triple counts once, on first use) and safe to share between threads.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
+import itertools
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -235,7 +239,9 @@ class Profile:
 
     def positions_matrix(self) -> np.ndarray:
         """``pos[g, c]`` = position of candidate ``c`` in group ``g``."""
-        return np.array([r.inverse for r, _ in self.groups], dtype=np.int64)
+        inverses = itertools.chain.from_iterable(r.inverse for r, _ in self.groups)
+        size = len(self.groups) * self.m
+        return np.fromiter(inverses, np.int64, size).reshape(-1, self.m)
 
     def relabel(self, image: Sequence[int]) -> "Profile":
         """Apply a candidate renaming to every voter ranking."""
@@ -265,6 +271,97 @@ class Profile:
 
     def __repr__(self) -> str:
         return f"Profile(m={self.m}, n={self.n}, groups={len(self.groups)})"
+
+
+class PairCounts:
+    """Voter-count statistics of a profile, shared by the digraph
+    constructions and the subset DP.
+
+    ``above[c, x]`` counts voters preferring c to x; ``joint[c, d, x]``
+    counts voters preferring c to both d and x (so ``joint[c, x, x]`` is
+    ``above[c, x]``), built on first use.  ``counts`` and ``positions`` are
+    the profile's group multiplicities and position matrix.
+    """
+
+    __slots__ = ("m", "n", "counts", "positions", "above", "_joint")
+
+    def __init__(self, profile: Profile):
+        counts = profile.counts_array()
+        positions = profile.positions_matrix()
+        m, n = profile.m, int(counts.sum())
+        prefers, weights = self._prefers(positions, counts, n)
+        above = weights @ prefers.reshape(len(counts), m * m)
+        object.__setattr__(self, "m", m)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "counts", counts)
+        object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "above", above.reshape(m, m).astype(np.int64))
+        object.__setattr__(self, "_joint", None)
+
+    @staticmethod
+    def _prefers(
+        positions: np.ndarray, counts: np.ndarray, n: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``prefers[g, c, x]`` (group g ranks c above x) and the counts, in
+        a dtype whose products are exact: every sum of products is an
+        integer in [0, n], so float32 BLAS products are exact below 2^24."""
+        dtype = np.float32 if n < 1 << 24 else np.int64
+        prefers = (positions[:, :, None] < positions[:, None, :]).astype(dtype)
+        return prefers, counts.astype(dtype)
+
+    @classmethod
+    def of(cls, profile: Profile) -> "PairCounts":
+        """The counts of ``profile``: those held by an enclosing
+        :meth:`shared` block for the same profile object, else new ones."""
+        held = _held_counts.get()
+        if held is not None and held[0] is profile:
+            return held[1]
+        return cls(profile)
+
+    @classmethod
+    @contextlib.contextmanager
+    def shared(cls, profile: Profile) -> Iterator["PairCounts"]:
+        """Within the block, :meth:`of` returns one instance for ``profile``,
+        so the stages of one solve build the statistics once."""
+        counts = cls.of(profile)
+        token = _held_counts.set((profile, counts))
+        try:
+            yield counts
+        finally:
+            _held_counts.reset(token)
+
+    @property
+    def joint(self) -> np.ndarray:
+        if self._joint is None:
+            prefers, weights = self._prefers(self.positions, self.counts, self.n)
+            # joint[c] = sum over groups of count * outer(prefers[c], prefers[c])
+            weighted = prefers.transpose(1, 2, 0) * weights
+            joint = np.matmul(weighted, prefers.transpose(1, 0, 2))
+            object.__setattr__(self, "_joint", joint.astype(np.int64))
+        return self._joint
+
+    def __setattr__(self, name, value):
+        raise AttributeError("PairCounts is immutable")
+
+    def margin(self, c: int, d: int) -> int:
+        return int(self.above[c, d] - self.above[d, c])
+
+    def contributions(self, c: int, d: int) -> list[int]:
+        """Advantage gained on (c, d) triples by adding each x to the contest set."""
+        return (self.joint[c, d] - self.joint[d, c]).tolist()
+
+    def unanimous_above(self, c: int) -> Mask:
+        """Mask of candidates every voter prefers to ``c``."""
+        mask = 0
+        for x in range(self.m):
+            if x != c and self.above[x, c] == self.n:
+                mask |= 1 << x
+        return mask
+
+
+_held_counts: contextvars.ContextVar[tuple[Profile, PairCounts] | None] = (
+    contextvars.ContextVar("held_pair_counts", default=None)
+)
 
 
 # ---------------------------------------------------------------------------

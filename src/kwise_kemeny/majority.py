@@ -29,6 +29,7 @@ call it.
 from __future__ import annotations
 
 import heapq
+import itertools
 import time
 from dataclasses import dataclass, replace
 from typing import Iterable, Mapping
@@ -39,6 +40,7 @@ from .core import (
     GuardError,
     InternalCheckError,
     Mask,
+    PairCounts,
     Profile,
     bit,
     full_mask,
@@ -78,9 +80,6 @@ class KwiseDigraph:
     def arc_items(self) -> list[tuple[tuple[int, int], Arc]]:
         return sorted(self.arcs.items())
 
-    def successors(self, c: int) -> list[int]:
-        return sorted(d for (a, d) in self.arcs if a == c)
-
     def without(self, removed: Iterable[tuple[int, int]]) -> "KwiseDigraph":
         gone = set(removed)
         kept = {pair: arc for pair, arc in self.arcs.items() if pair not in gone}
@@ -104,46 +103,6 @@ class SccOrder:
             for c in iter_mask(mask):
                 index[c] = i
         return index
-
-
-class PairCounts:
-    """Voter-count statistics the digraph constructions run on.
-
-    ``above[c, x]`` counts voters preferring c to x; ``joint[c, d, x]``
-    counts voters preferring c to d and c to x.
-    """
-
-    __slots__ = ("m", "n", "above", "joint")
-
-    def __init__(self, profile: Profile):
-        m = profile.m
-        counts = profile.counts_array()
-        positions = profile.positions_matrix()
-        prefers = (positions[:, :, None] < positions[:, None, :]).astype(np.int64)
-        above = np.einsum("g,gcx->cx", counts, prefers)
-        joint = np.einsum("g,gcd,gcx->cdx", counts, prefers, prefers)
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "n", int(counts.sum()))
-        object.__setattr__(self, "above", above)
-        object.__setattr__(self, "joint", joint)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PairCounts is immutable")
-
-    def margin(self, c: int, d: int) -> int:
-        return int(self.above[c, d] - self.above[d, c])
-
-    def contributions(self, c: int, d: int) -> list[int]:
-        """Advantage gained on (c, d) triples by adding each x to the contest set."""
-        return (self.joint[c, d] - self.joint[d, c]).tolist()
-
-    def unanimous_above(self, c: int) -> Mask:
-        """Mask of candidates every voter prefers to ``c``."""
-        mask = 0
-        for x in range(self.m):
-            if x != c and self.above[x, c] == self.n:
-                mask |= 1 << x
-        return mask
 
 
 def _check_pair_in_subset(subset: Mask, winner: int, loser: int) -> None:
@@ -218,7 +177,7 @@ def best_triple_advantage(
         raise ValueError("candidates must be distinct")
     _check_forced(c, d, forced_in, forced_out)
     if counts is None:
-        counts = PairCounts(profile)
+        counts = PairCounts.of(profile)
     gains = counts.contributions(c, d)
     weight = counts.margin(c, d) + sum(gains[x] for x in iter_mask(forced_in))
     witness = bit(c) | bit(d) | forced_in
@@ -282,13 +241,24 @@ def best_advantage_exhaustive(
     return int(advantage[best]), witness
 
 
+def _row_masks(bits: np.ndarray) -> list[Mask]:
+    """The bitmask of each row of a boolean matrix (column x is bit x)."""
+    rows = np.packbits(bits, axis=1, bitorder="little")
+    width, data = rows.shape[1], rows.tobytes()
+    return [
+        int.from_bytes(data[i : i + width], "little")
+        for i in range(0, len(data), width)
+    ]
+
+
 def kwise_digraph(
     profile: Profile, k: int, allow_exponential: bool = False
 ) -> KwiseDigraph:
     """Majority digraph at order ``k``; arcs keep weight and witness set.
 
     At k = 2 an arc carries the positive pairwise margin and the pair is its
-    witness.
+    witness.  At k = 3 all arcs come from one pass over the triple counts:
+    the greedy rule of `best_triple_advantage`, applied to every pair.
     """
     m = profile.m
     validate_k(m, k)
@@ -298,20 +268,31 @@ def kwise_digraph(
             "exponential witness search (NP-hard for k >= 4); "
             "pass allow_exponential=True / --force-exponential to proceed"
         )
-    counts = PairCounts(profile) if k <= 3 else None
     arcs: dict[tuple[int, int], Arc] = {}
-    for c in range(m):
-        for d in range(m):
-            if c == d:
-                continue
-            if k == 2:
-                weight, witness = counts.margin(c, d), bit(c) | bit(d)
-            elif k == 3:
-                weight, witness = best_triple_advantage(profile, c, d, counts=counts)
-            else:
-                weight, witness = best_advantage_exhaustive(profile, c, d, k)
-            if weight > 0:
-                arcs[(c, d)] = Arc(weight, witness)
+    if k > 3:
+        for c in range(m):
+            for d in range(m):
+                if c != d:
+                    weight, witness = best_advantage_exhaustive(profile, c, d, k)
+                    if weight > 0:
+                        arcs[(c, d)] = Arc(weight, witness)
+        return KwiseDigraph(m, k, arcs)
+    counts = PairCounts.of(profile)
+    weights = counts.above - counts.above.T
+    if k == 3:
+        # gains[c, d, x]: what x adds to c's 3-wise advantage over d (the
+        # additivity `best_triple_advantage` uses), kept where positive
+        gains = counts.joint - counts.joint.transpose(1, 0, 2)
+        useful = gains > 0
+        every = np.arange(m)
+        useful[every, :, every] = False
+        useful[:, every, every] = False
+        weights += (gains * useful).sum(axis=2)
+    arc_at = np.nonzero(weights > 0)
+    extras = _row_masks(useful[arc_at]) if k == 3 else itertools.repeat(0)
+    pairs = zip(*(axis.tolist() for axis in arc_at))
+    for (c, d), weight, extra in zip(pairs, weights[arc_at].tolist(), extras):
+        arcs[(c, d)] = Arc(weight, extra | 1 << c | 1 << d)
     return KwiseDigraph(m, k, arcs)
 
 
@@ -328,7 +309,9 @@ def scc_decompose(graph: KwiseDigraph) -> SccOrder:
     condensation admits a single topological order.
     """
     m = graph.m
-    adjacency: dict[int, list[int]] = {c: graph.successors(c) for c in range(m)}
+    adjacency: dict[int, list[int]] = {c: [] for c in range(m)}
+    for c, d in sorted(graph.arcs):
+        adjacency[c].append(d)
     index_of: dict[int, int] = {}
     lowlink: dict[int, int] = {}
     on_stack: set[int] = set()
@@ -427,7 +410,7 @@ def refine_digraph(
     constraints and the arc removed when the maximum drops to zero or below.
     Removals can split components, so passes repeat until a fixed point.
     """
-    counts = PairCounts(profile)
+    counts = PairCounts.of(profile)
     dominators = [counts.unanimous_above(c) for c in range(graph.m)]
     if order is None:
         order = scc_decompose(graph)
@@ -527,8 +510,9 @@ def solve(
             return dp_consensus(profile, k)
         return enumerate_consensus(profile, k, limit)
     started = time.perf_counter()
-    _, order = preprocess(profile, k, mode == "pre-refined", allow_exponential)
-    result = partitioned_dp(profile, k, order, limit)
+    with PairCounts.shared(profile):
+        _, order = preprocess(profile, k, mode == "pre-refined", allow_exponential)
+        result = partitioned_dp(profile, k, order, limit)
     millis = (time.perf_counter() - started) * 1000.0
     return replace(result, stats=replace(result.stats, millis=millis))
 

@@ -2,10 +2,17 @@
 
 Two independent routes compute a ranking minimizing the k-wise distance to a
 profile: full enumeration of the m! rankings (`brute_force_consensus`, the
-oracle, guarded at m <= 8) and a dynamic program over candidate subsets
-(O(2^m m^2 n)).  The DP peels the first-placed candidate: the optimal cost
-of ordering a subset S is the best, over c in S, of the cost of placing c
-above the rest plus the optimal cost of S without c.
+oracle, guarded at m <= 8) and a dynamic program over candidate subsets,
+the Held-Karp-style DP of Betzler et al. (TCS 2009).  The DP peels the
+first-placed candidate: the optimal cost of ordering a subset S is the
+best, over c in S, of the cost of placing c above the rest plus the optimal
+cost of S without c.
+
+The table work is O(m 2^m).  The placement costs read the ballots only
+through statistics built once per solve: for k <= 3 a voter's cost is a
+polynomial of degree <= 2 in the number of pool members it ranks above the
+placed candidate, so O(n m^3) pair and triple counts give every cost row;
+for k >= 4 one lookup pass per voter group fills them in O(n m 2^(m-1)).
 
 `build_dp_table` also accepts a *context* mask of candidates known to be
 ranked below every candidate of S; placement costs are then charged against
@@ -19,7 +26,9 @@ whole candidate set as a single piece; the component-wise solver in
 
 from __future__ import annotations
 
+import functools
 import itertools
+import math
 import time
 from dataclasses import dataclass
 
@@ -29,9 +38,11 @@ from .core import (
     GuardError,
     MAX_CANDIDATES,
     Mask,
+    PairCounts,
     Profile,
     Ranking,
     full_mask,
+    iter_mask,
     mask_members,
     popcount_array,
     validate_k,
@@ -40,8 +51,6 @@ from .distance import BinomialPrefixTable
 
 BRUTE_FORCE_MAX_M = 8
 DEFAULT_ENUMERATION_LIMIT = 10_000
-
-_INF = np.int64(1) << np.int64(62)
 
 
 @dataclass(frozen=True)
@@ -128,26 +137,243 @@ def placement_cost(
     return total
 
 
-def _cumulative_cost_table(table: BinomialPrefixTable, m: int) -> np.ndarray:
+@functools.lru_cache(maxsize=32)
+def _cumulative_cost_table(m: int, k: int) -> np.ndarray:
     """``G[s, q]``: cost of q restriction members above the placed candidate.
 
     G(s, q) = sum_{p=1..q} F(s - p - 1) where s is the restriction size and
     F the binomial prefix sum; rows/cols outside q <= s - 1 are unused.
     """
-    F = table.as_array()  # F[p], p in 0..m-2
+    F = BinomialPrefixTable(m, k).as_array()  # F[p], p in 0..m-2
     H = np.zeros(m, dtype=np.int64)
     H[1:] = np.cumsum(F[: m - 1])
     G = np.zeros((m + 1, m + 1), dtype=np.int64)
     for s in range(1, m + 1):
         q = np.arange(s)
         G[s, :s] = H[s - 1] - H[s - 1 - q]
+    G.flags.writeable = False
     return G
 
 
+def _check_accumulation(n: int, m: int, k: int) -> None:
+    """Refuse a profile whose distance totals could overflow int64.
+
+    One voter disagrees with a ranking on at most every contest set of size
+    2..k, so n times that count bounds every distance, table entry and
+    partial sum; the guard keeps it below 2^62.
+    """
+    worst = n * sum(math.comb(m, i) for i in range(2, min(k, m) + 1))
+    if worst >= 1 << 62:
+        raise GuardError(
+            f"disagreement totals for n={n}, m={m} would overflow "
+            "64-bit accumulation"
+        )
+
+
+def _other_bits(nloc: int) -> np.ndarray:
+    """``others[j, i]``: local index of bit i of row j's half-size index.
+
+    Row j of a cost table is indexed by the subset T of the other local
+    candidates, packed into nloc - 1 bits: bit i stands for local i below j
+    and for local i + 1 from j on.
+    """
+    i = np.arange(nloc - 1)
+    return i[None, :] + (i[None, :] >= np.arange(nloc)[:, None])
+
+
+def _moment_costs(
+    counts: PairCounts, k: int, candidates: tuple[int, ...], context: Mask
+) -> np.ndarray:
+    """Cost rows for k <= 3 from the pair statistics alone.
+
+    With P the pool above which candidate j is placed (the rest of the
+    subset plus the context), a voter with q pool members above j pays q at
+    k = 2 and q*|P| - q(q - 1)/2 at k = 3.  Summed over voters that is
+
+        sum_{x in P} a[x] + [k = 3] * sum_{x < y in P} u[x, y]
+
+    with a[x] the voters preferring x to j and u[x, y] = n - joint[j, x, y]
+    the voters preferring x or y to j.  Context terms fold into a constant
+    and a linear term; the rest is filled in by subset-sum doubling.
+    """
+    nloc = len(candidates)
+    cand = np.array(candidates, dtype=np.intp)
+    pool = np.concatenate((cand, np.array(mask_members(context), dtype=np.intp)))
+    a = counts.above[pool][:, cand].T  # a[j, x]: voters preferring x to j
+    base = a[:, nloc:].sum(axis=1)
+    linear = a[:, :nloc]
+    if k == 3:
+        union = counts.n - counts.joint[cand][:, pool][:, :, pool]
+        to_ctx = union[:, :, nloc:].sum(axis=2)
+        # sum_{x<y in C} u = (sum_{x,y in C} u - sum_{x in C} a[x]) / 2
+        base += (to_ctx[:, nloc:].sum(axis=1) - base) // 2
+        linear = linear + to_ctx[:, :nloc]
+    cost = np.empty((nloc, 1 << (nloc - 1)), dtype=np.int64)
+    cost[:, 0] = base
+    if nloc == 1:
+        return cost
+    rows = np.arange(nloc)[:, None]
+    others = _other_bits(nloc)
+    linear = linear[rows, others]
+    for i in range(nloc - 1):
+        low, block = cost[:, : 1 << i], cost[:, 1 << i : 2 << i]
+        if k == 3 and i:
+            # block[T] = sum_{y in T} u[x_i, y] over T within the lower bits
+            block[:, 0] = 0
+            weights = union[rows, others[:, i : i + 1], others[:, :i]]
+            for bit in range(i):
+                np.add(
+                    block[:, : 1 << bit],
+                    weights[:, bit : bit + 1],
+                    out=block[:, 1 << bit : 2 << bit],
+                )
+            block += low
+        else:
+            block[:] = low
+        block += linear[:, i : i + 1]
+    return cost
+
+
+def _lookup_costs(
+    counts: PairCounts, k: int, candidates: tuple[int, ...], context: Mask
+) -> np.ndarray:
+    """Cost rows for any k by a per-ballot lookup.
+
+    A voter group pays ``G[s, q]`` where the restriction size s and the
+    count q of restriction members above j depend on a subset T only
+    through |T| and the popcount of T within the group's above-mask.  Both
+    split over the high and low halves of T's bits, so one outer sum gives
+    a packed (|T|, popcount) key into the group's count-scaled row of G.
+    """
+    m = counts.m
+    nloc = len(candidates)
+    b = context.bit_count()
+    G = _cumulative_cost_table(m, k)
+    cand = np.array(candidates, dtype=np.intp)
+    ctx = np.array(mask_members(context), dtype=np.intp)
+    pos = counts.positions[:, cand]
+    # above[g, j, x]: group g ranks local x above local j
+    above = pos[:, None, :] < pos[:, :, None]
+    fixed = (counts.positions[:, ctx][:, None, :] < pos[:, :, None]).sum(axis=2)
+    others = _other_bits(nloc)
+    above_others = np.take_along_axis(above, others[None], axis=2)
+    masks = (above_others.astype(np.int64) << np.arange(nloc - 1)).sum(axis=2)
+
+    n_low = (nloc - 1) // 2
+    high = np.arange(1 << (nloc - 1 - n_low), dtype=np.int64)
+    low = np.arange(1 << n_low, dtype=np.int64)
+    high_key = popcount_array(high).astype(np.intp) * nloc
+    low_key = popcount_array(low).astype(np.intp) * nloc
+    key = np.empty((len(high), len(low)), dtype=np.intp)
+    flat_key = key.reshape(-1)
+    gathered = np.empty(len(flat_key), dtype=np.int64)
+    span = np.arange(nloc)
+    sizes = span[:, None] + 1 + b
+    cost = np.zeros((nloc, len(flat_key)), dtype=np.int64)
+    for j in range(nloc):
+        # lut[g, t, u] = count_g * G[t + 1 + b, u + fixed[g, j]]
+        lut = counts.counts[:, None, None] * G[
+            sizes[None], span[None, None, :] + fixed[:, j, None, None]
+        ]
+        lut = lut.reshape(len(lut), -1)
+        mask = masks[:, j]
+        high_keys = high_key + popcount_array(high & (mask[:, None] >> n_low))
+        low_keys = low_key + popcount_array(low & (mask[:, None] & (len(low) - 1)))
+        row = cost[j]
+        for g in range(len(lut)):
+            np.add(high_keys[g][:, None], low_keys[g][None, :], out=key)
+            np.take(lut[g], flat_key, out=gathered, mode="clip")
+            row += gathered
+    return cost
+
+
+_LAYER_SLICE = 1 << 15  # states per slice: bounds the DP's per-layer temporaries
+
+
+def _layers(nloc: int):
+    """The DP's popcount layers, in increasing order, in slices of states.
+
+    Per slice: the states, and for every member j of every state (a row
+    per state, members ascending) the predecessor state without j, the
+    flat index of its cost entry (row j, the other members packed as in
+    :func:`_other_bits`), and bit j.  States come in colex order, so the
+    states of a layer whose members all lie below e are a prefix, and each
+    layer extends prefixes of the one before.
+    """
+    members = np.zeros((1, 0), dtype=np.int8)
+    states = np.zeros(1, dtype=np.intp)
+    for level in range(1, nloc + 1):
+        size = math.comb(nloc, level)
+        grown = np.empty((size, level), dtype=np.int8)
+        new_states = np.empty(size, dtype=np.intp)
+        start = 0
+        for top in range(level - 1, nloc):
+            stop = start + math.comb(top, level - 1)
+            grown[start:stop, :-1] = members[: stop - start]
+            grown[start:stop, -1] = top
+            new_states[start:stop] = states[: stop - start] | 1 << top
+            start = stop
+        members, states = grown, new_states
+        for first in range(0, size, _LAYER_SLICE):
+            column = states[first : first + _LAYER_SLICE, None]
+            part = members[first : first + _LAYER_SLICE].astype(np.intp)
+            bit = 1 << part
+            packed = ((column >> (part + 1)) << part) | (column & (bit - 1))
+            yield column[:, 0], column ^ bit, (part << (nloc - 1)) | packed, bit
+
+
+# Small tables are solved by the thousand in preprocessed solves; their
+# layer plans are cheap to keep.
+_SMALL_PLAN = 6
+
+
+@functools.lru_cache(maxsize=None)
+def _small_layers(nloc: int) -> tuple:
+    return tuple(_layers(nloc))
+
+
+def _layered_min(cost: np.ndarray, nloc: int) -> tuple[np.ndarray, np.ndarray]:
+    """Values and argmin sets of the subset DP, one popcount layer at a time."""
+    size = 1 << nloc
+    values = np.zeros(size, dtype=np.int64)
+    argmin = np.zeros(size, dtype=np.uint32)
+    flat_cost = cost.reshape(-1)
+    plan = _small_layers(nloc) if nloc <= _SMALL_PLAN else _layers(nloc)
+    for states, previous, flat, bit in plan:
+        totals = values[previous] + flat_cost[flat]
+        best = totals.min(axis=1)
+        values[states] = best
+        argmin[states] = np.where(totals == best[:, None], bit, 0).sum(axis=1)
+    return values, argmin
+
+
+def _check_solvable(m: int, n: int, k: int, nloc: int) -> None:
+    """Guards of a DP over ``nloc`` of ``m`` candidates with ``n`` voters."""
+    if nloc > MAX_CANDIDATES:
+        solved = f"m={m}" if nloc == m else f"a subset of {nloc} candidates"
+        raise GuardError(
+            f"subset DP refused: {solved} exceeds the 2^m state cap "
+            f"(m <= {MAX_CANDIDATES})"
+        )
+    validate_k(m, k)
+    _check_accumulation(n, m, k)
+
+
 def build_dp_table(
-    profile: Profile, k: int, subset: Mask | None = None, context: Mask = 0
+    profile: Profile,
+    k: int,
+    subset: Mask | None = None,
+    context: Mask = 0,
 ) -> DpTable:
-    """Run the subset DP over ``subset`` (default: all candidates)."""
+    """Run the subset DP over ``subset`` (default: all candidates).
+
+    The placement costs depend on the ballots only through
+    :class:`PairCounts` (shared with the caller through
+    :meth:`PairCounts.shared`).  At k <= 3 they come from its pair and
+    triple counts alone; at k >= 4 from one lookup pass per voter group.
+    Only the rows the DP reads are filled: for each candidate j, the
+    subsets that contain j.
+    """
     m = profile.m
     if subset is None:
         subset = full_mask(m)
@@ -157,72 +383,10 @@ def build_dp_table(
     nloc = len(candidates)
     if nloc == 0:
         raise ValueError("empty subset")
-    if m > MAX_CANDIDATES or nloc > MAX_CANDIDATES:
-        raise GuardError(
-            f"subset DP refused: m={m} exceeds the 2^m state cap "
-            f"(m <= {MAX_CANDIDATES})"
-        )
-    validate_k(m, k)
-    # costs accumulate in int64; a profile contributes at most n * 2^m
-    if profile.n << m >= 1 << 62:
-        raise GuardError(
-            f"disagreement totals for n={profile.n}, m={m} would overflow "
-            "64-bit accumulation"
-        )
-    table = BinomialPrefixTable(m, k)
-    groups = profile.groups
-    n_groups = len(groups)
-    b = context.bit_count()
-
-    # Per (group, local candidate): the locally-compressed mask of subset
-    # members the group ranks above it, and the count of context members
-    # above it (a constant shift of the restriction rank).
-    above_local = np.zeros((n_groups, nloc), dtype=np.uint32)
-    above_fixed = np.zeros((n_groups, nloc), dtype=np.int64)
-    for g, (ranking, _) in enumerate(groups):
-        for j, c in enumerate(candidates):
-            above = ranking.above_set(c)
-            above_fixed[g, j] = (above & context).bit_count()
-            local = 0
-            for jj, cc in enumerate(candidates):
-                if above >> cc & 1:
-                    local |= 1 << jj
-            above_local[g, j] = local
-
-    counts = profile.counts_array()
-    G = _cumulative_cost_table(table, m)
-    G_flat = G.ravel()
-    stride = m + 1
-
-    size = 1 << nloc
-    masks = np.arange(size, dtype=np.uint32)
-    local_sizes = popcount_array(masks).astype(np.int64)
-    row_base = (local_sizes + b) * stride
-
-    cost = np.zeros((nloc, size), dtype=np.int64)
-    for j in range(nloc):
-        acc = cost[j]
-        for g in range(n_groups):
-            q = popcount_array(masks & above_local[g, j]).astype(np.int64)
-            acc += counts[g] * G_flat[row_base + q + above_fixed[g, j]]
-
-    values = np.zeros(size, dtype=np.int64)
-    argmin = np.zeros(size, dtype=np.uint32)
-    bit_weights = np.uint32(1) << np.arange(nloc, dtype=np.uint32)
-    layer_of = np.argsort(local_sizes, kind="stable")
-    layer_counts = np.bincount(local_sizes, minlength=nloc + 1)
-    offsets = np.concatenate(([0], np.cumsum(layer_counts)))
-    for level in range(1, nloc + 1):
-        states = layer_of[offsets[level] : offsets[level + 1]]
-        totals = np.full((len(states), nloc), _INF, dtype=np.int64)
-        for j in range(nloc):
-            in_set = (states >> j) & 1 == 1
-            idx = states[in_set]
-            totals[in_set, j] = values[idx ^ (1 << j)] + cost[j][idx]
-        best = totals.min(axis=1)
-        values[states] = best
-        minimal = totals == best[:, None]
-        argmin[states] = (minimal * bit_weights).sum(axis=1).astype(np.uint32)
+    _check_solvable(m, profile.n, k, nloc)
+    counts = PairCounts.of(profile)
+    costs = _moment_costs if k <= 3 else _lookup_costs
+    values, argmin = _layered_min(costs(counts, k, candidates, context), nloc)
     return DpTable(candidates, context, values, argmin)
 
 
@@ -268,6 +432,25 @@ def _elapsed_ms(started: float) -> float:
     return (time.perf_counter() - started) * 1000.0
 
 
+def _singleton_costs(
+    counts: PairCounts, k: int, components: tuple[Mask, ...]
+) -> np.ndarray:
+    """``cost[c]``: the optimum of every one-candidate component {c}.
+
+    It is the cost of placing c above the later components: a voter group
+    with q of their b members above c pays ``G[b + 1, q]``.
+    """
+    rank = [0] * counts.m
+    for i, mask in enumerate(components):
+        for c in iter_mask(mask):
+            rank[c] = i
+    later = np.less.outer(rank, rank)  # later[c, x]: x in a later component
+    pos = counts.positions
+    above = ((pos[:, None, :] < pos[:, :, None]) & later).sum(axis=2)
+    G = _cumulative_cost_table(counts.m, k)
+    return counts.counts @ G[later.sum(axis=1) + 1, above]
+
+
 def solve_components(
     profile: Profile,
     k: int,
@@ -297,7 +480,7 @@ def solve_components(
         if union & mask:
             raise ValueError("components overlap")
         union |= mask
-        # a lone component is the whole set, which build_dp_table guards
+        # a lone component is the whole set, which _check_solvable guards
         if len(components) > 1 and mask.bit_count() > MAX_CANDIDATES:
             raise GuardError(
                 f"component of size {mask.bit_count()} exceeds the DP cap "
@@ -305,26 +488,35 @@ def solve_components(
             )
     if union != full_mask(m):
         raise ValueError("components do not partition the candidate set")
+    largest = max(mask.bit_count() for mask in components)
+    # also guards the one-candidate components, which build no table
+    _check_solvable(m, profile.n, k, largest)
 
     optimum = states = 0
     count = 1
     pieces: list[list[tuple[int, ...]]] = []
     later = union  # candidates of the components not yet solved
-    for component in components:
-        later ^= component
-        table = build_dp_table(profile, k, subset=component, context=later)
-        optimum += table.optimum
-        states += len(table.values)
-        if count_optima:
-            count *= count_table_optima(table)
-        pieces.append(enumerate_table_orders(table, limit or 1))
+    with PairCounts.shared(profile) as counts:
+        alone = _singleton_costs(counts, k, components)
+        for component in components:
+            later ^= component
+            if component & (component - 1) == 0:  # one candidate, one order
+                optimum += int(alone[component.bit_length() - 1])
+                states += 2
+                pieces.append([(component.bit_length() - 1,)])
+                continue
+            table = build_dp_table(profile, k, subset=component, context=later)
+            optimum += table.optimum
+            states += len(table.values)
+            if count_optima:
+                count *= count_table_optima(table)
+            pieces.append(enumerate_table_orders(table, limit or 1))
     rankings = tuple(
         Ranking([c for piece in combo for c in piece])
         for combo in itertools.islice(itertools.product(*pieces), limit or 1)
     )
     if not count_optima:
         count = len(rankings)
-    largest = max(mask.bit_count() for mask in components)
     stats = SolveStats(states, _elapsed_ms(started), largest)
     return ConsensusResult(optimum, rankings, count, count > len(rankings), stats)
 
@@ -373,11 +565,7 @@ def brute_force_consensus(profile: Profile, k: int) -> ConsensusResult:
     if m == 1:
         return solve_components(profile, k, (1,))
     validate_k(m, k)
-    if profile.n << m >= 1 << 62:
-        raise GuardError(
-            f"disagreement totals for n={profile.n}, m={m} would overflow "
-            "64-bit accumulation"
-        )
+    _check_accumulation(profile.n, m, k)
     perms, below = _perm_tables(m)
     prefix = BinomialPrefixTable(m, k).as_array()
     lookup = np.zeros(m, dtype=np.int64)  # pad: pools larger than m-2 never disagree

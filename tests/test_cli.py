@@ -3,7 +3,7 @@ import re
 
 import pytest
 
-from kwise_kemeny import impartial_culture, serialize_profile
+from kwise_kemeny import cli, impartial_culture, serialize_profile
 from kwise_kemeny.cli import main
 from conftest import SIX_TEXT, TENSION_TEXT
 
@@ -125,6 +125,37 @@ class TestSolve:
         )
         payload = json.loads(out)
         assert payload["rankings"] == [[1, 2, 4, 3, 5, 6]]
+
+    def test_dp_state_cap_exit_code(self, capsys, tmp_path):
+        path = tmp_path / "m31.txt"
+        path.write_text(serialize_profile(impartial_culture(31, 3, 0)))
+        code, out, err = run(
+            capsys, "solve", "--input", str(path), "--k", "3", "--mode", "dp"
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "refused: subset DP refused: m=31 exceeds the 2^m state cap "
+            "(m <= 30)\n"
+        )
+
+    def test_memory_error_is_refusal(self, capsys, monkeypatch, tension_file):
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "solve", exhausted)
+        code, out, err = run(capsys, "solve", "--input", tension_file, "--k", "3")
+        assert (code, out) == (3, "")
+        assert err.startswith("refused: out of memory")
+        assert "Traceback" not in err
+
+    def test_recursion_error_is_internal(self, capsys, monkeypatch, tension_file):
+        def runaway(*args, **kwargs):
+            raise RecursionError("maximum recursion depth exceeded")
+
+        monkeypatch.setattr(cli, "solve", runaway)
+        code, out, err = run(capsys, "solve", "--input", tension_file, "--k", "3")
+        assert (code, out) == (4, "")
+        assert err == "internal check failed: maximum recursion depth exceeded\n"
 
 
 # One candidate, and a profile whose two voters disagree on every pair, so

@@ -92,6 +92,35 @@ class TestPairCounts:
         assert counts.unanimous_above(4) == mask_of([0, 1, 2, 3])
         assert counts.unanimous_above(0) == 0
 
+    def test_counts_match_definition(self):
+        rng = np.random.default_rng(80)
+        # float32 products up to n < 2^24, int64 beyond
+        for scale in (1, 1 << 18, 1 << 40):
+            m = 5
+            groups = [
+                (Ranking(rng.permutation(m)), int(rng.integers(1, 9)) * scale)
+                for _ in range(7)
+            ]
+            profile = Profile(m, groups)
+            counts = PairCounts(profile)
+            for c, d, x in itertools.product(range(m), repeat=3):
+                expected = sum(
+                    n for r, n in profile.groups
+                    if r.prefers(c, d) and r.prefers(c, x)
+                )
+                assert counts.joint[c, d, x] == expected
+                if d == x:
+                    assert counts.above[c, d] == expected
+
+    def test_shared_within_block_only(self, six_profile):
+        other = Profile(6, six_profile.groups[:2])
+        with PairCounts.shared(six_profile) as held:
+            assert PairCounts.of(six_profile) is held
+            with PairCounts.shared(six_profile) as inner:
+                assert inner is held
+            assert PairCounts.of(other) is not PairCounts.of(other)
+        assert PairCounts.of(six_profile) is not held
+
 
 class TestPairwiseDigraph:
     def test_six_profile_matches_fixture(self, six_profile):
@@ -254,6 +283,23 @@ class TestKwiseDigraph:
                 weight, witness = best_advantage_exhaustive(profile, c, d, 2)
                 if weight > 0:
                     assert graph.arcs[(c, d)] == Arc(weight, witness)
+                else:
+                    assert (c, d) not in graph.arcs
+
+    def test_k3_equals_greedy_witness(self):
+        rng = np.random.default_rng(52)
+        for _ in range(20):
+            m = int(rng.integers(3, 8))
+            profile = Profile(m, [
+                (Ranking(rng.permutation(m)), int(rng.integers(1, 5)))
+                for _ in range(int(rng.integers(1, 9)))
+            ])
+            graph = kwise_digraph(profile, 3)
+            for c, d in itertools.permutations(range(m), 2):
+                weight, witness = best_triple_advantage(profile, c, d)
+                if weight > 0:
+                    assert graph.arcs[(c, d)] == Arc(weight, witness)
+                    assert best_advantage_exhaustive(profile, c, d, 3)[0] == weight
                 else:
                     assert (c, d) not in graph.arcs
 
@@ -461,6 +507,17 @@ class TestSolve:
                 result = solve(profile, 3, mode, limit=1)
                 assert result.count == partitioned_dp(profile, 3, order).count
                 assert result.stats.largest_component == order.largest
+
+    def test_component_cap_applies_to_solved_components(self):
+        # 60 candidates: far above the 2^m cap, yet every refined component
+        # is small enough for the DP
+        sigma = Ranking.identity(60)
+        profile = mallows_sample(MallowsParams(sigma, 0.8, 50, 60))
+        result = solve(profile, 3, "pre-refined")
+        assert result.stats.largest_component <= 30
+        assert profile_distance(result.rankings[0], profile, 3) == result.optimum
+        with pytest.raises(GuardError, match="m=60 exceeds the 2\\^m state cap"):
+            solve(profile, 3, "dp")
 
     def test_largest_component_of_plain_modes(self, six_profile):
         for mode in ("brute", "dp"):

@@ -18,8 +18,30 @@ from kwise_kemeny import (
     placement_cost,
     profile_distance,
 )
-from kwise_kemeny.solver import solve_components
+from kwise_kemeny.core import PairCounts
+from kwise_kemeny.majority import solve
+from kwise_kemeny.sampling import MallowsParams, mallows_sample
+from kwise_kemeny.solver import (
+    _layered_min,
+    _lookup_costs,
+    _moment_costs,
+    solve_components,
+)
 from conftest import random_profile
+
+
+def weighted_profile(rng, m, groups):
+    """Random rankings with multiplicities above one."""
+    return Profile(m, [
+        (Ranking(rng.permutation(m)), int(rng.integers(2, 6)))
+        for _ in range(groups)
+    ])
+
+
+def random_piece(rng, m):
+    """A non-empty subset and a disjoint context."""
+    subset = int(rng.integers(1, 1 << m))
+    return subset, int(rng.integers(0, 1 << m)) & ~subset
 
 
 def triple_sum_placement_cost(subset, candidate, profile, k):
@@ -302,3 +324,114 @@ class TestSolveComponents:
     def test_limit_validation(self, six_profile):
         with pytest.raises(ValueError, match="limit"):
             solve_components(six_profile, 3, (full_mask(6),), limit=0)
+
+
+class TestCostRows:
+    def test_rows_match_placement_cost(self):
+        rng = np.random.default_rng(41)
+        for trial in range(40):
+            m = int(rng.integers(2, 10))
+            profile = weighted_profile(rng, m, int(rng.integers(1, 8)))
+            counts = PairCounts(profile)
+            subset, context = random_piece(rng, m)
+            if trial % 8 == 0:  # every row at full width
+                subset, context = full_mask(m), 0
+            local = mask_members(subset)
+            for k in sorted({2, 3, 4, m} & set(range(2, m + 1))):
+                prefix = BinomialPrefixTable(m, k)
+                routes = [_lookup_costs] + [_moment_costs] * (k <= 3)
+                for route in routes:
+                    cost = route(counts, k, local, context)
+                    assert cost.shape == (len(local), 1 << (len(local) - 1))
+                    for j, candidate in enumerate(local):
+                        others = [c for c in local if c != candidate]
+                        for packed in range(cost.shape[1]):
+                            members = mask_of(
+                                c for i, c in enumerate(others) if packed >> i & 1
+                            )
+                            expected = placement_cost(
+                                members | 1 << candidate, candidate, profile, k,
+                                prefix, context=context,
+                            )
+                            assert cost[j, packed] == expected
+
+    def test_moment_and_lookup_tables_identical(self):
+        rng = np.random.default_rng(42)
+        for m in range(2, 13):
+            profile = weighted_profile(rng, m, int(rng.integers(1, 12)))
+            counts = PairCounts(profile)
+            subset, context = random_piece(rng, m)
+            if m % 3 == 0:
+                subset, context = full_mask(m), 0
+            local = mask_members(subset)
+            for k in (2, 3) if m >= 3 else (2,):
+                moment = _moment_costs(counts, k, local, context)
+                lookup = _lookup_costs(counts, k, local, context)
+                assert np.array_equal(moment, lookup)
+                values, argmin = _layered_min(moment, len(local))
+                table = build_dp_table(profile, k, subset, context)
+                assert np.array_equal(values, table.values)
+                assert np.array_equal(argmin, table.argmin)
+                assert np.array_equal(
+                    _layered_min(lookup, len(local))[1], table.argmin
+                )
+
+    def test_partitioned_equals_full_dp(self):
+        for m in (6, 10, 14):
+            for phi in (0.5, 0.9):
+                sigma = Ranking.identity(m)
+                profile = mallows_sample(MallowsParams(sigma, phi, 30, 700 + m))
+                for k in (2, 3):
+                    full = dp_consensus(profile, k).optimum
+                    for mode in ("pre", "pre-refined"):
+                        result = solve(profile, k, mode)
+                        assert result.optimum == full
+                        assert profile_distance(
+                            result.rankings[0], profile, k
+                        ) == full
+
+    def test_ordered_partitions_match_constrained_brute_force(self):
+        import itertools
+
+        rng = np.random.default_rng(43)
+        for _ in range(25):
+            m = int(rng.integers(2, 7))
+            profile = weighted_profile(rng, m, int(rng.integers(1, 6)))
+            k = int(rng.integers(2, m + 1))
+            block_of = dict(zip(rng.permutation(m).tolist(), rng.integers(0, m, m)))
+            pieces = [
+                mask_of(c for c, b in block_of.items() if b == i) for i in range(m)
+            ]
+            pieces = tuple(p for p in pieces if p)
+            rank = {c: i for i, p in enumerate(pieces) for c in mask_members(p)}
+            best = min(
+                profile_distance(Ranking(order), profile, k)
+                for order in itertools.permutations(range(m))
+                if [rank[c] for c in order] == sorted(rank[c] for c in order)
+            )
+            result = solve_components(profile, k, pieces, count_optima=True)
+            assert result.optimum == best
+            assert result.stats.states == sum(1 << p.bit_count() for p in pieces)
+
+
+class TestAccumulationGuard:
+    def test_exact_bound(self):
+        # one voter disagrees on at most C(3,2) + C(3,3) = 4 contest sets
+        ranking = Ranking([0, 1, 2])
+        below = Profile(3, [(ranking, (1 << 60) - 1)])
+        assert dp_consensus(below, 3).optimum == 0
+        assert brute_force_consensus(below, 3).optimum == 0
+        at = Profile(3, [(ranking, 1 << 60)])
+        for solver in (dp_consensus, brute_force_consensus):
+            with pytest.raises(GuardError, match="overflow"):
+                solver(at, 3)
+
+    def test_large_counts_stay_exact(self):
+        split = Profile(3, [
+            (Ranking([0, 1, 2]), (1 << 58) + 1),
+            (Ranking([2, 1, 0]), 1 << 58),
+        ])
+        for k in (2, 3):
+            assert dp_consensus(split, k).optimum == (
+                brute_force_consensus(split, k).optimum
+            )
