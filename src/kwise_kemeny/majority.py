@@ -32,7 +32,7 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -317,33 +317,42 @@ def scc_decompose(graph: KwiseDigraph) -> SccOrder:
     on_stack: set[int] = set()
     stack: list[int] = []
     components: list[list[int]] = []
-    counter = 0
+    # explicit call stack of (vertex, its unexplored successors), so a long
+    # chain of arcs cannot exhaust the interpreter's recursion limit
+    work: list[tuple[int, Iterator[int]]] = []
 
-    def connect(v: int) -> None:
-        nonlocal counter
-        index_of[v] = lowlink[v] = counter
-        counter += 1
+    def visit(v: int) -> None:
+        index_of[v] = lowlink[v] = len(index_of)
         stack.append(v)
         on_stack.add(v)
-        for w in adjacency[v]:
-            if w not in index_of:
-                connect(w)
-                lowlink[v] = min(lowlink[v], lowlink[w])
-            elif w in on_stack:
-                lowlink[v] = min(lowlink[v], index_of[w])
-        if lowlink[v] == index_of[v]:
-            component = []
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                component.append(w)
-                if w == v:
-                    break
-            components.append(component)
+        work.append((v, iter(adjacency[v])))
 
-    for v in range(m):
-        if v not in index_of:
-            connect(v)
+    for root in range(m):
+        if root in index_of:
+            continue
+        visit(root)
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if w not in index_of:
+                    visit(w)
+                    break
+                if w in on_stack:
+                    lowlink[v] = min(lowlink[v], index_of[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] == index_of[v]:
+                    component = []
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        component.append(w)
+                        if w == v:
+                            break
+                    components.append(component)
 
     comp_id = {c: i for i, comp in enumerate(components) for c in comp}
     succ: list[set[int]] = [set() for _ in components]

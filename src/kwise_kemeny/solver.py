@@ -12,7 +12,9 @@ The table work is O(m 2^m).  The placement costs read the ballots only
 through statistics built once per solve: for k <= 3 a voter's cost is a
 polynomial of degree <= 2 in the number of pool members it ranks above the
 placed candidate, so O(n m^3) pair and triple counts give every cost row;
-for k >= 4 one lookup pass per voter group fills them in O(n m 2^(m-1)).
+for k >= 4 it is a truncated binomial sum that expands over subsets, so
+Yates' subset-sum (zeta) transforms of a histogram of the voters' rankings
+give every row in O(m^2 2^(m-1)) additions, whatever n is.
 
 `build_dp_table` also accepts a *context* mask of candidates known to be
 ranked below every candidate of S; placement costs are then charged against
@@ -138,21 +140,25 @@ def placement_cost(
 
 
 @functools.lru_cache(maxsize=32)
-def _cumulative_cost_table(m: int, k: int) -> np.ndarray:
-    """``G[s, q]``: cost of q restriction members above the placed candidate.
+def _subset_weights(m: int, k: int) -> np.ndarray:
+    """``h[u, beta]`` = sum_{i=1..k-1} C(beta, i - u), zero for u >= k.
 
-    G(s, q) = sum_{p=1..q} F(s - p - 1) where s is the restriction size and
-    F the binomial prefix sum; rows/cols outside q <= s - 1 are unused.
+    Row 0 is H[t] = sum_{i=1..k-1} C(t, i): a voter ranking t pool members
+    below the placed candidate pays H[pool size] - H[t].  By Vandermonde,
+    H[r + beta] is the sum of h(|V|, beta) over the subsets V of r members,
+    which splits a voter's H term over the local members it ranks below
+    the placed candidate, beta being its context members below it.
     """
-    F = BinomialPrefixTable(m, k).as_array()  # F[p], p in 0..m-2
-    H = np.zeros(m, dtype=np.int64)
-    H[1:] = np.cumsum(F[: m - 1])
-    G = np.zeros((m + 1, m + 1), dtype=np.int64)
-    for s in range(1, m + 1):
-        q = np.arange(s)
-        G[s, :s] = H[s - 1] - H[s - 1 - q]
-    G.flags.writeable = False
-    return G
+    h = np.array(
+        [
+            [sum(math.comb(beta, i - u) for i in range(max(u, 1), k))
+             for beta in range(m)]
+            for u in range(m)
+        ],
+        dtype=np.int64,
+    )
+    h.flags.writeable = False
+    return h
 
 
 def _check_accumulation(n: int, m: int, k: int) -> None:
@@ -208,7 +214,7 @@ def _moment_costs(
         # sum_{x<y in C} u = (sum_{x,y in C} u - sum_{x in C} a[x]) / 2
         base += (to_ctx[:, nloc:].sum(axis=1) - base) // 2
         linear = linear + to_ctx[:, :nloc]
-    cost = np.empty((nloc, 1 << (nloc - 1)), dtype=np.int64)
+    cost = np.empty((nloc, 1 << (nloc - 1)), dtype=np.int64, order="F")
     cost[:, 0] = base
     if nloc == 1:
         return cost
@@ -234,57 +240,51 @@ def _moment_costs(
     return cost
 
 
-def _lookup_costs(
+def _subset_sums(table: np.ndarray, supersets: bool = False) -> None:
+    """In place, entry T of a state-major table becomes the sum over the
+    subsets (or supersets) of T, one contiguous doubling step per bit."""
+    src, dst = (1, 0) if supersets else (0, 1)
+    for i in range(table.shape[0].bit_length() - 1):
+        pairs = table.reshape(-1, 2, table.shape[1] << i)
+        pairs[:, dst] += pairs[:, src]
+
+
+def _subset_sum_costs(
     counts: PairCounts, k: int, candidates: tuple[int, ...], context: Mask
 ) -> np.ndarray:
-    """Cost rows for any k by a per-ballot lookup.
+    """Cost rows for any k by subset-sum transforms, reading no ballot.
 
-    A voter group pays ``G[s, q]`` where the restriction size s and the
-    count q of restriction members above j depend on a subset T only
-    through |T| and the popcount of T within the group's above-mask.  Both
-    split over the high and low halves of T's bits, so one outer sum gives
-    a packed (|T|, popcount) key into the group's count-scaled row of G.
+    With B_g the local members that voter group g ranks below j and beta_g
+    its context members below j (:func:`_subset_weights`),
+
+        cost_j(T) = n H[|T| + b] - sum_{V subset of T} W_j(V),
+        W_j(V) = sum_g count_g h(|V|, beta_g) [V subset of B_g].
+
+    A histogram of the B_g per distinct beta goes through a superset-sum
+    and is scaled by h; the total goes through a subset-sum.  Every term
+    is nonnegative, so the accumulation guard bounds each partial sum.
     """
-    m = counts.m
     nloc = len(candidates)
-    b = context.bit_count()
-    G = _cumulative_cost_table(m, k)
-    cand = np.array(candidates, dtype=np.intp)
-    ctx = np.array(mask_members(context), dtype=np.intp)
-    pos = counts.positions[:, cand]
-    # above[g, j, x]: group g ranks local x above local j
-    above = pos[:, None, :] < pos[:, :, None]
-    fixed = (counts.positions[:, ctx][:, None, :] < pos[:, :, None]).sum(axis=2)
-    others = _other_bits(nloc)
-    above_others = np.take_along_axis(above, others[None], axis=2)
-    masks = (above_others.astype(np.int64) << np.arange(nloc - 1)).sum(axis=2)
-
-    n_low = (nloc - 1) // 2
-    high = np.arange(1 << (nloc - 1 - n_low), dtype=np.int64)
-    low = np.arange(1 << n_low, dtype=np.int64)
-    high_key = popcount_array(high).astype(np.intp) * nloc
-    low_key = popcount_array(low).astype(np.intp) * nloc
-    key = np.empty((len(high), len(low)), dtype=np.intp)
-    flat_key = key.reshape(-1)
-    gathered = np.empty(len(flat_key), dtype=np.int64)
-    span = np.arange(nloc)
-    sizes = span[:, None] + 1 + b
-    cost = np.zeros((nloc, len(flat_key)), dtype=np.int64)
-    for j in range(nloc):
-        # lut[g, t, u] = count_g * G[t + 1 + b, u + fixed[g, j]]
-        lut = counts.counts[:, None, None] * G[
-            sizes[None], span[None, None, :] + fixed[:, j, None, None]
-        ]
-        lut = lut.reshape(len(lut), -1)
-        mask = masks[:, j]
-        high_keys = high_key + popcount_array(high & (mask[:, None] >> n_low))
-        low_keys = low_key + popcount_array(low & (mask[:, None] & (len(low) - 1)))
-        row = cost[j]
-        for g in range(len(lut)):
-            np.add(high_keys[g][:, None], low_keys[g][None, :], out=key)
-            np.take(lut[g], flat_key, out=gathered, mode="clip")
-            row += gathered
-    return cost
+    h = _subset_weights(counts.m, k)
+    pos = counts.positions[:, list(candidates)]
+    below = pos[:, _other_bits(nloc)] > pos[:, :, None]  # [g, j, bit]
+    masks = (below << np.arange(nloc - 1)).sum(axis=2)
+    ctx = counts.positions[:, mask_members(context)]
+    beta = (ctx[:, None, :] > pos[:, :, None]).sum(axis=2)
+    rows = np.broadcast_to(np.arange(nloc), masks.shape)
+    weights = np.broadcast_to(counts.counts[:, None], masks.shape)
+    size = popcount_array(np.arange(1 << (nloc - 1)))
+    total = None  # state-major: total[T, j]
+    for value in np.unique(beta):
+        part = np.zeros((len(size), nloc), dtype=np.int64)
+        chosen = beta == value
+        np.add.at(part, (masks[chosen], rows[chosen]), weights[chosen])
+        _subset_sums(part, supersets=True)
+        part *= h[size, value, None]
+        total = part if total is None else np.add(total, part, out=total)
+    _subset_sums(total)
+    np.subtract(counts.n * h[0, size + context.bit_count(), None], total, out=total)
+    return total.T
 
 
 _LAYER_SLICE = 1 << 15  # states per slice: bounds the DP's per-layer temporaries
@@ -295,10 +295,11 @@ def _layers(nloc: int):
 
     Per slice: the states, and for every member j of every state (a row
     per state, members ascending) the predecessor state without j, the
-    flat index of its cost entry (row j, the other members packed as in
-    :func:`_other_bits`), and bit j.  States come in colex order, so the
-    states of a layer whose members all lie below e are a prefix, and each
-    layer extends prefixes of the one before.
+    flat index of its cost entry (the other members packed as in
+    :func:`_other_bits`, times nloc, plus j: cost tables are state-major),
+    and bit j.  States come in colex order, so the states of a layer whose
+    members all lie below e are a prefix, and each layer extends prefixes
+    of the one before.
     """
     members = np.zeros((1, 0), dtype=np.int8)
     states = np.zeros(1, dtype=np.intp)
@@ -319,7 +320,7 @@ def _layers(nloc: int):
             part = members[first : first + _LAYER_SLICE].astype(np.intp)
             bit = 1 << part
             packed = ((column >> (part + 1)) << part) | (column & (bit - 1))
-            yield column[:, 0], column ^ bit, (part << (nloc - 1)) | packed, bit
+            yield column[:, 0], column ^ bit, packed * nloc + part, bit
 
 
 # Small tables are solved by the thousand in preprocessed solves; their
@@ -337,7 +338,7 @@ def _layered_min(cost: np.ndarray, nloc: int) -> tuple[np.ndarray, np.ndarray]:
     size = 1 << nloc
     values = np.zeros(size, dtype=np.int64)
     argmin = np.zeros(size, dtype=np.uint32)
-    flat_cost = cost.reshape(-1)
+    flat_cost = cost.T.reshape(-1)
     plan = _small_layers(nloc) if nloc <= _SMALL_PLAN else _layers(nloc)
     for states, previous, flat, bit in plan:
         totals = values[previous] + flat_cost[flat]
@@ -370,7 +371,8 @@ def build_dp_table(
     The placement costs depend on the ballots only through
     :class:`PairCounts` (shared with the caller through
     :meth:`PairCounts.shared`).  At k <= 3 they come from its pair and
-    triple counts alone; at k >= 4 from one lookup pass per voter group.
+    triple counts alone; at k >= 4 from subset-sum transforms of its
+    position matrix.
     Only the rows the DP reads are filled: for each candidate j, the
     subsets that contain j.
     """
@@ -385,7 +387,7 @@ def build_dp_table(
         raise ValueError("empty subset")
     _check_solvable(m, profile.n, k, nloc)
     counts = PairCounts.of(profile)
-    costs = _moment_costs if k <= 3 else _lookup_costs
+    costs = _moment_costs if k <= 3 else _subset_sum_costs
     values, argmin = _layered_min(costs(counts, k, candidates, context), nloc)
     return DpTable(candidates, context, values, argmin)
 
@@ -438,7 +440,7 @@ def _singleton_costs(
     """``cost[c]``: the optimum of every one-candidate component {c}.
 
     It is the cost of placing c above the later components: a voter group
-    with q of their b members above c pays ``G[b + 1, q]``.
+    ranking t of their b members below c pays ``H[b] - H[t]``.
     """
     rank = [0] * counts.m
     for i, mask in enumerate(components):
@@ -446,9 +448,9 @@ def _singleton_costs(
             rank[c] = i
     later = np.less.outer(rank, rank)  # later[c, x]: x in a later component
     pos = counts.positions
-    above = ((pos[:, None, :] < pos[:, :, None]) & later).sum(axis=2)
-    G = _cumulative_cost_table(counts.m, k)
-    return counts.counts @ G[later.sum(axis=1) + 1, above]
+    below = ((pos[:, None, :] > pos[:, :, None]) & later).sum(axis=2)
+    H = _subset_weights(counts.m, k)[0]
+    return counts.n * H[later.sum(axis=1)] - counts.counts @ H[below]
 
 
 def solve_components(

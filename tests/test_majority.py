@@ -1,4 +1,5 @@
 import itertools
+import sys
 
 import numpy as np
 import pytest
@@ -359,6 +360,37 @@ class TestSccDecompose:
         order = scc_decompose(KwiseDigraph(1, 2, {}))
         assert order.components == (1,)
         assert order.order_unique
+
+    def test_long_chain_within_recursion_limit(self):
+        m = 3000
+        assert m > sys.getrecursionlimit()
+        path = {(c, c + 1): Arc(1, 0b11 << c) for c in range(m - 1)}
+        order = scc_decompose(KwiseDigraph(m, 2, path))
+        assert order.components == tuple(1 << c for c in range(m))
+        assert order.order_unique
+        cycle = {**path, (m - 1, 0): Arc(1, 1 | 1 << (m - 1))}
+        order = scc_decompose(KwiseDigraph(m, 2, cycle))
+        assert order.components == (full_mask(m),)
+
+    def test_components_are_mutual_reachability_classes(self):
+        rng = np.random.default_rng(61)
+        for _ in range(40):
+            m = int(rng.integers(1, 13))
+            adjacent = rng.random((m, m)) < rng.uniform(0.05, 0.4)
+            np.fill_diagonal(adjacent, False)
+            arcs = {
+                (int(c), int(d)): Arc(1, 1 << int(c) | 1 << int(d))
+                for c, d in zip(*np.nonzero(adjacent))
+            }
+            reach = adjacent | np.eye(m, dtype=bool)
+            for via in range(m):  # Warshall's transitive closure
+                reach |= reach[:, via : via + 1] & reach[via]
+            order = scc_decompose(KwiseDigraph(m, 2, arcs))
+            classes = {mask_of(np.flatnonzero(reach[c] & reach[:, c]).tolist())
+                       for c in range(m)}
+            assert set(order.components) == classes
+            position = order.component_of()
+            assert all(position[c] <= position[d] for c, d in arcs)
 
 
 class TestRefine:

@@ -23,7 +23,7 @@ from kwise_kemeny.majority import solve
 from kwise_kemeny.sampling import MallowsParams, mallows_sample
 from kwise_kemeny.solver import (
     _layered_min,
-    _lookup_costs,
+    _subset_sum_costs,
     _moment_costs,
     solve_components,
 )
@@ -329,33 +329,44 @@ class TestSolveComponents:
 class TestCostRows:
     def test_rows_match_placement_cost(self):
         rng = np.random.default_rng(41)
+        cases = []
         for trial in range(40):
             m = int(rng.integers(2, 10))
-            profile = weighted_profile(rng, m, int(rng.integers(1, 8)))
-            counts = PairCounts(profile)
             subset, context = random_piece(rng, m)
             if trial % 8 == 0:  # every row at full width
                 subset, context = full_mask(m), 0
+            cases.append((weighted_profile(rng, m, int(rng.integers(1, 8))),
+                          subset, context))
+        # a context that splits the voters into several counts of context
+        # members below a placed candidate, with 4 <= k < the pool size
+        profile = weighted_profile(rng, 8, 9)
+        context = mask_of([5, 6, 7])
+        below = {sum(r.prefers(j, x) for x in (5, 6, 7))
+                 for r, _ in profile.groups for j in range(5)}
+        assert len(below) > 2
+        cases.append((profile, full_mask(8) & ~context, context))
+        for profile, subset, context in cases:
+            m = profile.m
+            counts = PairCounts(profile)
             local = mask_members(subset)
-            for k in sorted({2, 3, 4, m} & set(range(2, m + 1))):
+            for k in range(2, m + 1):
                 prefix = BinomialPrefixTable(m, k)
-                routes = [_lookup_costs] + [_moment_costs] * (k <= 3)
+                expected = np.zeros((len(local), 1 << (len(local) - 1)), np.int64)
+                for j, candidate in enumerate(local):
+                    others = [c for c in local if c != candidate]
+                    for packed in range(expected.shape[1]):
+                        members = mask_of(
+                            c for i, c in enumerate(others) if packed >> i & 1
+                        )
+                        expected[j, packed] = placement_cost(
+                            members | 1 << candidate, candidate, profile, k,
+                            prefix, context=context,
+                        )
+                routes = [_subset_sum_costs] + [_moment_costs] * (k <= 3)
                 for route in routes:
-                    cost = route(counts, k, local, context)
-                    assert cost.shape == (len(local), 1 << (len(local) - 1))
-                    for j, candidate in enumerate(local):
-                        others = [c for c in local if c != candidate]
-                        for packed in range(cost.shape[1]):
-                            members = mask_of(
-                                c for i, c in enumerate(others) if packed >> i & 1
-                            )
-                            expected = placement_cost(
-                                members | 1 << candidate, candidate, profile, k,
-                                prefix, context=context,
-                            )
-                            assert cost[j, packed] == expected
+                    assert np.array_equal(route(counts, k, local, context), expected)
 
-    def test_moment_and_lookup_tables_identical(self):
+    def test_moment_and_subset_sum_tables_identical(self):
         rng = np.random.default_rng(42)
         for m in range(2, 13):
             profile = weighted_profile(rng, m, int(rng.integers(1, 12)))
@@ -366,14 +377,14 @@ class TestCostRows:
             local = mask_members(subset)
             for k in (2, 3) if m >= 3 else (2,):
                 moment = _moment_costs(counts, k, local, context)
-                lookup = _lookup_costs(counts, k, local, context)
-                assert np.array_equal(moment, lookup)
+                transformed = _subset_sum_costs(counts, k, local, context)
+                assert np.array_equal(moment, transformed)
                 values, argmin = _layered_min(moment, len(local))
                 table = build_dp_table(profile, k, subset, context)
                 assert np.array_equal(values, table.values)
                 assert np.array_equal(argmin, table.argmin)
                 assert np.array_equal(
-                    _layered_min(lookup, len(local))[1], table.argmin
+                    _layered_min(transformed, len(local))[1], table.argmin
                 )
 
     def test_partitioned_equals_full_dp(self):
@@ -381,10 +392,13 @@ class TestCostRows:
             for phi in (0.5, 0.9):
                 sigma = Ranking.identity(m)
                 profile = mallows_sample(MallowsParams(sigma, phi, 30, 700 + m))
-                for k in (2, 3):
+                for k in (2, 3, 4, m):
                     full = dp_consensus(profile, k).optimum
-                    for mode in ("pre", "pre-refined"):
-                        result = solve(profile, k, mode)
+                    # at k >= 4 the exhaustive digraph needs the opt-in; its
+                    # components, solved with context, take the k >= 4 route
+                    modes = ("pre", "pre-refined") if k <= 3 else ("pre",)
+                    for mode in modes:
+                        result = solve(profile, k, mode, allow_exponential=k > 3)
                         assert result.optimum == full
                         assert profile_distance(
                             result.rankings[0], profile, k
