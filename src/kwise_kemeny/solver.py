@@ -275,7 +275,7 @@ def _subset_sum_costs(
     weights = np.broadcast_to(counts.counts[:, None], masks.shape)
     size = popcount_array(np.arange(1 << (nloc - 1)))
     total = None  # state-major: total[T, j]
-    for value in np.unique(beta):
+    for value in set(beta.ravel().tolist()):
         part = np.zeros((len(size), nloc), dtype=np.int64)
         chosen = beta == value
         np.add.at(part, (masks[chosen], rows[chosen]), weights[chosen])
@@ -287,7 +287,10 @@ def _subset_sum_costs(
     return total.T
 
 
-_LAYER_SLICE = 1 << 15  # states per slice: bounds the DP's per-layer temporaries
+# States per slice.  It bounds the DP's per-layer temporaries to a few
+# hundred KB, which stay in cache and reuse heap pages instead of being
+# mapped and faulted afresh on each slice.
+_LAYER_SLICE = 1 << 12
 
 
 def _layers(nloc: int):
