@@ -21,10 +21,11 @@ from kwise_kemeny import (
 from kwise_kemeny.core import PairCounts
 from kwise_kemeny.majority import solve
 from kwise_kemeny.sampling import MallowsParams, mallows_sample
+from kwise_kemeny import solver
 from kwise_kemeny.solver import (
     _layered_min,
-    _subset_sum_costs,
     _moment_costs,
+    _subset_sum_costs,
     solve_components,
 )
 from conftest import random_profile
@@ -250,6 +251,18 @@ class TestDpTableInvariants:
             )
             rest = state ^ (1 << j)
             assert table.values[state] <= table.values[rest] + cost
+
+    def test_layer_slices_leave_table_unchanged(self, monkeypatch):
+        # tier-1 sizes fit a layer in one slice; split layers into many
+        rng = np.random.default_rng(18)
+        for m, k in ((9, 3), (11, 5)):
+            profile = weighted_profile(rng, m, 6)
+            whole = build_dp_table(profile, k)
+            monkeypatch.setattr(solver, "_LAYER_SLICE", 7)
+            sliced = build_dp_table(profile, k)
+            monkeypatch.undo()
+            assert np.array_equal(sliced.values, whole.values)
+            assert np.array_equal(sliced.argmin, whole.argmin)
 
 
 class TestEnumerate:
