@@ -199,9 +199,10 @@ class Profile:
 
     Identical rankings are merged and groups are kept in a canonical
     (lexicographic) order, so structurally equal profiles compare equal.
+    ``n`` is the number of voters.
     """
 
-    __slots__ = ("m", "groups")
+    __slots__ = ("m", "groups", "n")
 
     def __init__(self, m: int, groups: Iterable[tuple[Ranking, int]]):
         m = int(m)
@@ -222,6 +223,7 @@ class Profile:
         canonical = tuple(sorted(merged.items(), key=lambda g: g[0].order))
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "groups", canonical)
+        object.__setattr__(self, "n", sum(merged.values()))
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Profile is immutable")
@@ -229,10 +231,6 @@ class Profile:
     @classmethod
     def from_rankings(cls, m: int, rankings: Iterable[Ranking]) -> "Profile":
         return cls(m, [(r, 1) for r in rankings])
-
-    @property
-    def n(self) -> int:
-        return sum(count for _, count in self.groups)
 
     def counts_array(self) -> np.ndarray:
         return np.array([count for _, count in self.groups], dtype=np.int64)
@@ -280,10 +278,12 @@ class PairCounts:
     ``above[c, x]`` counts voters preferring c to x; ``joint[c, d, x]``
     counts voters preferring c to both d and x (so ``joint[c, x, x]`` is
     ``above[c, x]``), built on first use.  ``counts`` and ``positions`` are
-    the profile's group multiplicities and position matrix.
+    the profile's group multiplicities and position matrix; ``prefers[g, c,
+    x]`` is 1 where group g ranks c above x, in a dtype whose products with
+    the counts are exact.
     """
 
-    __slots__ = ("m", "n", "counts", "positions", "above", "_joint")
+    __slots__ = ("m", "n", "counts", "positions", "prefers", "above", "_joint")
 
     def __init__(self, profile: Profile):
         counts = profile.counts_array()
@@ -295,6 +295,7 @@ class PairCounts:
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "counts", counts)
         object.__setattr__(self, "positions", positions)
+        object.__setattr__(self, "prefers", prefers)
         object.__setattr__(self, "above", above.reshape(m, m).astype(np.int64))
         object.__setattr__(self, "_joint", None)
 
@@ -333,9 +334,9 @@ class PairCounts:
     @property
     def joint(self) -> np.ndarray:
         if self._joint is None:
-            prefers, weights = self._prefers(self.positions, self.counts, self.n)
+            prefers = self.prefers
             # joint[c] = sum over groups of count * outer(prefers[c], prefers[c])
-            weighted = prefers.transpose(1, 2, 0) * weights
+            weighted = prefers.transpose(1, 2, 0) * self.counts.astype(prefers.dtype)
             joint = np.matmul(weighted, prefers.transpose(1, 0, 2))
             object.__setattr__(self, "_joint", joint.astype(np.int64))
         return self._joint

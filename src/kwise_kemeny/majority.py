@@ -32,7 +32,8 @@ import heapq
 import itertools
 import time
 from dataclasses import dataclass, replace
-from typing import Iterable, Iterator, Mapping
+from collections.abc import Iterable, Iterator, Mapping
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,7 +47,6 @@ from .core import (
     full_mask,
     iter_mask,
     mask_members,
-    mask_of,
     popcount_array,
     validate_k,
 )
@@ -63,10 +63,51 @@ EXHAUSTIVE_FREE_BOUND = 20
 SOLVE_MODES = ("brute", "dp", "pre", "pre-refined")
 
 
-@dataclass(frozen=True)
-class Arc:
+class Arc(NamedTuple):
     weight: int
     witness: Mask
+
+
+class _ArcTable(Mapping):
+    """Arcs of a digraph built from arrays; the ``Arc`` objects are made on
+    the first lookup.  Splitting into components reads only the pairs, so
+    a preprocessed solve makes no per-arc objects."""
+
+    def __init__(
+        self,
+        pairs: list[tuple[int, int]],
+        weights: list[int],
+        extras: np.ndarray | None,
+    ):
+        self._pairs = pairs
+        self._weights = weights
+        self._extras = extras  # bool rows of witness members beyond the pair
+        self._arcs: dict[tuple[int, int], Arc] | None = None
+
+    def _table(self) -> dict[tuple[int, int], Arc]:
+        if self._arcs is None:
+            extras = (
+                itertools.repeat(0) if self._extras is None
+                else _row_masks(self._extras)
+            )
+            witnesses = (
+                extra | 1 << c | 1 << d
+                for (c, d), extra in zip(self._pairs, extras)
+            )
+            self._arcs = dict(zip(self._pairs, map(Arc, self._weights, witnesses)))
+        return self._arcs
+
+    def __getitem__(self, pair: tuple[int, int]) -> Arc:
+        return self._table()[pair]
+
+    def items(self):  # not ItemsView, which looks up every arc on its own
+        return self._table().items()
+
+    def __iter__(self) -> Iterator[tuple[int, int]]:
+        return iter(self._pairs)
+
+    def __len__(self) -> int:
+        return len(self._pairs)
 
 
 @dataclass(frozen=True)
@@ -268,8 +309,8 @@ def kwise_digraph(
             "exponential witness search (NP-hard for k >= 4); "
             "pass allow_exponential=True / --force-exponential to proceed"
         )
-    arcs: dict[tuple[int, int], Arc] = {}
     if k > 3:
+        arcs: dict[tuple[int, int], Arc] = {}
         for c in range(m):
             for d in range(m):
                 if c != d:
@@ -289,11 +330,9 @@ def kwise_digraph(
         useful[:, every, every] = False
         weights += (gains * useful).sum(axis=2)
     arc_at = np.nonzero(weights > 0)
-    extras = _row_masks(useful[arc_at]) if k == 3 else itertools.repeat(0)
-    pairs = zip(*(axis.tolist() for axis in arc_at))
-    for (c, d), weight, extra in zip(pairs, weights[arc_at].tolist(), extras):
-        arcs[(c, d)] = Arc(weight, extra | 1 << c | 1 << d)
-    return KwiseDigraph(m, k, arcs)
+    pairs = list(zip(*(axis.tolist() for axis in arc_at)))
+    extras = useful[arc_at] if k == 3 else None
+    return KwiseDigraph(m, k, _ArcTable(pairs, weights[arc_at].tolist(), extras))
 
 
 # ---------------------------------------------------------------------------
@@ -309,35 +348,37 @@ def scc_decompose(graph: KwiseDigraph) -> SccOrder:
     condensation admits a single topological order.
     """
     m = graph.m
-    adjacency: dict[int, list[int]] = {c: [] for c in range(m)}
-    for c, d in sorted(graph.arcs):
+    adjacency: list[list[int]] = [[] for _ in range(m)]
+    for c, d in graph.arcs:
         adjacency[c].append(d)
-    index_of: dict[int, int] = {}
-    lowlink: dict[int, int] = {}
-    on_stack: set[int] = set()
+    index_of = [-1] * m
+    lowlink = [0] * m
+    on_stack = [False] * m
     stack: list[int] = []
-    components: list[list[int]] = []
+    comp_id = [0] * m
+    components: list[Mask] = []
     # explicit call stack of (vertex, its unexplored successors), so a long
     # chain of arcs cannot exhaust the interpreter's recursion limit
     work: list[tuple[int, Iterator[int]]] = []
+    ticket = itertools.count()
 
     def visit(v: int) -> None:
-        index_of[v] = lowlink[v] = len(index_of)
+        index_of[v] = lowlink[v] = next(ticket)
         stack.append(v)
-        on_stack.add(v)
+        on_stack[v] = True
         work.append((v, iter(adjacency[v])))
 
     for root in range(m):
-        if root in index_of:
+        if index_of[root] >= 0:
             continue
         visit(root)
         while work:
             v, successors = work[-1]
             for w in successors:
-                if w not in index_of:
+                if index_of[w] < 0:
                     visit(w)
                     break
-                if w in on_stack:
+                if on_stack[w]:
                     lowlink[v] = min(lowlink[v], index_of[w])
             else:
                 work.pop()
@@ -345,24 +386,24 @@ def scc_decompose(graph: KwiseDigraph) -> SccOrder:
                     parent = work[-1][0]
                     lowlink[parent] = min(lowlink[parent], lowlink[v])
                 if lowlink[v] == index_of[v]:
-                    component = []
+                    mask = 0
                     while True:
                         w = stack.pop()
-                        on_stack.discard(w)
-                        component.append(w)
+                        on_stack[w] = False
+                        comp_id[w] = len(components)
+                        mask |= 1 << w
                         if w == v:
                             break
-                    components.append(component)
+                    components.append(mask)
 
-    comp_id = {c: i for i, comp in enumerate(components) for c in comp}
     succ: list[set[int]] = [set() for _ in components]
     indegree = [0] * len(components)
-    for (c, d) in graph.arcs:
+    for c, d in graph.arcs:
         a, b_ = comp_id[c], comp_id[d]
         if a != b_ and b_ not in succ[a]:
             succ[a].add(b_)
             indegree[b_] += 1
-    keys = [min(comp) for comp in components]
+    keys = [(mask & -mask).bit_length() for mask in components]  # lowest member + 1
     heap = [(keys[i], i) for i in range(len(components)) if indegree[i] == 0]
     heapq.heapify(heap)
     ordered: list[int] = []
@@ -373,7 +414,7 @@ def scc_decompose(graph: KwiseDigraph) -> SccOrder:
             indegree[j] -= 1
             if indegree[j] == 0:
                 heapq.heappush(heap, (keys[j], j))
-    masks = tuple(mask_of(components[i]) for i in ordered)
+    masks = tuple(components[i] for i in ordered)
     unique = all(
         ordered[i + 1] in succ[ordered[i]] for i in range(len(ordered) - 1)
     )

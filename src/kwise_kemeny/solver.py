@@ -16,6 +16,14 @@ for k >= 4 it is a truncated binomial sum that expands over subsets, so
 Yates' subset-sum (zeta) transforms of a histogram of the voters' rankings
 give every row in O(m^2 2^(m-1)) additions, whatever n is.
 
+The min/argmin runs one popcount layer at a time over states in colex
+order, where the states of layer L with top member t are the first
+C(t, L - 1) states of layer L - 1 plus t: each layer's plan (predecessor
+ranks, cost indices, member bits) is block copies of the previous one plus
+one offset per block (:func:`_layers`).  The optimum count walks the same
+plans.  Cost tables and DP values are int32 when n * sum_{i=2..k} C(m, i),
+which bounds every entry and partial sum, is below 2^31, else int64.
+
 `build_dp_table` also accepts a *context* mask of candidates known to be
 ranked below every candidate of S; placement costs are then charged against
 the restriction to S plus the context.  `solve_components` is the one loop
@@ -161,19 +169,26 @@ def _subset_weights(m: int, k: int) -> np.ndarray:
     return h
 
 
-def _check_accumulation(n: int, m: int, k: int) -> None:
-    """Refuse a profile whose distance totals could overflow int64.
+def _disagreement_bound(n: int, m: int, k: int) -> int:
+    """``n * sum_{i=2..k} C(m, i)``: one voter disagrees with a ranking on
+    at most every contest set of size 2..k, so this bounds every distance,
+    DP table entry and partial sum."""
+    return n * sum(math.comb(m, i) for i in range(2, min(k, m) + 1))
 
-    One voter disagrees with a ranking on at most every contest set of size
-    2..k, so n times that count bounds every distance, table entry and
-    partial sum; the guard keeps it below 2^62.
-    """
-    worst = n * sum(math.comb(m, i) for i in range(2, min(k, m) + 1))
-    if worst >= 1 << 62:
+
+def _check_accumulation(n: int, m: int, k: int) -> None:
+    """Refuse a profile whose distance totals could overflow int64 (the
+    guard keeps :func:`_disagreement_bound` below 2^62)."""
+    if _disagreement_bound(n, m, k) >= 1 << 62:
         raise GuardError(
             f"disagreement totals for n={n}, m={m} would overflow "
             "64-bit accumulation"
         )
+
+
+def _table_dtype(n: int, m: int, k: int) -> type:
+    """int32 for cost tables and DP values when the bound allows, else int64."""
+    return np.int32 if _disagreement_bound(n, m, k) < 1 << 31 else np.int64
 
 
 def _other_bits(nloc: int) -> np.ndarray:
@@ -188,7 +203,11 @@ def _other_bits(nloc: int) -> np.ndarray:
 
 
 def _moment_costs(
-    counts: PairCounts, k: int, candidates: tuple[int, ...], context: Mask
+    counts: PairCounts,
+    k: int,
+    candidates: tuple[int, ...],
+    context: Mask,
+    dtype: type,
 ) -> np.ndarray:
     """Cost rows for k <= 3 from the pair statistics alone.
 
@@ -214,19 +233,23 @@ def _moment_costs(
         # sum_{x<y in C} u = (sum_{x,y in C} u - sum_{x in C} a[x]) / 2
         base += (to_ctx[:, nloc:].sum(axis=1) - base) // 2
         linear = linear + to_ctx[:, :nloc]
-    cost = np.empty((nloc, 1 << (nloc - 1)), dtype=np.int64, order="F")
+    cost = np.empty((nloc, 1 << (nloc - 1)), dtype=dtype, order="F")
     cost[:, 0] = base
     if nloc == 1:
         return cost
     rows = np.arange(nloc)[:, None]
     others = _other_bits(nloc)
-    linear = linear[rows, others]
+    linear = linear[rows, others].astype(dtype)
+    if k == 3:
+        # unions[j, i, b]: u[x_i, x_b] over the members other than j
+        unions = union[rows[:, :, None], others[:, :, None], others[:, None, :]]
+        unions = unions.astype(dtype)
     for i in range(nloc - 1):
         low, block = cost[:, : 1 << i], cost[:, 1 << i : 2 << i]
         if k == 3 and i:
             # block[T] = sum_{y in T} u[x_i, y] over T within the lower bits
             block[:, 0] = 0
-            weights = union[rows, others[:, i : i + 1], others[:, :i]]
+            weights = unions[:, i, :i]
             for bit in range(i):
                 np.add(
                     block[:, : 1 << bit],
@@ -250,7 +273,11 @@ def _subset_sums(table: np.ndarray, supersets: bool = False) -> None:
 
 
 def _subset_sum_costs(
-    counts: PairCounts, k: int, candidates: tuple[int, ...], context: Mask
+    counts: PairCounts,
+    k: int,
+    candidates: tuple[int, ...],
+    context: Mask,
+    dtype: type,
 ) -> np.ndarray:
     """Cost rows for any k by subset-sum transforms, reading no ballot.
 
@@ -265,18 +292,18 @@ def _subset_sum_costs(
     is nonnegative, so the accumulation guard bounds each partial sum.
     """
     nloc = len(candidates)
-    h = _subset_weights(counts.m, k)
+    h = _subset_weights(counts.m, k).astype(dtype)
     pos = counts.positions[:, list(candidates)]
     below = pos[:, _other_bits(nloc)] > pos[:, :, None]  # [g, j, bit]
     masks = (below << np.arange(nloc - 1)).sum(axis=2)
     ctx = counts.positions[:, mask_members(context)]
     beta = (ctx[:, None, :] > pos[:, :, None]).sum(axis=2)
     rows = np.broadcast_to(np.arange(nloc), masks.shape)
-    weights = np.broadcast_to(counts.counts[:, None], masks.shape)
+    weights = np.broadcast_to(counts.counts.astype(dtype)[:, None], masks.shape)
     size = popcount_array(np.arange(1 << (nloc - 1)))
     total = None  # state-major: total[T, j]
     for value in set(beta.ravel().tolist()):
-        part = np.zeros((len(size), nloc), dtype=np.int64)
+        part = np.zeros((len(size), nloc), dtype=dtype)
         chosen = beta == value
         np.add.at(part, (masks[chosen], rows[chosen]), weights[chosen])
         _subset_sums(part, supersets=True)
@@ -287,67 +314,117 @@ def _subset_sum_costs(
     return total.T
 
 
-# States per slice.  It bounds the DP's per-layer temporaries to a few
+# States per slice.  It bounds the DP's per-slice temporaries to a few
 # hundred KB, which stay in cache and reuse heap pages instead of being
 # mapped and faulted afresh on each slice.
 _LAYER_SLICE = 1 << 12
 
 
 def _layers(nloc: int):
-    """The DP's popcount layers, in increasing order, in slices of states.
+    """The DP's popcount layers 1..nloc as plans over colex-ordered states.
 
-    Per slice: the states, and for every member j of every state (a row
-    per state, members ascending) the predecessor state without j, the
-    flat index of its cost entry (the other members packed as in
-    :func:`_other_bits`, times nloc, plus j: cost tables are state-major),
-    and bit j.  States come in colex order, so the states of a layer whose
-    members all lie below e are a prefix, and each layer extends prefixes
-    of the one before.
+    Per layer L: ``states``, the binary masks of its C(nloc, L) states, and
+    a plan of shape (3, L, C(nloc, L)) over each state's members in
+    ascending slots: ``plan[0]``, the colex rank in layer L - 1 of the state
+    without that member; ``plan[1]``, the flat index of its cost entry in a
+    state-major cost table (the other members packed as in
+    :func:`_other_bits`, times nloc, plus the member); ``plan[2]``, the
+    member's bit.
+
+    In colex order the states of layer L whose top member is t are the
+    first C(t, L - 1) states of layer L - 1, plus t.  So each plan is block
+    copies of the one before, one per top member: in the lower slots the
+    rank gains C(t, L - 1) and the cost index nloc << (t - 1) (t moves
+    into packed bit t - 1); the top slot's predecessor is the copied state
+    itself (an ``arange``) and its cost index is ``state * nloc + t``.
+
+    Entries are int32 while the flat cost indices fit, else intp.  Plans
+    alternate between the two rows of one buffer allocated per call, so a
+    layer's plan stays valid until the layer after next is produced.
     """
-    members = np.zeros((1, 0), dtype=np.int8)
-    states = np.zeros(1, dtype=np.intp)
+    index = np.int32 if nloc << (nloc - 1) < 1 << 31 else np.intp
+    widest = max(level * math.comb(nloc, level) for level in range(1, nloc + 1))
+    buffers = np.empty((2, 3 * widest), index)
+    ramp = np.arange(math.comb(nloc - 1, (nloc - 1) // 2), dtype=index)
+    states = np.zeros(1, dtype=index)
+    plan = None
     for level in range(1, nloc + 1):
         size = math.comb(nloc, level)
-        grown = np.empty((size, level), dtype=np.int8)
-        new_states = np.empty(size, dtype=np.intp)
-        start = 0
-        for top in range(level - 1, nloc):
-            stop = start + math.comb(top, level - 1)
-            grown[start:stop, :-1] = members[: stop - start]
-            grown[start:stop, -1] = top
-            new_states[start:stop] = states[: stop - start] | 1 << top
-            start = stop
-        members, states = grown, new_states
-        for first in range(0, size, _LAYER_SLICE):
-            column = states[first : first + _LAYER_SLICE, None]
-            part = members[first : first + _LAYER_SLICE].astype(np.intp)
-            bit = 1 << part
-            packed = ((column >> (part + 1)) << part) | (column & (bit - 1))
-            yield column[:, 0], column ^ bit, packed * nloc + part, bit
+        new = buffers[level & 1][: 3 * level * size].reshape(3, level, size)
+        tops = np.arange(level - 1, nloc, dtype=index)
+        counts = [math.comb(top, level - 1) for top in range(level - 1, nloc)]
+        if level > 1:
+            shifts = np.zeros((3, len(counts), 1, 1), index)
+            shifts[0, :, 0, 0] = counts
+            shifts[1, :, 0, 0] = nloc << (tops - 1)
+            start = 0
+            for i, count in enumerate(counts):
+                block = new[:, :-1, start : start + count]
+                np.add(plan[:, :, :count], shifts[:, i], out=block)
+                start += count
+        # the top slot: the copied states themselves, plus the top member
+        np.concatenate([ramp[:count] for count in counts], out=new[0, -1])
+        top = np.repeat(tops, counts)
+        copied = states[new[0, -1]]
+        np.multiply(copied, nloc, out=new[1, -1])
+        new[1, -1] += top
+        np.left_shift(1, top, out=new[2, -1])
+        states = copied | new[2, -1]
+        plan = new
+        yield states, plan
 
 
 # Small tables are solved by the thousand in preprocessed solves; their
-# layer plans are cheap to keep.
-_SMALL_PLAN = 6
+# layer plans are cheap to keep, as intp, which numpy indexes without a
+# conversion.
+_SMALL_PLAN = 10
 
 
 @functools.lru_cache(maxsize=None)
 def _small_layers(nloc: int) -> tuple:
-    return tuple(_layers(nloc))
+    layers = tuple(
+        (states.astype(np.intp), tuple(plan.astype(np.intp)))
+        for states, plan in _layers(nloc)
+    )
+    for states, plan in layers:
+        for part in (states, *plan):
+            part.flags.writeable = False
+    return layers
+
+
+def _plan(nloc: int):
+    """The layer plans of an nloc-candidate table (see :func:`_layers`)."""
+    return _small_layers(nloc) if nloc <= _SMALL_PLAN else _layers(nloc)
 
 
 def _layered_min(cost: np.ndarray, nloc: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values and argmin sets of the subset DP, one popcount layer at a time."""
+    """Values and argmin sets of the subset DP, one popcount layer at a time.
+
+    A layer's values are computed in colex order from the previous layer's
+    (a small array that stays in cache), then scattered once into the
+    binary-indexed table.  Values take the cost table's dtype.
+    """
     size = 1 << nloc
-    values = np.zeros(size, dtype=np.int64)
+    values = np.zeros(size, dtype=cost.dtype)
     argmin = np.zeros(size, dtype=np.uint32)
     flat_cost = cost.T.reshape(-1)
-    plan = _small_layers(nloc) if nloc <= _SMALL_PLAN else _layers(nloc)
-    for states, previous, flat, bit in plan:
-        totals = values[previous] + flat_cost[flat]
-        best = totals.min(axis=1)
-        values[states] = best
-        argmin[states] = np.where(totals == best[:, None], bit, 0).sum(axis=1)
+    widest = math.comb(nloc, nloc // 2)
+    layer_values = np.zeros((2, widest), cost.dtype)
+    choices = np.empty(widest, np.intp)
+    for level, (states, (previous, flat, bits)) in enumerate(_plan(nloc), 1):
+        done = layer_values[~level & 1]
+        current = layer_values[level & 1, : len(states)]
+        chosen = choices[: len(states)]
+        for first in range(0, len(states), _LAYER_SLICE):
+            part = slice(first, first + _LAYER_SLICE)
+            totals = done[previous[:, part]]
+            totals += flat_cost[flat[:, part]]
+            best = np.minimum.reduce(totals, axis=0, out=current[part])
+            np.bitwise_or.reduce(
+                bits[:, part] * (totals == best), axis=0, out=chosen[part]
+            )
+        values[states] = current
+        argmin[states] = chosen
     return values, argmin
 
 
@@ -391,25 +468,31 @@ def build_dp_table(
     _check_solvable(m, profile.n, k, nloc)
     counts = PairCounts.of(profile)
     costs = _moment_costs if k <= 3 else _subset_sum_costs
-    values, argmin = _layered_min(costs(counts, k, candidates, context), nloc)
+    dtype = _table_dtype(counts.n, m, k)
+    values, argmin = _layered_min(costs(counts, k, candidates, context, dtype), nloc)
     return DpTable(candidates, context, values, argmin)
 
 
+# Layer counts below this bound are held in int64.
+_INT64_COUNTS = 1 << 63
+
+
 def count_table_optima(table: DpTable) -> int:
-    """Exact number of distinct optimal orders encoded by the argmin sets."""
-    size = len(table.argmin)
-    counts = [0] * size
-    counts[0] = 1
-    argmin = table.argmin
-    for state in range(1, size):
-        choices = int(argmin[state])
-        total = 0
-        while choices:
-            low = choices & -choices
-            total += counts[state ^ low]
-            choices ^= low
-        counts[state] = total
-    return counts[size - 1]
+    """Exact number of distinct optimal orders encoded by the argmin sets.
+
+    Walks the layer plans: a state's count is the sum of the counts of the
+    predecessors its argmin set allows.  A layer-L count is at most L!, so
+    counts are int64 while L! < 2^63 and exact Python ints from there on.
+    """
+    nloc = len(table.candidates)
+    counts = np.ones(nloc, dtype=np.int64)  # layer 1: one order per state
+    layers = itertools.islice(_plan(nloc), 1, None)
+    for level, (states, (previous, _, bits)) in enumerate(layers, 2):
+        if math.factorial(level) >= _INT64_COUNTS:
+            counts = counts.astype(object)
+        allowed = table.argmin[states] & bits
+        counts = np.where(allowed, counts[previous], 0).sum(axis=0)
+    return int(counts[0])
 
 
 def enumerate_table_orders(table: DpTable, limit: int) -> list[tuple[int, ...]]:
@@ -450,10 +533,12 @@ def _singleton_costs(
         for c in iter_mask(mask):
             rank[c] = i
     later = np.less.outer(rank, rank)  # later[c, x]: x in a later component
-    pos = counts.positions
-    below = ((pos[:, None, :] > pos[:, :, None]) & later).sum(axis=2)
+    # below[c, g]: members of later components that group g ranks below c
+    prefers = counts.prefers.transpose(1, 0, 2)
+    below = np.matmul(prefers, later[:, :, None].astype(prefers.dtype))
     H = _subset_weights(counts.m, k)[0]
-    return counts.n * H[later.sum(axis=1)] - counts.counts @ H[below]
+    paid = H[below[:, :, 0].astype(np.intp)] @ counts.counts
+    return counts.n * H[later.sum(axis=1)] - paid
 
 
 def solve_components(

@@ -23,9 +23,13 @@ from kwise_kemeny.majority import solve
 from kwise_kemeny.sampling import MallowsParams, mallows_sample
 from kwise_kemeny import solver
 from kwise_kemeny.solver import (
+    DpTable,
     _layered_min,
+    _layers,
     _moment_costs,
+    _plan,
     _subset_sum_costs,
+    count_table_optima,
     solve_components,
 )
 from conftest import random_profile
@@ -56,6 +60,48 @@ def triple_sum_placement_cost(subset, candidate, profile, k):
             pool = len(members) - rank_of[above] - 1
             total += count * sum(math.comb(pool, i) for i in range(k - 1))
     return total
+
+
+def held_karp(profile, k, subset, context):
+    """Plain-Python subset DP over ``placement_cost``: values and argmin
+    sets indexed like ``DpTable`` (bit j stands for the j-th member)."""
+    local = mask_members(subset)
+    prefix = BinomialPrefixTable(profile.m, k)
+    values, argmin = [0], [0]
+    for state in range(1, 1 << len(local)):
+        members = mask_members(state)
+        pool = mask_of(local[j] for j in members)
+        totals = {
+            j: values[state ^ 1 << j]
+            + placement_cost(pool, local[j], profile, k, prefix, context)
+            for j in members
+        }
+        best = min(totals.values())
+        values.append(best)
+        argmin.append(mask_of(j for j, total in totals.items() if total == best))
+    return values, argmin
+
+
+def count_orders(argmin):
+    """Optimal orders encoded by argmin sets, one state at a time (the
+    reference for ``count_table_optima``)."""
+    counts = [1] + [0] * (len(argmin) - 1)
+    for state in range(1, len(argmin)):
+        choices = int(argmin[state])
+        while choices:
+            low = choices & -choices
+            counts[state] += counts[state ^ low]
+            choices ^= low
+    return counts[-1]
+
+
+def random_argmin(rng, nloc, ties):
+    """Argmin sets drawn as random non-empty subsets of each state."""
+    states = np.arange(1 << nloc)
+    keep = rng.random((1 << nloc, nloc)) < ties
+    drawn = (keep << np.arange(nloc)).sum(axis=1) & states
+    lowest = states & -states
+    return np.where(drawn == 0, lowest, drawn).astype(np.uint32)
 
 
 def restricted_distance(order, subset, profile, k):
@@ -265,6 +311,128 @@ class TestDpTableInvariants:
             assert np.array_equal(sliced.argmin, whole.argmin)
 
 
+class TestColexWalk:
+    def test_plans_follow_definitions(self):
+        for nloc in range(1, 12):
+            colex = sorted(range(1 << nloc), key=lambda s: mask_members(s)[::-1])
+            layers = [[s for s in colex if s.bit_count() == level]
+                      for level in range(nloc + 1)]
+            rank = [{s: r for r, s in enumerate(layer)} for layer in layers]
+            plans = [_layers(nloc)] + [_plan(nloc)] * (nloc <= solver._SMALL_PLAN)
+            for plan in plans:
+                for level, (states, (previous, flat, bits)) in enumerate(plan, 1):
+                    assert states.tolist() == layers[level]
+                    for i, state in enumerate(layers[level]):
+                        for slot, j in enumerate(mask_members(state)):
+                            rest = state ^ 1 << j
+                            packed = rest & ((1 << j) - 1) | rest >> (j + 1) << j
+                            assert previous[slot, i] == rank[level - 1][rest]
+                            assert flat[slot, i] == packed * nloc + j
+                            assert bits[slot, i] == 1 << j
+
+    def test_matches_held_karp(self):
+        rng = np.random.default_rng(51)
+        for trial in range(24):
+            m = int(rng.integers(2, 10))
+            profile = weighted_profile(rng, m, int(rng.integers(1, 5)))
+            subset, context = random_piece(rng, m)
+            if trial % 4 == 0:
+                subset, context = full_mask(m), 0
+            for k in range(2, m + 1):
+                table = build_dp_table(profile, k, subset, context)
+                values, argmin = held_karp(profile, k, subset, context)
+                assert table.values.tolist() == values
+                assert table.argmin.tolist() == argmin
+
+    def test_ties_match_held_karp(self):
+        # few voters in opposite orders leave many tied placements
+        rng = np.random.default_rng(52)
+        for m in (4, 7, 9):
+            order = rng.permutation(m)
+            profile = Profile(m, [(Ranking(order), 2), (Ranking(order[::-1]), 2)])
+            for k in (2, 3, m):
+                table = build_dp_table(profile, k)
+                values, argmin = held_karp(profile, k, full_mask(m), 0)
+                assert table.values.tolist() == values
+                assert table.argmin.tolist() == argmin
+                assert count_table_optima(table) == count_orders(argmin)
+
+
+class TestCountOptima:
+    def test_matches_state_loop(self):
+        rng = np.random.default_rng(61)
+        for nloc in range(1, 13):
+            for ties in (0.3, 0.7):
+                argmin = random_argmin(rng, nloc, ties)
+                table = DpTable(tuple(range(nloc)), 0, np.zeros(1 << nloc), argmin)
+                assert count_table_optima(table) == count_orders(argmin)
+
+    def test_every_member_optimal(self, monkeypatch):
+        # argmin[S] = S: every order is optimal, nloc! of them; a low bound
+        # moves the later layers to exact Python ints
+        for nloc in (1, 5, 9, 12):
+            argmin = np.arange(1 << nloc, dtype=np.uint32)
+            table = DpTable(tuple(range(nloc)), 0, np.zeros(1 << nloc), argmin)
+            assert count_table_optima(table) == math.factorial(nloc)
+            monkeypatch.setattr(solver, "_INT64_COUNTS", 1 << 10)
+            assert count_table_optima(table) == math.factorial(nloc)
+            monkeypatch.undo()
+
+    def test_wide_route_matches_state_loop(self, monkeypatch):
+        monkeypatch.setattr(solver, "_INT64_COUNTS", 2)
+        rng = np.random.default_rng(62)
+        for nloc in (3, 8, 11):
+            argmin = random_argmin(rng, nloc, 0.8)
+            table = DpTable(tuple(range(nloc)), 0, np.zeros(1 << nloc), argmin)
+            assert count_table_optima(table) == count_orders(argmin)
+
+
+class TestTableDtype:
+    # n * sum_{i=2..k} C(m, i) just below and just above 2^31
+    CASES = [(4, 3, 10), (5, 2, 10), (6, 6, 57)]
+
+    @staticmethod
+    def near_bound_profile(rng, m, n):
+        """Mostly one ranking, so placement costs reach toward the bound."""
+        order = rng.permutation(m)
+        share = n // 7
+        return Profile(m, [
+            (Ranking(order), n - 2 * share),
+            (Ranking(order[::-1]), share),
+            (Ranking(rng.permutation(m)), share),
+        ])
+
+    def test_bound_picks_dtype(self, monkeypatch):
+        rng = np.random.default_rng(71)
+        for m, k, per_voter in self.CASES:
+            below = (2**31 - 1) // per_voter
+            for n, dtype in ((below, np.int32), (below + 1, np.int64)):
+                assert (n * per_voter < 2**31) == (dtype is np.int32)
+                profile = self.near_bound_profile(rng, m, n)
+                table = build_dp_table(profile, k)
+                assert table.values.dtype == dtype
+                values, argmin = held_karp(profile, k, full_mask(m), 0)
+                assert table.values.tolist() == values
+                assert table.argmin.tolist() == argmin
+                # the majority's last candidate placed first costs near the bound
+                majority = max(profile.groups, key=lambda group: group[1])[0]
+                last = majority.order[-1]
+                prefix = BinomialPrefixTable(m, k)
+                assert placement_cost(full_mask(m), last, profile, k, prefix) > 2**29
+                brute = brute_force_consensus(profile, k)
+                exact = enumerate_consensus(profile, k)
+                assert exact.optimum == table.optimum == brute.optimum
+                assert exact.count == count_table_optima(table) == brute.count
+                for ranking in exact.rankings:
+                    assert profile_distance(ranking, profile, k) == table.optimum
+                monkeypatch.setattr(solver, "_table_dtype", lambda *_: np.int64)
+                wide = build_dp_table(profile, k)
+                monkeypatch.undo()
+                assert wide.values.dtype == np.int64
+                assert np.array_equal(wide.values, table.values)
+                assert np.array_equal(wide.argmin, table.argmin)
+
+
 class TestEnumerate:
     def test_unique_consensus(self, tension_profile):
         result = enumerate_consensus(tension_profile, 3)
@@ -377,7 +545,10 @@ class TestCostRows:
                         )
                 routes = [_subset_sum_costs] + [_moment_costs] * (k <= 3)
                 for route in routes:
-                    assert np.array_equal(route(counts, k, local, context), expected)
+                    for dtype in (np.int32, np.int64):
+                        rows = route(counts, k, local, context, dtype)
+                        assert rows.dtype == dtype
+                        assert np.array_equal(rows, expected)
 
     def test_moment_and_subset_sum_tables_identical(self):
         rng = np.random.default_rng(42)
@@ -389,8 +560,8 @@ class TestCostRows:
                 subset, context = full_mask(m), 0
             local = mask_members(subset)
             for k in (2, 3) if m >= 3 else (2,):
-                moment = _moment_costs(counts, k, local, context)
-                transformed = _subset_sum_costs(counts, k, local, context)
+                moment = _moment_costs(counts, k, local, context, np.int64)
+                transformed = _subset_sum_costs(counts, k, local, context, np.int32)
                 assert np.array_equal(moment, transformed)
                 values, argmin = _layered_min(moment, len(local))
                 table = build_dp_table(profile, k, subset, context)
