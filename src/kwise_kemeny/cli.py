@@ -241,9 +241,11 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    # No reference to the parser outlives parsing.  Its reference cycles
+    # then die young; held through the command, they are promoted with the
+    # command's allocations and wait for a full collection.
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -109,7 +109,18 @@ class Ranking:
             raise ValueError("ranking must contain at least one candidate")
         if sorted(order) != list(range(m)):
             raise ValueError(f"not a permutation of 0..{m - 1}: {order}")
-        inverse = [0] * m
+        self._fill(order)
+
+    @classmethod
+    def _of_permutation(cls, order: tuple[int, ...]) -> "Ranking":
+        """A ranking of ``order``, which the caller has already checked to
+        be a permutation of ``0..m-1`` with ``m >= 1``."""
+        ranking = object.__new__(cls)
+        ranking._fill(order)
+        return ranking
+
+    def _fill(self, order: tuple[int, ...]) -> None:
+        inverse = [0] * len(order)
         for pos, c in enumerate(order):
             inverse[c] = pos
         object.__setattr__(self, "order", order)
@@ -351,14 +362,6 @@ class PairCounts:
         """Advantage gained on (c, d) triples by adding each x to the contest set."""
         return (self.joint[c, d] - self.joint[d, c]).tolist()
 
-    def unanimous_above(self, c: int) -> Mask:
-        """Mask of candidates every voter prefers to ``c``."""
-        mask = 0
-        for x in range(self.m):
-            if x != c and self.above[x, c] == self.n:
-                mask |= 1 << x
-        return mask
-
 
 _held_counts: contextvars.ContextVar[tuple[Profile, PairCounts] | None] = (
     contextvars.ContextVar("held_pair_counts", default=None)
@@ -445,16 +448,16 @@ def _parse_group_line(
     if count < 1:
         raise ProfileParseError(f"voter count must be positive, got {count}", line_no)
     try:
-        ids = [int(tok.strip()) for tok in rest.split(",")]
+        ids = [int(tok.strip()) - 1 for tok in rest.split(",")]
     except ValueError:
         raise ProfileParseError(f"invalid candidate index in {rest.strip()!r}", line_no) from None
     if expect_m is not None and len(ids) != expect_m:
         raise ProfileParseError(
             f"ranking lists {len(ids)} candidates, expected {expect_m}", line_no
         )
-    if sorted(ids) != list(range(1, len(ids) + 1)):
+    if sorted(ids) != list(range(len(ids))):
         raise ProfileParseError(f"not a permutation of 1..{len(ids)}: {rest.strip()}", line_no)
-    return Ranking.from_one_based(ids), count
+    return Ranking._of_permutation(tuple(ids)), count
 
 
 def serialize_profile(profile: Profile) -> str:

@@ -21,6 +21,14 @@ re-maximizing intra-component arcs under the placement constraints implied
 by the component order and by unanimous dominance, dropping arcs whose
 constrained advantage is no longer positive.
 
+The digraph's arcs are arrays (`_ArcTable`), and both steps read them as
+arrays.  `scc_decompose` runs Kosaraju's searches on one successor and one
+predecessor bitmask per vertex.  A refinement pass is one array expression
+over the intra-component arcs: at k = 3 it reads the gains tensor
+``joint[c, d, x] - joint[d, c, x]`` that `kwise_digraph` also uses, at k = 2
+only the margins, and for k >= 4 it passes the same constraint rows to the
+exhaustive search arc by arc.
+
 `solve` is the single entry point that dispatches on the solve mode
 (`brute`, `dp`, `pre`, `pre-refined`); the CLI and the bench harness both
 call it.
@@ -31,8 +39,8 @@ from __future__ import annotations
 import heapq
 import itertools
 import time
-from dataclasses import dataclass, replace
-from collections.abc import Iterable, Iterator, Mapping
+from dataclasses import dataclass, field, replace
+from collections.abc import Iterator, Mapping
 from typing import NamedTuple
 
 import numpy as np
@@ -69,32 +77,55 @@ class Arc(NamedTuple):
 
 
 class _ArcTable(Mapping):
-    """Arcs of a digraph built from arrays; the ``Arc`` objects are made on
-    the first lookup.  Splitting into components reads only the pairs, so
-    a preprocessed solve makes no per-arc objects."""
+    """Arcs of a digraph held as arrays; the ``Arc`` objects are made on the
+    first lookup.  Splitting into components and refining read only the
+    arrays, so a preprocessed solve makes no per-arc objects.
+
+    ``pairs`` is an (arcs, 2) array of (c, d) rows in ascending order,
+    ``weights`` the arc weights and ``rows`` a boolean (arcs, m) matrix of
+    each witness's members (the pair itself may be left out), or None when
+    every witness is just its pair.
+    """
 
     def __init__(
-        self,
-        pairs: list[tuple[int, int]],
-        weights: list[int],
-        extras: np.ndarray | None,
+        self, pairs: np.ndarray, weights: np.ndarray, rows: np.ndarray | None
     ):
-        self._pairs = pairs
-        self._weights = weights
-        self._extras = extras  # bool rows of witness members beyond the pair
+        self.pairs = pairs
+        self.weights = weights
+        self.rows = rows
         self._arcs: dict[tuple[int, int], Arc] | None = None
+
+    @classmethod
+    def of(cls, m: int, arcs: Mapping[tuple[int, int], Arc]) -> "_ArcTable":
+        """The arcs of any mapping as a table."""
+        if isinstance(arcs, cls):
+            return arcs
+        items = sorted(arcs.items())
+        pairs = np.array([pair for pair, _ in items], dtype=np.intp).reshape(-1, 2)
+        weights = np.array([arc.weight for _, arc in items], dtype=np.int64)
+        rows = _mask_rows([arc.witness for _, arc in items], m)
+        return cls(pairs, weights, rows)
+
+    def subset(self, keep: np.ndarray) -> "_ArcTable":
+        """The arcs selected by a boolean vector, in the same order."""
+        rows = None if self.rows is None else self.rows[keep]
+        return _ArcTable(self.pairs[keep], self.weights[keep], rows)
+
+    def _pair_tuples(self) -> list[tuple[int, int]]:
+        return list(map(tuple, self.pairs.tolist()))
 
     def _table(self) -> dict[tuple[int, int], Arc]:
         if self._arcs is None:
+            pairs = self._pair_tuples()
             extras = (
-                itertools.repeat(0) if self._extras is None
-                else _row_masks(self._extras)
+                itertools.repeat(0) if self.rows is None else _row_masks(self.rows)
             )
             witnesses = (
-                extra | 1 << c | 1 << d
-                for (c, d), extra in zip(self._pairs, extras)
+                extra | 1 << c | 1 << d for (c, d), extra in zip(pairs, extras)
             )
-            self._arcs = dict(zip(self._pairs, map(Arc, self._weights, witnesses)))
+            self._arcs = dict(
+                zip(pairs, map(Arc, self.weights.tolist(), witnesses))
+            )
         return self._arcs
 
     def __getitem__(self, pair: tuple[int, int]) -> Arc:
@@ -104,27 +135,28 @@ class _ArcTable(Mapping):
         return self._table().items()
 
     def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self._pairs)
+        return iter(self._pair_tuples())
 
     def __len__(self) -> int:
-        return len(self._pairs)
+        return len(self.pairs)
 
 
 @dataclass(frozen=True)
 class KwiseDigraph:
-    """Weighted arc set of the k-wise majority digraph."""
+    """Weighted arc set of the k-wise majority digraph.
+
+    ``order``, when set, is the digraph's component order as
+    `scc_decompose` computes it; `refine_digraph` sets it, because its
+    fixed point has just computed it.
+    """
 
     m: int
     k: int
     arcs: Mapping[tuple[int, int], Arc]
+    order: "SccOrder | None" = field(default=None, compare=False, repr=False)
 
     def arc_items(self) -> list[tuple[tuple[int, int], Arc]]:
         return sorted(self.arcs.items())
-
-    def without(self, removed: Iterable[tuple[int, int]]) -> "KwiseDigraph":
-        gone = set(removed)
-        kept = {pair: arc for pair, arc in self.arcs.items() if pair not in gone}
-        return KwiseDigraph(self.m, self.k, kept)
 
 
 @dataclass(frozen=True)
@@ -292,6 +324,15 @@ def _row_masks(bits: np.ndarray) -> list[Mask]:
     ]
 
 
+def _mask_rows(masks: list[Mask], m: int) -> np.ndarray:
+    """Inverse of `_row_masks`: one boolean row of m columns per mask."""
+    width = (m + 7) // 8
+    data = b"".join(mask.to_bytes(width, "little") for mask in masks)
+    packed = np.frombuffer(data, dtype=np.uint8).reshape(len(masks), width)
+    bits = np.unpackbits(packed, axis=1, count=m, bitorder="little")
+    return bits.view(bool)
+
+
 def kwise_digraph(
     profile: Profile, k: int, allow_exponential: bool = False
 ) -> KwiseDigraph:
@@ -330,9 +371,9 @@ def kwise_digraph(
         useful[:, every, every] = False
         weights += (gains * useful).sum(axis=2)
     arc_at = np.nonzero(weights > 0)
-    pairs = list(zip(*(axis.tolist() for axis in arc_at)))
-    extras = useful[arc_at] if k == 3 else None
-    return KwiseDigraph(m, k, _ArcTable(pairs, weights[arc_at].tolist(), extras))
+    pairs = np.stack(arc_at, axis=1)
+    rows = useful[arc_at] if k == 3 else None
+    return KwiseDigraph(m, k, _ArcTable(pairs, weights[arc_at], rows))
 
 
 # ---------------------------------------------------------------------------
@@ -340,111 +381,91 @@ def kwise_digraph(
 
 
 def scc_decompose(graph: KwiseDigraph) -> SccOrder:
-    """Tarjan components, then a canonical topological order of the condensation.
+    """Strongly connected components in a canonical topological order.
 
     Components are ordered by Kahn's algorithm with the smallest member id
     as tie-break, so the output is deterministic.  ``order_unique`` holds
     iff every pair of consecutive components is joined by an arc, i.e. the
     condensation admits a single topological order.
     """
-    m = graph.m
-    adjacency: list[list[int]] = [[] for _ in range(m)]
-    for c, d in graph.arcs:
-        adjacency[c].append(d)
-    index_of = [-1] * m
-    lowlink = [0] * m
-    on_stack = [False] * m
-    stack: list[int] = []
-    comp_id = [0] * m
-    components: list[Mask] = []
-    # explicit call stack of (vertex, its unexplored successors), so a long
-    # chain of arcs cannot exhaust the interpreter's recursion limit
-    work: list[tuple[int, Iterator[int]]] = []
-    ticket = itertools.count()
+    return _components(graph.m, _ArcTable.of(graph.m, graph.arcs).pairs)
 
-    def visit(v: int) -> None:
-        index_of[v] = lowlink[v] = next(ticket)
-        stack.append(v)
-        on_stack[v] = True
-        work.append((v, iter(adjacency[v])))
 
-    for root in range(m):
-        if index_of[root] >= 0:
-            continue
-        visit(root)
-        while work:
-            v, successors = work[-1]
-            for w in successors:
-                if index_of[w] < 0:
-                    visit(w)
-                    break
-                if on_stack[w]:
-                    lowlink[v] = min(lowlink[v], index_of[w])
+def _components(m: int, pairs: np.ndarray) -> SccOrder:
+    """`scc_decompose` of the digraph with arcs ``pairs`` on m vertices.
+
+    Kosaraju's two searches run on bitmasks: the successors and the
+    predecessors of each vertex are one mask each, so a step of either
+    search handles a vertex, not an arc.  The second search also collects
+    each component's predecessors as a mask, which is all Kahn's algorithm
+    needs of the condensation.
+    """
+    adjacent = np.zeros((m, m), dtype=bool)
+    adjacent[pairs[:, 0], pairs[:, 1]] = True
+    successors = _row_masks(adjacent)
+    predecessors = _row_masks(adjacent.T)
+    # first search: vertices in the order their depth-first visits finish
+    finished: list[int] = []
+    unvisited = full_mask(m)
+    while unvisited:
+        low = unvisited & -unvisited
+        unvisited ^= low
+        path = [low.bit_length() - 1]
+        while path:
+            ahead = successors[path[-1]] & unvisited
+            if ahead:
+                low = ahead & -ahead
+                unvisited ^= low
+                path.append(low.bit_length() - 1)
             else:
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    lowlink[parent] = min(lowlink[parent], lowlink[v])
-                if lowlink[v] == index_of[v]:
-                    mask = 0
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp_id[w] = len(components)
-                        mask |= 1 << w
-                        if w == v:
-                            break
-                    components.append(mask)
-
-    succ: list[set[int]] = [set() for _ in components]
-    indegree = [0] * len(components)
-    for c, d in graph.arcs:
-        a, b_ = comp_id[c], comp_id[d]
-        if a != b_ and b_ not in succ[a]:
-            succ[a].add(b_)
-            indegree[b_] += 1
-    keys = [(mask & -mask).bit_length() for mask in components]  # lowest member + 1
-    heap = [(keys[i], i) for i in range(len(components)) if indegree[i] == 0]
-    heapq.heapify(heap)
-    ordered: list[int] = []
-    while heap:
-        _, i = heapq.heappop(heap)
-        ordered.append(i)
-        for j in succ[i]:
-            indegree[j] -= 1
-            if indegree[j] == 0:
-                heapq.heappush(heap, (keys[j], j))
-    masks = tuple(components[i] for i in ordered)
+                finished.append(path.pop())
+    # second search, latest finish first: the unassigned vertices that
+    # reach a root form its component
+    waiting: list[tuple[Mask, Mask, Mask]] = []  # (lowest member, members, inflow)
+    unassigned = full_mask(m)
+    for root in reversed(finished):
+        if not unassigned >> root & 1:
+            continue
+        component = frontier = 1 << root
+        inflow = 0
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            before = predecessors[low.bit_length() - 1]
+            inflow |= before
+            new = before & unassigned & ~component
+            component |= new
+            frontier |= new
+        unassigned ^= component
+        waiting.append((component & -component, component, inflow & ~component))
+    # Kahn: pop components in smallest-member order; one with an unplaced
+    # predecessor waits on the lowest such vertex until that is placed
+    heapq.heapify(waiting)
+    parked: dict[Mask, list[tuple[Mask, Mask, Mask]]] = {}
+    ordered: list[tuple[Mask, Mask]] = []
+    placed = 0
+    while waiting:
+        entry = heapq.heappop(waiting)
+        _, component, inflow = entry
+        blocking = inflow & ~placed
+        if blocking:
+            parked.setdefault(blocking & -blocking, []).append(entry)
+            continue
+        ordered.append((component, inflow))
+        placed |= component
+        while parked and component:
+            low = component & -component
+            component ^= low
+            for entry in parked.pop(low, ()):
+                heapq.heappush(waiting, entry)
     unique = all(
-        ordered[i + 1] in succ[ordered[i]] for i in range(len(ordered) - 1)
+        inflow & before for (before, _), (_, inflow) in zip(ordered, ordered[1:])
     )
-    return SccOrder(masks, unique)
+    return SccOrder(tuple(component for component, _ in ordered), unique)
 
 
 # ---------------------------------------------------------------------------
 # refinement
-
-
-def _constrained_max(
-    profile: Profile,
-    counts: PairCounts,
-    c: int,
-    d: int,
-    k: int,
-    forced_in: Mask,
-    forced_out: Mask,
-) -> int:
-    if k == 2:
-        return counts.margin(c, d)
-    if k == 3:
-        weight, _ = best_triple_advantage(
-            profile, c, d, forced_in=forced_in, forced_out=forced_out, counts=counts
-        )
-        return weight
-    weight, _ = best_advantage_exhaustive(
-        profile, c, d, k, forced_in=forced_in, forced_out=forced_out
-    )
-    return weight
 
 
 def refine_digraph(
@@ -459,45 +480,70 @@ def refine_digraph(
     (they can never be below it).  The advantage is re-maximized under these
     constraints and the arc removed when the maximum drops to zero or below.
     Removals can split components, so passes repeat until a fixed point.
+
+    A pass is one array expression over the intra-component arcs.  With the
+    gains ``g[c, d, x] = joint[c, d, x] - joint[d, c, x]`` of `kwise_digraph`,
+    the constrained 3-wise weight is the margin, plus g over the forced-in
+    candidates, plus the positive g over the free ones: the greedy rule of
+    `best_triple_advantage`.  At k = 2 the weight is the margin alone, so a
+    pass never removes an arc of `kwise_digraph`'s output, whose arcs all
+    have a positive margin; it only drops hand-built arcs that do not.  For
+    k >= 4 the same constraint rows go to `best_advantage_exhaustive`, one
+    arc at a time.  The result carries its component order.
     """
+    m, k = graph.m, graph.k
     counts = PairCounts.of(profile)
-    dominators = [counts.unanimous_above(c) for c in range(graph.m)]
+    table = _ArcTable.of(m, graph.arcs)
     if order is None:
-        order = scc_decompose(graph)
-    for _ in range(max(1, graph.m * graph.m)):
-        comp_of = order.component_of()
-        earlier = _prefix_masks(order.components)
-        removed: list[tuple[int, int]] = []
-        for (c, d), _arc in graph.arc_items():
-            i = comp_of[c]
-            if comp_of[d] != i:
-                continue
-            pair = bit(c) | bit(d)
-            forced_in = full_mask(graph.m) & ~(earlier[i] | order.components[i])
-            forced_out = (earlier[i] | dominators[c] | dominators[d]) & ~pair
-            if forced_in & forced_out:
-                raise InternalCheckError(
-                    "refinement constraints overlap; digraph inconsistent"
-                )
-            weight = _constrained_max(
-                profile, counts, c, d, graph.k, forced_in, forced_out
+        order = _components(m, table.pairs)
+    source, target = table.pairs.T
+    dominated = counts.above == counts.n  # [x, c]: every voter prefers x to c
+    every = np.arange(m)
+    keep = np.ones(len(source), dtype=bool)
+    # arcs that may lie inside a component; components only split, so this
+    # set only shrinks
+    inside = np.arange(len(source))
+    while True:
+        rank = _mask_rows(list(order.components), m).argmax(axis=0)
+        inside = inside[rank[source[inside]] == rank[target[inside]]]
+        c, d = source[inside], target[inside]
+        own = rank[c][:, None]
+        pair = (every == c[:, None]) | (every == d[:, None])
+        forced_in = rank > own
+        forced_out = ((rank < own) | dominated[:, c].T | dominated[:, d].T) & ~pair
+        if (forced_in & forced_out).any():
+            raise InternalCheckError(
+                "refinement constraints overlap; digraph inconsistent"
             )
-            if weight <= 0:
-                removed.append((c, d))
-        if not removed:
-            return graph
-        graph = graph.without(removed)
-        order = scc_decompose(graph)
-    return graph
+        weight = counts.above[c, d] - counts.above[d, c]
+        if k == 3:
+            gains = counts.joint[c, d] - counts.joint[d, c]
+            free = ~(forced_in | forced_out | pair)  # g[c, d, d] is above[c, d]
+            weight += (gains * forced_in).sum(axis=1)
+            weight += (np.maximum(gains, 0) * free).sum(axis=1)
+        elif k > 3:
+            weight = np.array([
+                _constrained_max(profile, k, *arc)
+                for arc in zip(
+                    c.tolist(), d.tolist(),
+                    _row_masks(forced_in), _row_masks(forced_out),
+                )
+            ], dtype=np.int64)
+        dropped = weight <= 0
+        if not dropped.any():
+            break
+        keep[inside[dropped]] = False
+        inside = inside[~dropped]
+        order = _components(m, table.pairs[keep])
+    return KwiseDigraph(m, k, table.subset(keep), order)
 
 
-def _prefix_masks(components: tuple[Mask, ...]) -> list[Mask]:
-    out = [0] * len(components)
-    acc = 0
-    for i, mask in enumerate(components):
-        out[i] = acc
-        acc |= mask
-    return out
+def _constrained_max(
+    profile: Profile, k: int, c: int, d: int, forced_in: Mask, forced_out: Mask
+) -> int:
+    """One arc's constrained weight at k >= 4, by exhaustive search
+    (``perfbench/tracing.py`` counts these calls as arcs checked)."""
+    return best_advantage_exhaustive(profile, c, d, k, forced_in, forced_out)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -528,7 +574,7 @@ def preprocess(
     order = scc_decompose(graph)
     if refine:
         graph = refine_digraph(graph, profile, order)
-        order = scc_decompose(graph)
+        order = graph.order
     return graph, order
 
 

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -172,6 +173,47 @@ class TestParse:
     def test_missing_colon(self):
         with pytest.raises(ProfileParseError, match="line 2"):
             parse_profile("2 2\n2 1,2\n")
+
+    def test_matches_public_constructor(self):
+        # the parser builds rankings without the public constructor's
+        # second permutation check; the result must not differ
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            m = int(rng.integers(1, 12))
+            groups = []
+            for _ in range(int(rng.integers(1, 9))):
+                ids = (rng.permutation(m) + 1).tolist()
+                groups.append((ids, int(rng.integers(1, 5))))
+            groups += groups[: int(rng.integers(0, 3))]  # repeated ballots
+            body = "".join(
+                f"{count}: " + " , ".join(map(str, ids)) + "\n"
+                for ids, count in groups
+            )
+            total = sum(count for _, count in groups)
+            expected = Profile(
+                m, [(Ranking.from_one_based(ids), count) for ids, count in groups]
+            )
+            for parsed in (parse_profile(f"{m} {total}\n{body}"), parse_soc(body)):
+                assert parsed == expected
+                for (got, _), (want, _) in zip(parsed.groups, expected.groups):
+                    assert type(got) is Ranking
+                    assert got.inverse == want.inverse
+                    assert hash(got) == hash(want)
+
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ("1: 1,1,3", "line 2: not a permutation of 1..3: 1,1,3"),
+            ("1: 0,1,2", "line 2: not a permutation of 1..3: 0,1,2"),
+            ("1: 1,2,4", "line 2: not a permutation of 1..3: 1,2,4"),
+            ("1: 1,2", "line 2: ranking lists 2 candidates, expected 3"),
+        ],
+    )
+    def test_bad_ballot_messages(self, line, message):
+        with pytest.raises(ProfileParseError) as caught:
+            parse_profile(f"3 1\n{line}\n")
+        assert str(caught.value) == message
+        assert caught.value.line == 2
 
     def test_soc_skips_metadata(self):
         text = (

@@ -1,4 +1,6 @@
+import heapq
 import itertools
+import json
 import sys
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 from kwise_kemeny import (
     GuardError,
+    InternalCheckError,
     PairCounts,
     Profile,
     Ranking,
@@ -22,11 +25,13 @@ from kwise_kemeny import (
     profile_distance,
     refine_digraph,
     scc_decompose,
+    serialize_profile,
     setwise_advantage,
     setwise_support,
     solve,
     to_dot,
 )
+from kwise_kemeny.cli import main
 from kwise_kemeny.majority import Arc, KwiseDigraph, SccOrder
 from kwise_kemeny.sampling import MallowsParams, mallows_sample
 from conftest import random_profile
@@ -79,6 +84,124 @@ def exhaustive_best(profile, c, d, k):
     return best, best_set
 
 
+def tarjan_order(graph):
+    """The per-arc route `scc_decompose` replaced: iterative Tarjan
+    over adjacency lists, then a heap Kahn over the condensation's arcs."""
+    m = graph.m
+    adjacency = [[] for _ in range(m)]
+    for c, d in graph.arcs:
+        adjacency[c].append(d)
+    index_of, lowlink, on_stack = [-1] * m, [0] * m, [False] * m
+    stack, comp_id, components, work = [], [0] * m, [], []
+    ticket = itertools.count()
+
+    def visit(v):
+        index_of[v] = lowlink[v] = next(ticket)
+        stack.append(v)
+        on_stack[v] = True
+        work.append((v, iter(adjacency[v])))
+
+    for root in range(m):
+        if index_of[root] >= 0:
+            continue
+        visit(root)
+        while work:
+            v, successors = work[-1]
+            for w in successors:
+                if index_of[w] < 0:
+                    visit(w)
+                    break
+                if on_stack[w]:
+                    lowlink[v] = min(lowlink[v], index_of[w])
+            else:
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] == index_of[v]:
+                    mask = 0
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp_id[w] = len(components)
+                        mask |= 1 << w
+                        if w == v:
+                            break
+                    components.append(mask)
+    succ = [set() for _ in components]
+    indegree = [0] * len(components)
+    for c, d in graph.arcs:
+        a, b = comp_id[c], comp_id[d]
+        if a != b and b not in succ[a]:
+            succ[a].add(b)
+            indegree[b] += 1
+    keys = [(mask & -mask).bit_length() for mask in components]
+    heap = [(keys[i], i) for i in range(len(components)) if indegree[i] == 0]
+    heapq.heapify(heap)
+    ordered = []
+    while heap:
+        _, i = heapq.heappop(heap)
+        ordered.append(i)
+        for j in succ[i]:
+            indegree[j] -= 1
+            if indegree[j] == 0:
+                heapq.heappush(heap, (keys[j], j))
+    unique = all(ordered[i + 1] in succ[ordered[i]] for i in range(len(ordered) - 1))
+    return SccOrder(tuple(components[i] for i in ordered), unique)
+
+
+def constrained_max(profile, counts, c, d, k, forced_in, forced_out):
+    if k == 2:
+        return counts.margin(c, d)
+    if k == 3:
+        return best_triple_advantage(
+            profile, c, d, forced_in=forced_in, forced_out=forced_out, counts=counts
+        )[0]
+    return best_advantage_exhaustive(
+        profile, c, d, k, forced_in=forced_in, forced_out=forced_out
+    )[0]
+
+
+def refine_oracle(graph, profile):
+    """The per-arc refinement loop `refine_digraph` replaced: every
+    intra-component arc re-maximized by a scalar call with mask
+    constraints, Tarjan after each pass.  Returns the graph and its order."""
+    m = graph.m
+    counts = PairCounts.of(profile)
+    dominators = [
+        sum(1 << x for x in range(m) if x != c and counts.above[x, c] == counts.n)
+        for c in range(m)
+    ]
+    arcs = dict(graph.arcs.items())
+    order = tarjan_order(graph)
+    while True:
+        comp_of = order.component_of()
+        earlier, acc = [], 0
+        for mask in order.components:
+            earlier.append(acc)
+            acc |= mask
+        removed = []
+        for (c, d), _ in sorted(arcs.items()):
+            i = comp_of[c]
+            if comp_of[d] != i:
+                continue
+            pair = 1 << c | 1 << d
+            forced_in = full_mask(m) & ~(earlier[i] | order.components[i])
+            forced_out = (earlier[i] | dominators[c] | dominators[d]) & ~pair
+            if forced_in & forced_out:
+                raise InternalCheckError("refinement constraints overlap")
+            weight = constrained_max(
+                profile, counts, c, d, graph.k, forced_in, forced_out
+            )
+            if weight <= 0:
+                removed.append((c, d))
+        if not removed:
+            return KwiseDigraph(m, graph.k, arcs), order
+        for pair in removed:
+            del arcs[pair]
+        order = tarjan_order(KwiseDigraph(m, graph.k, arcs))
+
+
 class TestPairCounts:
     def test_complementary_counts(self, six_profile):
         counts = PairCounts(six_profile)
@@ -89,9 +212,10 @@ class TestPairCounts:
 
     def test_unanimous_above(self, six_profile):
         counts = PairCounts(six_profile)
+        dominators = counts.above == counts.n  # [x, c]: every voter prefers x to c
         # every voter ranks c1 above c2, c3, c4 and c5
-        assert counts.unanimous_above(4) == mask_of([0, 1, 2, 3])
-        assert counts.unanimous_above(0) == 0
+        assert np.flatnonzero(dominators[:, 4]).tolist() == [0, 1, 2, 3]
+        assert not dominators[:, 0].any()
 
     def test_counts_match_definition(self):
         rng = np.random.default_rng(80)
@@ -389,8 +513,28 @@ class TestSccDecompose:
             classes = {mask_of(np.flatnonzero(reach[c] & reach[:, c]).tolist())
                        for c in range(m)}
             assert set(order.components) == classes
+            assert order == tarjan_order(KwiseDigraph(m, 2, arcs))
             position = order.component_of()
             assert all(position[c] <= position[d] for c, d in arcs)
+
+
+    def test_order_matches_tarjan_oracle(self):
+        # relabelled graphs, so member ids need not follow the order; dense
+        # and sparse, with and without cycles
+        rng = np.random.default_rng(62)
+        for _ in range(60):
+            m = int(rng.integers(2, 40))
+            ranks = rng.permutation(m)
+            forward = ranks[:, None] < ranks[None, :]
+            adjacent = rng.random((m, m)) < rng.uniform(0.02, 0.6)
+            back = rng.random((m, m)) < rng.uniform(0.0, 0.1)
+            adjacent = adjacent & forward | back & ~forward
+            np.fill_diagonal(adjacent, False)
+            graph = KwiseDigraph(m, 2, {
+                (int(c), int(d)): Arc(1, 1 << int(c) | 1 << int(d))
+                for c, d in zip(*np.nonzero(adjacent))
+            })
+            assert scc_decompose(graph) == tarjan_order(graph)
 
 
 class TestRefine:
@@ -419,6 +563,108 @@ class TestRefine:
             profile = random_profile(rng, m, int(rng.integers(2, 12)))
             plain = dp_consensus(profile, 3).optimum
             assert solve(profile, 3, "pre-refined").optimum == plain
+
+
+class TestRefineOracle:
+    """`refine_digraph` against the per-arc loop it replaced."""
+
+    @staticmethod
+    def check_cli(capsys, tmp_path, profile, k):
+        path = tmp_path / "profile.txt"
+        path.write_text(serialize_profile(profile))
+        argv = ["digraph", "--input", str(path), "--k", str(k), "--refine"]
+        assert main(argv + ["--force-exponential"] * (k > 3)) == 0
+        payload = json.loads(capsys.readouterr().out)
+        graph = kwise_digraph(profile, k, allow_exponential=True)
+        expected, order = refine_oracle(graph, profile)
+        arcs = [
+            (a["from"] - 1, a["to"] - 1, a["weight"], mask_of(x - 1 for x in a["witness"]))
+            for a in payload["arcs"]
+        ]
+        assert arcs == [
+            (c, d, arc.weight, arc.witness) for (c, d), arc in expected.arc_items()
+        ]
+        components = [mask_of(c - 1 for c in ids) for ids in payload["components"]]
+        assert tuple(components) == order.components
+        assert payload["order_unique"] == order.order_unique
+        return len(graph.arcs) - len(arcs)
+
+    def test_cli_matches_oracle_on_sampled_profiles(self, capsys, tmp_path):
+        removed = {2: 0, 3: 0}
+        for m in (4, 8, 12, 20, 30):
+            for phi in (0.5, 0.7, 0.85, 0.95):
+                seed = 100 * m + int(phi * 100)
+                profile = mallows_sample(MallowsParams(Ranking.identity(m), phi, 30, seed))
+                for k in (2, 3):
+                    removed[k] += self.check_cli(capsys, tmp_path, profile, k)
+        assert removed[2] == 0  # every arc of kwise_digraph has a positive margin
+        assert removed[3] > 0
+
+    def test_cli_matches_oracle_at_large_m(self, capsys, tmp_path):
+        for m, n, phi in ((60, 50, 0.8), (100, 60, 0.7)):
+            profile = mallows_sample(MallowsParams(Ranking.identity(m), phi, n, m))
+            for k in (2, 3):
+                self.check_cli(capsys, tmp_path, profile, k)
+
+    def test_cli_matches_oracle_at_k4(self, capsys, tmp_path):
+        rng = np.random.default_rng(63)
+        for m in (4, 5, 6, 7, 8):
+            for k in sorted({4, m}):
+                profile = random_profile(rng, m, int(rng.integers(3, 12)))
+                self.check_cli(capsys, tmp_path, profile, k)
+
+    def test_non_positive_margin_dropped_at_k2(self):
+        # c1 ties c2 and c3 two to two; c2 beats c3 three to one
+        profile = Profile.from_rankings(
+            3, [Ranking(order) for order in ([0, 1, 2], [2, 1, 0], [0, 1, 2], [1, 2, 0])]
+        )
+        graph = KwiseDigraph(3, 2, {
+            (c, d): Arc(1, 1 << c | 1 << d)
+            for c, d in itertools.permutations(range(3), 2)
+        })
+        refined = refine_digraph(graph, profile)
+        assert set(refined.arcs) == {(1, 2)}
+        expected, order = refine_oracle(graph, profile)
+        assert dict(refined.arcs.items()) == dict(expected.arcs.items())
+        assert refined.order == order == scc_decompose(refined)
+
+    def test_inconsistent_digraph_raises_on_both_routes(self):
+        # c1 tops every ballot, yet the hand-built arcs put it after {c2, c3}
+        profile = Profile(3, [(Ranking([0, 1, 2]), 2), (Ranking([0, 2, 1]), 1)])
+        graph = KwiseDigraph(3, 3, {
+            (1, 2): Arc(1, 0b110), (2, 1): Arc(1, 0b110), (1, 0): Arc(1, 0b011),
+        })
+        with pytest.raises(InternalCheckError, match="overlap"):
+            refine_digraph(graph, profile)
+        with pytest.raises(InternalCheckError):
+            refine_oracle(graph, profile)
+
+    def test_hand_built_digraphs_match_oracle(self):
+        rng = np.random.default_rng(64)
+        raised = kept = 0
+        for _ in range(80):
+            m = int(rng.integers(2, 9))
+            k = int(rng.integers(2, min(m, 4) + 1))
+            profile = random_profile(rng, m, int(rng.integers(1, 8)))
+            adjacent = rng.random((m, m)) < rng.uniform(0.2, 0.8)
+            np.fill_diagonal(adjacent, False)
+            arcs = {
+                (c, d): Arc(int(rng.integers(1, 9)), 1 << c | 1 << d)
+                for c, d in zip(*(axis.tolist() for axis in np.nonzero(adjacent)))
+            }
+            graph = KwiseDigraph(m, k, arcs)
+            try:
+                expected, order = refine_oracle(graph, profile)
+            except InternalCheckError:
+                with pytest.raises(InternalCheckError):
+                    refine_digraph(graph, profile)
+                raised += 1
+                continue
+            refined = refine_digraph(graph, profile, scc_decompose(graph))
+            assert dict(refined.arcs.items()) == dict(expected.arcs.items())
+            assert refined.order == order
+            kept += 1
+        assert raised > 0 and kept > 0
 
 
 class TestPartitionedDp:
