@@ -59,7 +59,7 @@ class ExperimentConfig:
         if self.n < 1 or self.instances < 1:
             raise ValueError("n and instances must be positive")
         object.__setattr__(
-            self, "modes", tuple(normalize_mode(mode) for mode in self.modes)
+            self, "modes", tuple([normalize_mode(mode) for mode in self.modes])
         )
 
     def resolve_ks(self, m: int) -> list[int]:

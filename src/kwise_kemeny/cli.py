@@ -8,6 +8,7 @@ memory, 4 internal assertion failure or recursion limit.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -104,6 +105,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json-out", help="write the JSON report here")
     p.set_defaults(func=cmd_bench)
     return parser
+
+
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    return build_parser()
 
 
 def _load(args) -> object:
@@ -220,13 +226,13 @@ def _parse_k_list(text: str) -> tuple:
 
 def cmd_bench(args) -> int:
     config = ExperimentConfig(
-        ms=tuple(int(tok) for tok in args.m_list.split(",")),
+        ms=tuple([int(tok) for tok in args.m_list.split(",")]),
         ks=_parse_k_list(args.k_list),
-        phis=tuple(float(tok) for tok in args.phi_list.split(",")),
+        phis=tuple([float(tok) for tok in args.phi_list.split(",")]),
         n=args.n,
         instances=args.instances,
         seed=args.seed,
-        modes=tuple(tok.strip() for tok in args.modes.split(",")),
+        modes=tuple([tok.strip() for tok in args.modes.split(",")]),
         timeout_s=args.timeout,
     )
     report = run_bench(config)
@@ -241,11 +247,11 @@ def cmd_bench(args) -> int:
 
 
 def main(argv=None) -> int:
-    # No reference to the parser outlives parsing.  Its reference cycles
-    # then die young; held through the command, they are promoted with the
-    # command's allocations and wait for a full collection.
+    # One parser serves every call in the process: building one costs more
+    # than a small solve, and parsing leaves no state on it (each call gets
+    # a fresh namespace).
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

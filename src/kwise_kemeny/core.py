@@ -13,7 +13,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import itertools
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -103,28 +103,28 @@ class Ranking:
     __slots__ = ("order", "inverse")
 
     def __init__(self, order: Sequence[int]):
-        order = tuple(int(c) for c in order)
+        order = tuple([int(c) for c in order])
         m = len(order)
         if m < 1:
             raise ValueError("ranking must contain at least one candidate")
         if sorted(order) != list(range(m)):
             raise ValueError(f"not a permutation of 0..{m - 1}: {order}")
-        self._fill(order)
-
-    @classmethod
-    def _of_permutation(cls, order: tuple[int, ...]) -> "Ranking":
-        """A ranking of ``order``, which the caller has already checked to
-        be a permutation of ``0..m-1`` with ``m >= 1``."""
-        ranking = object.__new__(cls)
-        ranking._fill(order)
-        return ranking
-
-    def _fill(self, order: tuple[int, ...]) -> None:
-        inverse = [0] * len(order)
+        inverse = [0] * m
         for pos, c in enumerate(order):
             inverse[c] = pos
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "inverse", tuple(inverse))
+
+    @classmethod
+    def _of_permutation(
+        cls, order: tuple[int, ...], inverse: tuple[int, ...]
+    ) -> "Ranking":
+        """A ranking of ``order`` with its ``inverse``, both of which the
+        caller has already checked (a permutation of ``0..m-1``, m >= 1)."""
+        ranking = object.__new__(cls)
+        object.__setattr__(ranking, "order", order)
+        object.__setattr__(ranking, "inverse", inverse)
+        return ranking
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Ranking is immutable")
@@ -142,7 +142,7 @@ class Ranking:
         return cls([int(i) - 1 for i in ids])
 
     def to_one_based(self) -> tuple[int, ...]:
-        return tuple(c + 1 for c in self.order)
+        return tuple([c + 1 for c in self.order])
 
     def rank_of(self, candidate: int) -> int:
         """0-based position of ``candidate`` (0 = most preferred)."""
@@ -374,38 +374,31 @@ _held_counts: contextvars.ContextVar[tuple[Profile, PairCounts] | None] = (
 # Text format (UTF-8): first non-comment line "m n"; each following
 # non-comment line "count: i1,i2,...,im" with 1-based candidate indices,
 # most preferred first.  Lines starting with "#" are comments.
+#
+# Both readers take the header and comment lines one by one, then read the
+# ballot lines as one array.  Only when the array fails a check are the
+# ballot lines checked one by one, to report the first bad line.
 
 
 def parse_profile(text: str) -> Profile:
     """Parse the native profile file format."""
-    m: int | None = None
-    declared_n: int | None = None
-    groups: list[tuple[Ranking, int]] = []
-    total = 0
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if m is None:
-            parts = line.split()
-            if len(parts) != 2:
-                raise ProfileParseError(
-                    f"expected header 'm n', got {line!r}", line_no
-                )
-            try:
-                m, declared_n = int(parts[0]), int(parts[1])
-            except ValueError:
-                raise ProfileParseError(
-                    f"non-integer header fields in {line!r}", line_no
-                ) from None
-            if m < 1 or declared_n < 1:
-                raise ProfileParseError("m and n must be positive", line_no)
-            continue
-        ranking, count = _parse_group_line(line, line_no, expect_m=m)
-        groups.append((ranking, count))
-        total += count
-    if m is None:
+    lines = _content_lines(text)
+    if not lines:
         raise ProfileParseError("empty profile file")
+    line_no, line = lines[0]
+    parts = line.split()
+    if len(parts) != 2:
+        raise ProfileParseError(f"expected header 'm n', got {line!r}", line_no)
+    try:
+        m, declared_n = int(parts[0]), int(parts[1])
+    except ValueError:
+        raise ProfileParseError(
+            f"non-integer header fields in {line!r}", line_no
+        ) from None
+    if m < 1 or declared_n < 1:
+        raise ProfileParseError("m and n must be positive", line_no)
+    groups = _read_ballots(lines[1:], m)
+    total = sum(count for _, count in groups)
     if total != declared_n:
         raise ProfileParseError(
             f"header declares n={declared_n} voters but groups sum to {total}"
@@ -420,24 +413,64 @@ def parse_soc(text: str) -> Profile:
     "count: i1,i2,..." with 1-based candidate indices.  The candidate count
     is inferred from the first ranking line.
     """
-    m: int | None = None
-    groups: list[tuple[Ranking, int]] = []
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        ranking, count = _parse_group_line(line, line_no, expect_m=m)
-        if m is None:
-            m = ranking.m
-        groups.append((ranking, count))
+    groups = _read_ballots(_content_lines(text), None)
     if not groups:
         raise ProfileParseError("no ranking lines found")
-    return Profile(m, groups)
+    return Profile(groups[0][0].m, groups)
 
 
-def _parse_group_line(
-    line: str, line_no: int, expect_m: int | None
-) -> tuple[Ranking, int]:
+def _content_lines(text: str) -> list[tuple[int, str]]:
+    """(1-based line number, stripped line) of each non-blank, non-comment line."""
+    return [
+        (line_no, line)
+        for line_no, raw in enumerate(text.splitlines(), start=1)
+        if (line := raw.strip()) and not line.startswith("#")
+    ]
+
+
+def _read_ballots(
+    ballots: list[tuple[int, str]], m: int | None
+) -> list[tuple[Ranking, int]]:
+    """The (ranking, count) groups of the ``count: i1,...,im`` lines
+    ``ballots``; ``m`` is None for a .soc file, whose first line sets it.
+
+    The rankings are converted by one numpy call into a (groups, m) matrix,
+    which parses each id as ``int`` does and refuses ragged rows; widths
+    and permutations are then checked as arrays, and the inverses are one
+    argsort.
+    """
+    if not ballots:
+        return []
+    fields = [line.partition(":") for _, line in ballots]
+    try:
+        counts = [int(head) for head, _, _ in fields]
+        orders = np.array([rest.split(",") for _, _, rest in fields], np.int64) - 1
+    except (ValueError, OverflowError):  # a bad field, a ragged row, an id >= 2^63
+        _raise_ballot_error(ballots, m)
+    width = orders.shape[1]
+    inverses = np.argsort(orders, axis=1)
+    if (
+        (m is None or width == m)
+        and min(counts) >= 1
+        and (np.take_along_axis(orders, inverses, axis=1) == np.arange(width)).all()
+    ):
+        return [
+            (Ranking._of_permutation(tuple(order), tuple(inverse)), count)
+            for order, inverse, count in zip(orders.tolist(), inverses.tolist(), counts)
+        ]
+    _raise_ballot_error(ballots, m)
+
+
+def _raise_ballot_error(ballots: list[tuple[int, str]], m: int | None) -> NoReturn:
+    """Raise the error of the first malformed line of ``ballots``, which
+    the array checks refused."""
+    for line_no, line in ballots:
+        m = _check_ballot_line(line, line_no, m)
+    raise InternalCheckError("ballot lines pass the line checks but not the array checks")
+
+
+def _check_ballot_line(line: str, line_no: int, expect_m: int | None) -> int:
+    """The ranking length of one ballot line, checked."""
     head, sep, rest = line.partition(":")
     if not sep:
         raise ProfileParseError(f"expected 'count: ranking', got {line!r}", line_no)
@@ -457,7 +490,7 @@ def _parse_group_line(
         )
     if sorted(ids) != list(range(len(ids))):
         raise ProfileParseError(f"not a permutation of 1..{len(ids)}: {rest.strip()}", line_no)
-    return Ranking._of_permutation(tuple(ids)), count
+    return len(ids)
 
 
 def serialize_profile(profile: Profile) -> str:

@@ -461,7 +461,9 @@ def _components(m: int, pairs: np.ndarray) -> SccOrder:
     unique = all(
         inflow & before for (before, _), (_, inflow) in zip(ordered, ordered[1:])
     )
-    return SccOrder(tuple(component for component, _ in ordered), unique)
+    # tuple([...]), not tuple(<generator>): the latter resizes a 10-slot
+    # tuple, and each call would leave one more block on a tuple freelist.
+    return SccOrder(tuple([component for component, _ in ordered]), unique)
 
 
 # ---------------------------------------------------------------------------

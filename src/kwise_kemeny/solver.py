@@ -601,10 +601,10 @@ def solve_components(
             if count_optima:
                 count *= count_table_optima(table)
             pieces.append(enumerate_table_orders(table, limit or 1))
-    rankings = tuple(
+    rankings = tuple([
         Ranking([c for piece in combo for c in piece])
         for combo in itertools.islice(itertools.product(*pieces), limit or 1)
-    )
+    ])
     if not count_optima:
         count = len(rankings)
     stats = SolveStats(states, _elapsed_ms(started), largest)
@@ -670,6 +670,6 @@ def brute_force_consensus(profile: Profile, k: int) -> ConsensusResult:
         dist += count * np.where(disagree, lookup[shared], 0).sum(axis=(1, 2))
     optimum = int(dist.min())
     winners = np.flatnonzero(dist == optimum)
-    rankings = tuple(Ranking(perms[i]) for i in winners)
+    rankings = tuple([Ranking(perms[i]) for i in winners])
     stats = SolveStats(len(perms), _elapsed_ms(started), m)
     return ConsensusResult(optimum, rankings, len(rankings), False, stats)

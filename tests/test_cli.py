@@ -1,5 +1,9 @@
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -430,3 +434,64 @@ class TestParser:
 
     def test_no_command(self, capsys):
         assert run(capsys)[0] == 2
+
+    def test_repeated_calls_match_fresh_interpreters(
+        self, capsys, monkeypatch, tension_file, six_file
+    ):
+        # one process parses every call with the same parser, so nothing
+        # parsed for one call may show in the next
+        monkeypatch.setenv("COLUMNS", "80")
+        sequence = [
+            ["solve", "--input", six_file, "--k", "3", "--all", "--limit", "2"],
+            ["solve", "--input", six_file, "--k", "3"],
+            ["distance", "--input", tension_file, "--rank", "1,2,3", "--k", "3",
+             "--json"],
+            ["distance", "--input", tension_file, "--rank", "1,2,3", "--k", "2"],
+            ["solve", "--input", six_file, "--k", "3", "--mode", "nope"],
+            ["digraph", "--input", six_file, "--refine"],
+            ["digraph", "--input", six_file, "--dot"],
+            ["--help"],
+            ["solve", "--input", tension_file, "--k", "2", "--mode", "pre-refined",
+             "--json"],
+            ["sample", "--m", "4", "--n", "5", "--phi", "0.5", "--seed", "3"],
+            ["sample", "--model", "ic", "--m", "3", "--n", "2"],
+            ["solve", "--help"],
+            ["solve", "--input", tension_file, "--k", "2"],
+        ]
+        env = dict(os.environ, COLUMNS="80",
+                   PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        script = "import sys; from kwise_kemeny.cli import main; sys.exit(main(sys.argv[1:]))"
+        for argv in sequence:
+            in_process = run(capsys, *argv)
+            fresh = subprocess.run(
+                [sys.executable, "-c", script, *argv],
+                capture_output=True, text=True, env=env, timeout=60,
+            )
+            expected = (fresh.returncode, fresh.stdout, fresh.stderr)
+            assert strip_millis(in_process) == strip_millis(expected), argv
+
+
+def strip_millis(outcome):
+    code, out, err = outcome
+    return code, re.sub(r'"millis": [^,}]+', '"millis": 0', out), err
+
+
+def test_repeated_solves_retain_no_blocks(capsys, tmp_path):
+    """Allocated blocks stay flat over repeated in-process solves.
+
+    A reference cycle per call, or a tuple built from a generator on the
+    solve path (each such call leaves one more block on a tuple freelist),
+    makes the count grow with the number of calls.
+    """
+    path = tmp_path / "p.txt"
+    assert main(["sample", "--m", "12", "--n", "30", "--phi", "0.8", "--seed", "5",
+                 "--output", str(path)]) == 0
+    argv = ["solve", "--input", str(path), "--k", "3", "--mode", "pre-refined"]
+    for _ in range(100):
+        main(argv)
+    capsys.readouterr()
+    before = sys.getallocatedblocks()
+    for _ in range(400):
+        main(argv)
+    capsys.readouterr()
+    assert sys.getallocatedblocks() - before < 100
