@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 
@@ -12,6 +13,7 @@ from kwise_kemeny import (
     mallows_sample,
     serialize_profile,
 )
+from kwise_kemeny.cli import main
 
 
 def analytic_mean_distance(m: int, phi: float) -> float:
@@ -124,3 +126,66 @@ class TestImpartialCulture:
             impartial_culture(0, 5, 0)
         with pytest.raises(ValueError):
             impartial_culture(3, 0, 0)
+
+
+def _stepped(m: int, step: int) -> str:
+    """A 1-based reference ranking visiting the candidates ``step`` apart."""
+    return ",".join(str(step * i % m + 1) for i in range(m))
+
+
+# SHA-256 of ``kwise-kemeny sample`` stdout: (model, m, n, phi, sigma step
+# or None for the identity, seed, digest).  These pin the sampled bytes, so
+# a rewrite of the samplers (or another numpy) must draw the same profiles.
+GOLDEN_SAMPLES = [
+    ("mallows", 1, 3, "1.0", None, 100,
+     "f9dee5acaceadb1a3f4e8ebfccf66c0a532c2b19dd333d053d2e7d3c53f6f5a5"),
+    ("mallows", 1, 3, "0.05", None, 102,
+     "f9dee5acaceadb1a3f4e8ebfccf66c0a532c2b19dd333d053d2e7d3c53f6f5a5"),
+    ("mallows", 5, 40, "1.0", None, 103,
+     "a7ca0584396f699a350fbfe98035ab2d13fb0d8edca30b445a772db5ef7186ed"),
+    ("mallows", 5, 40, "0.8", None, 104,
+     "6cb2232910c717cf1ae0225e102c3f9f9fb925705a9c2b0f6b38902f623476df"),
+    ("mallows", 5, 40, "0.05", None, 105,
+     "71628479d7173ebe9799a18782954a469040c9dc855c4575427d41298575e6fc"),
+    ("mallows", 14, 60, "1.0", None, 106,
+     "e795b97768b5854e729ad261f68b3c2951bb39f363b44a164945d506e3bea9f0"),
+    ("mallows", 14, 60, "0.8", None, 107,
+     "1284e38ce0e9f4fa5285f55822b7c652f11d7e72aadd6874a0d8ff252c77eacf"),
+    ("mallows", 14, 60, "0.05", None, 108,
+     "040c00f1f1e0baecec1a4c79e5bfc1b2f263cad6024bbe4340b4e98ade4dafe9"),
+    ("mallows", 30, 50, "1.0", None, 109,
+     "7cb34bd94f743bfb630b17aa723dc3aef1c6ab5c97d8c64520dfb2177447f380"),
+    ("mallows", 30, 50, "0.8", None, 110,
+     "652d1837b92b13246983a124e2caf9d8aa1d80c3a1ea59b5aebd63ed0c0063c2"),
+    ("mallows", 30, 50, "0.05", None, 111,
+     "9e892b9ce68be72dfb5b50beaddc09e6feccd8d39e9d7c6b59dbd7dcb0ef0f76"),
+    ("mallows", 5, 40, "0.8", 2, 112,
+     "cbf378ada92c957fcdc8f491f523c14540c10e8ad6b605b3c0a95b8d51c35500"),
+    ("mallows", 14, 60, "1.0", 3, 113,
+     "262216b237bc90dc5cc021033cb36614bf9c76b82079275625e175e84dbad2aa"),
+    ("mallows", 14, 60, "0.05", 5, 114,
+     "bccfcbd8b8aadfae84003661ccbe7b665226ef7110694cd73e276ca889b5b9db"),
+    ("mallows", 30, 50, "0.8", 7, 115,
+     "84d785cf00e7b3cf5e6bee0576788f26e157e4bd60e43099820b729ceb2cc166"),
+    ("mallows", 30, 50, "0.05", 11, 116,
+     "ee2fcd2e4132daff8a8e93984743c3bab3f32e555255d032ee094f947c2f3d9b"),
+    ("ic", 1, 4, None, None, 117,
+     "5d74a6080a6b11cf2dc15d48127cca03d977e52336ed5799b429e87085099bbf"),
+    ("ic", 7, 50, None, None, 118,
+     "4393cf2d3ba201faf3398e3a783ea88c1aaf9ea29ded5fb4efedae350a450c60"),
+    ("ic", 30, 40, None, None, 119,
+     "c2e5f97d50d92c132edfeddca3b94a465226e014eb21c1d1ad33d383f7b566c8"),
+]
+
+
+@pytest.mark.parametrize("model,m,n,phi,step,seed,digest", GOLDEN_SAMPLES)
+def test_sample_bytes_are_pinned(capsys, model, m, n, phi, step, seed, digest):
+    argv = ["sample", "--model", model, "--m", str(m), "--n", str(n),
+            "--seed", str(seed)]
+    if phi is not None:
+        argv += ["--phi", phi]
+    if step is not None:
+        argv += ["--sigma", _stepped(m, step)]
+    assert main(argv) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
