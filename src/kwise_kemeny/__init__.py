@@ -41,7 +41,6 @@ from .solver import (
     build_dp_table,
     dp_consensus,
     enumerate_consensus,
-    placement_cost,
 )
 from .majority import (
     Arc,
@@ -103,7 +102,6 @@ __all__ = [
     "build_dp_table",
     "dp_consensus",
     "enumerate_consensus",
-    "placement_cost",
     "Arc",
     "KwiseDigraph",
     "PairCounts",

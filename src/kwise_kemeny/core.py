@@ -243,6 +243,29 @@ class Profile:
     def from_rankings(cls, m: int, rankings: Iterable[Ranking]) -> "Profile":
         return cls(m, [(r, 1) for r in rankings])
 
+    @classmethod
+    def _of_orders(cls, orders: np.ndarray, counts: Sequence[int]) -> "Profile":
+        """The profile of the rows of a (ballots, m) matrix of checked
+        permutations with positive ``counts``: one lexsort into canonical
+        order, then equal neighbours merged, their counts summed as Python
+        ints (exact beyond 2^63)."""
+        rows = np.lexsort(orders.T[::-1])
+        orders, counts = orders[rows], [counts[i] for i in rows.tolist()]
+        new = np.ones(len(orders), bool)
+        new[1:] = (orders[1:] != orders[:-1]).any(axis=1)
+        starts = np.flatnonzero(new).tolist()
+        merged = [sum(counts[a:b]) for a, b in zip(starts, starts[1:] + [None])]
+        orders = orders[starts]
+        groups = zip(orders.tolist(), np.argsort(orders, axis=1).tolist(), merged)
+        profile = object.__new__(cls)
+        object.__setattr__(profile, "m", orders.shape[1])
+        object.__setattr__(profile, "groups", tuple([
+            (Ranking._of_permutation(tuple(order), tuple(inverse)), count)
+            for order, inverse, count in groups
+        ]))
+        object.__setattr__(profile, "n", sum(merged))
+        return profile
+
     def counts_array(self) -> np.ndarray:
         return np.array([count for _, count in self.groups], dtype=np.int64)
 
@@ -397,13 +420,13 @@ def parse_profile(text: str) -> Profile:
         ) from None
     if m < 1 or declared_n < 1:
         raise ProfileParseError("m and n must be positive", line_no)
-    groups = _read_ballots(lines[1:], m)
-    total = sum(count for _, count in groups)
+    orders, counts = _read_ballots(lines[1:], m)
+    total = sum(counts)
     if total != declared_n:
         raise ProfileParseError(
             f"header declares n={declared_n} voters but groups sum to {total}"
         )
-    return Profile(m, groups)
+    return Profile._of_orders(orders, counts)
 
 
 def parse_soc(text: str) -> Profile:
@@ -413,10 +436,10 @@ def parse_soc(text: str) -> Profile:
     "count: i1,i2,..." with 1-based candidate indices.  The candidate count
     is inferred from the first ranking line.
     """
-    groups = _read_ballots(_content_lines(text), None)
-    if not groups:
+    orders, counts = _read_ballots(_content_lines(text), None)
+    if not counts:
         raise ProfileParseError("no ranking lines found")
-    return Profile(groups[0][0].m, groups)
+    return Profile._of_orders(orders, counts)
 
 
 def _content_lines(text: str) -> list[tuple[int, str]]:
@@ -430,17 +453,17 @@ def _content_lines(text: str) -> list[tuple[int, str]]:
 
 def _read_ballots(
     ballots: list[tuple[int, str]], m: int | None
-) -> list[tuple[Ranking, int]]:
-    """The (ranking, count) groups of the ``count: i1,...,im`` lines
-    ``ballots``; ``m`` is None for a .soc file, whose first line sets it.
+) -> tuple[np.ndarray, list[int]]:
+    """The 0-based (ballots, m) order matrix and the counts of the
+    ``count: i1,...,im`` lines ``ballots``; ``m`` is None for a .soc file,
+    whose first line sets it.
 
-    The rankings are converted by one numpy call into a (groups, m) matrix,
-    which parses each id as ``int`` does and refuses ragged rows; widths
-    and permutations are then checked as arrays, and the inverses are one
-    argsort.
+    The rankings are converted by one numpy call, which parses each id as
+    ``int`` does and refuses ragged rows; widths and permutations are then
+    checked as arrays.
     """
     if not ballots:
-        return []
+        return np.empty((0, 0), np.int64), []
     fields = [line.partition(":") for _, line in ballots]
     try:
         counts = [int(head) for head, _, _ in fields]
@@ -448,16 +471,12 @@ def _read_ballots(
     except (ValueError, OverflowError):  # a bad field, a ragged row, an id >= 2^63
         _raise_ballot_error(ballots, m)
     width = orders.shape[1]
-    inverses = np.argsort(orders, axis=1)
     if (
         (m is None or width == m)
         and min(counts) >= 1
-        and (np.take_along_axis(orders, inverses, axis=1) == np.arange(width)).all()
+        and (np.sort(orders, axis=1) == np.arange(width)).all()
     ):
-        return [
-            (Ranking._of_permutation(tuple(order), tuple(inverse)), count)
-            for order, inverse, count in zip(orders.tolist(), inverses.tolist(), counts)
-        ]
+        return orders, counts
     _raise_ballot_error(ballots, m)
 
 

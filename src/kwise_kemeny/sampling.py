@@ -1,14 +1,18 @@
 """Random preference-profile generators.
 
 `mallows_sample` draws rankings whose probability is proportional to
-phi^(Kendall tau distance to a reference ranking sigma), using the repeated
-insertion method: the j-th candidate of sigma is inserted into the partial
-ranking at a position chosen with probability proportional to phi^(number
-of new inversions), which realizes the target law exactly.  phi = 1 gives
-the impartial culture (uniform) distribution.
+phi^(Kendall tau distance to a reference ranking sigma) by repeated
+insertion (Doignon, Pekec & Regenwetter, Psychometrika 2004): the j-th
+candidate of sigma goes into the partial ranking at a slot chosen with
+probability proportional to phi^(new inversions), which realizes the law
+exactly.  phi = 1 gives the impartial culture (uniform) distribution.
 
-All generators are reproducible: voter v uses a child stream of the given
-seed (spawn key = voter index), so results do not depend on sampling order.
+Voter v draws from a child stream of the seed (spawn key v), so results do
+not depend on sampling order.  Each voter draws its m insertion variates
+in one call, ``random(m)`` or, at phi = 1, ``integers([1, ..., m])``;
+both consume the stream exactly as m scalar calls do.  Step j's slots are
+one ``searchsorted`` over all voters with the same float products as a
+voter-by-voter draw, so the batched sampler is byte-identical to it.
 """
 
 from __future__ import annotations
@@ -41,38 +45,32 @@ def _voter_rng(seed: int, voter: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(voter,)))
 
 
-def _insert_position(rng: np.random.Generator, length: int, phi: float) -> int:
-    """0-based insertion slot among ``length`` + 1 choices; slot p costs
-    ``length - p`` new inversions and has weight phi^(length - p)."""
-    if phi == 1.0:
-        return int(rng.integers(length + 1))
-    weights = phi ** np.arange(length, -1, -1, dtype=np.float64)
-    total = weights.cumsum()
-    u = rng.random() * total[-1]
-    return int(np.searchsorted(total, u, side="right"))
-
-
-def _rim_ranking(sigma: Ranking, phi: float, rng: np.random.Generator) -> Ranking:
-    order: list[int] = []
-    for candidate in sigma.order:
-        order.insert(_insert_position(rng, len(order), phi), candidate)
-    return Ranking(order)
-
-
 def mallows_sample(params: MallowsParams) -> Profile:
     """n independent rankings from the Mallows law around ``params.sigma``."""
-    rankings = [
-        _rim_ranking(params.sigma, params.phi, _voter_rng(params.seed, v))
-        for v in range(params.n)
-    ]
-    return Profile.from_rankings(params.sigma.m, rankings)
+    m, n, phi = params.sigma.m, params.n, params.phi
+    if phi == 1.0:
+        highs = np.arange(1, m + 1)
+        slots = np.array([_voter_rng(params.seed, v).integers(highs) for v in range(n)])
+    else:
+        draws = np.array([_voter_rng(params.seed, v).random(m) for v in range(n)])
+        slots = np.empty((n, m), np.intp)
+        for j in range(m):  # slot p costs j - p new inversions
+            total = (phi ** np.arange(j, -1, -1, dtype=np.float64)).cumsum()
+            slots[:, j] = np.searchsorted(total, draws[:, j] * total[-1], side="right")
+    # positions[v, j]: the slot of sigma's j-th candidate in voter v's ranking
+    positions = np.empty((n, m), np.intp)
+    for j in range(m):
+        placed = positions[:, :j]
+        placed += placed >= slots[:, j, None]
+        positions[:, j] = slots[:, j]
+    orders = np.empty_like(positions)
+    orders[np.arange(n)[:, None], positions] = params.sigma.order
+    return Profile._of_orders(orders, [1] * n)
 
 
 def impartial_culture(m: int, n: int, seed: int) -> Profile:
     """n rankings drawn uniformly from the m! permutations."""
     if m < 1 or n < 1:
         raise ValueError("m and n must be positive")
-    rankings = [
-        Ranking(_voter_rng(seed, v).permutation(m)) for v in range(n)
-    ]
-    return Profile.from_rankings(m, rankings)
+    orders = np.array([_voter_rng(seed, v).permutation(m) for v in range(n)])
+    return Profile._of_orders(orders, [1] * n)

@@ -20,9 +20,10 @@ The min/argmin runs one popcount layer at a time over states in colex
 order, where the states of layer L with top member t are the first
 C(t, L - 1) states of layer L - 1 plus t: each layer's plan (predecessor
 ranks, cost indices, member bits) is block copies of the previous one plus
-one offset per block (:func:`_layers`).  The optimum count walks the same
-plans.  Cost tables and DP values are int32 when n * sum_{i=2..k} C(m, i),
-which bounds every entry and partial sum, is below 2^31, else int64.
+one offset per block (:func:`_layers`).  The optimum count, if asked for,
+is taken in the same walk.  Cost tables and DP values are int32 when
+n * sum_{i=2..k} C(m, i), which bounds every entry and partial sum, is
+below 2^31, else int64.
 
 `build_dp_table` also accepts a *context* mask of candidates known to be
 ranked below every candidate of S; placement costs are then charged against
@@ -99,52 +100,18 @@ class DpTable:
     ``values[S]`` is the optimal restricted cost for the local submask ``S``
     (bit j of ``S`` stands for ``candidates[j]``); ``argmin[S]`` is the
     bitmask of candidates that can be placed first at no extra cost.
+    ``count`` is the number of optimal orders, if the DP counted them.
     """
 
     candidates: tuple[int, ...]
     context: Mask
     values: np.ndarray
     argmin: np.ndarray
+    count: int | None = None
 
     @property
     def optimum(self) -> int:
         return int(self.values[-1])
-
-
-def placement_cost(
-    subset: Mask,
-    candidate: int,
-    profile: Profile,
-    k: int,
-    table: BinomialPrefixTable,
-    context: Mask = 0,
-) -> int:
-    """Cost of ranking ``candidate`` first among ``subset`` (plus context).
-
-    Sums, over every voter and every candidate c' that the voter prefers to
-    ``candidate`` within the restriction, the number of subsets of size at
-    most k that ``candidate`` would top while the voter tops them with c'.
-    One O(m) scan of each voter group.
-    """
-    if not subset >> candidate & 1:
-        raise ValueError(f"candidate {candidate} not in subset")
-    if subset & context:
-        raise ValueError("subset and context must be disjoint")
-    pool = subset | context
-    s = pool.bit_count()
-    total = 0
-    for ranking, count in profile.groups:
-        acc = 0
-        position = 0  # 1-based rank within the restriction
-        for x in ranking.order:
-            if not pool >> x & 1:
-                continue
-            position += 1
-            if x == candidate:
-                break
-            acc += table.prefix_below(s - position - 1)
-        total += count * acc
-    return total
 
 
 @functools.lru_cache(maxsize=32)
@@ -397,12 +364,22 @@ def _plan(nloc: int):
     return _small_layers(nloc) if nloc <= _SMALL_PLAN else _layers(nloc)
 
 
-def _layered_min(cost: np.ndarray, nloc: int) -> tuple[np.ndarray, np.ndarray]:
-    """Values and argmin sets of the subset DP, one popcount layer at a time.
+# Layer counts below this bound are held in int64.
+_INT64_COUNTS = 1 << 63
+
+
+def _layered_min(
+    cost: np.ndarray, nloc: int, count_optima: bool = False
+) -> tuple[np.ndarray, np.ndarray, int | None]:
+    """Values, argmin sets and, if asked, the optimum count of the subset
+    DP, one popcount layer at a time.
 
     A layer's values are computed in colex order from the previous layer's
     (a small array that stays in cache), then scattered once into the
-    binary-indexed table.  Values take the cost table's dtype.
+    binary-indexed table.  Values take the cost table's dtype.  A state's
+    count is the sum of the counts of the predecessors its argmin set
+    allows; a layer-L count is at most L!, so counts are int64 while
+    L! < 2^63 and exact Python ints from there on.
     """
     size = 1 << nloc
     values = np.zeros(size, dtype=cost.dtype)
@@ -411,6 +388,7 @@ def _layered_min(cost: np.ndarray, nloc: int) -> tuple[np.ndarray, np.ndarray]:
     widest = math.comb(nloc, nloc // 2)
     layer_values = np.zeros((2, widest), cost.dtype)
     choices = np.empty(widest, np.intp)
+    counts = np.ones(1, np.int64)  # layer 0: the empty state, one order
     for level, (states, (previous, flat, bits)) in enumerate(_plan(nloc), 1):
         done = layer_values[~level & 1]
         current = layer_values[level & 1, : len(states)]
@@ -423,9 +401,13 @@ def _layered_min(cost: np.ndarray, nloc: int) -> tuple[np.ndarray, np.ndarray]:
             np.bitwise_or.reduce(
                 bits[:, part] * (totals == best), axis=0, out=chosen[part]
             )
+        if count_optima:
+            if math.factorial(level) >= _INT64_COUNTS:
+                counts = counts.astype(object)
+            counts = np.where(chosen & bits, counts[previous], 0).sum(axis=0)
         values[states] = current
         argmin[states] = chosen
-    return values, argmin
+    return values, argmin, int(counts[0]) if count_optima else None
 
 
 def _check_solvable(m: int, n: int, k: int, nloc: int) -> None:
@@ -445,8 +427,10 @@ def build_dp_table(
     k: int,
     subset: Mask | None = None,
     context: Mask = 0,
+    count_optima: bool = False,
 ) -> DpTable:
-    """Run the subset DP over ``subset`` (default: all candidates).
+    """Run the subset DP over ``subset`` (default: all candidates), and
+    count its optimal orders if ``count_optima`` is set.
 
     The placement costs depend on the ballots only through
     :class:`PairCounts` (shared with the caller through
@@ -469,21 +453,14 @@ def build_dp_table(
     counts = PairCounts.of(profile)
     costs = _moment_costs if k <= 3 else _subset_sum_costs
     dtype = _table_dtype(counts.n, m, k)
-    values, argmin = _layered_min(costs(counts, k, candidates, context, dtype), nloc)
-    return DpTable(candidates, context, values, argmin)
-
-
-# Layer counts below this bound are held in int64.
-_INT64_COUNTS = 1 << 63
+    cost = costs(counts, k, candidates, context, dtype)
+    return DpTable(candidates, context, *_layered_min(cost, nloc, count_optima))
 
 
 def count_table_optima(table: DpTable) -> int:
-    """Exact number of distinct optimal orders encoded by the argmin sets.
-
-    Walks the layer plans: a state's count is the sum of the counts of the
-    predecessors its argmin set allows.  A layer-L count is at most L!, so
-    counts are int64 while L! < 2^63 and exact Python ints from there on.
-    """
+    """Exact number of distinct optimal orders encoded by the argmin sets,
+    by a second walk of the layer plans: the reference for the count that
+    :func:`_layered_min` takes during the DP, which solves use."""
     nloc = len(table.candidates)
     counts = np.ones(nloc, dtype=np.int64)  # layer 1: one order per state
     layers = itertools.islice(_plan(nloc), 1, None)
@@ -595,11 +572,11 @@ def solve_components(
                 states += 2
                 pieces.append([(component.bit_length() - 1,)])
                 continue
-            table = build_dp_table(profile, k, subset=component, context=later)
+            table = build_dp_table(profile, k, component, later, count_optima)
             optimum += table.optimum
             states += len(table.values)
             if count_optima:
-                count *= count_table_optima(table)
+                count *= table.count
             pieces.append(enumerate_table_orders(table, limit or 1))
     rankings = tuple([
         Ranking([c for piece in combo for c in piece])

@@ -1,4 +1,9 @@
+import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -154,3 +159,38 @@ class TestRunBench:
         assert payload["metadata"]["seed"] == 2
         assert len(payload["cells"]) == 1
         assert payload["cells"][0]["instances"] == 2
+
+
+TIMING = ("avg_ms", "max_ms", "min_ms")
+
+
+def test_run_tables_script_is_deterministic(tmp_path):
+    """``scripts/run_tables.py`` (the experiment-grid driver) runs, writes
+    its three reports, and repeats them under one seed up to the timings."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    runs = []
+    for name in ("first", "second"):
+        out = tmp_path / name
+        done = subprocess.run(
+            [sys.executable, str(root / "scripts" / "run_tables.py"),
+             "--instances", "1", "--seed", "4", "--out-dir", str(out)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert done.returncode == 0, done.stderr
+        reports = {}
+        for stem in ("runtime_grid", "preprocessing_grid"):
+            lines = (out / f"{stem}.csv").read_text().splitlines()
+            assert lines[0] == CSV_HEADER
+            reports[stem] = [
+                {key: value for key, value in row.items() if key not in TIMING}
+                for row in csv.DictReader(lines)
+            ]
+        payload = json.loads((out / "preprocessing_grid.json").read_text())
+        for cell in payload["cells"]:
+            for key in TIMING:
+                del cell[key]
+        reports["json"] = payload
+        runs.append(reports)
+    assert runs[0]["runtime_grid"] and runs[0]["json"]["cells"]
+    assert runs[0] == runs[1]

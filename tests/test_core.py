@@ -134,6 +134,25 @@ class TestProfile:
         with pytest.raises(ValueError):
             Profile(3, [(Ranking([0, 1]), 1)])
 
+    def test_order_matrix_route_matches_dict_route(self):
+        rng = np.random.default_rng(31)
+        for trial in range(60):
+            m = int(rng.integers(1, 9))
+            ballots = int(rng.integers(1, 40))
+            orders = np.array([rng.permutation(m) for _ in range(ballots)])
+            orders = np.concatenate((orders, orders[: int(rng.integers(0, ballots + 1))]))
+            counts = [int(c) for c in rng.integers(1, 6, len(orders))]
+            if trial % 3 == 0:
+                counts[0] = (1 << 64) + 7  # beyond int64, merged exactly
+            built = Profile._of_orders(orders, counts)
+            expected = Profile(m, [(Ranking(o), c) for o, c in zip(orders, counts)])
+            assert built == expected
+            assert built.n == expected.n == sum(counts)
+            for (got, _), (want, _) in zip(built.groups, expected.groups):
+                assert type(got.order[0]) is int
+                assert got.inverse == want.inverse
+                assert hash(got) == hash(want)
+
 
 class TestParse:
     def test_tension_profile(self, tension_profile):

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 
+import numpy as np
 import pytest
 
 from kwise_kemeny import (
@@ -14,6 +15,7 @@ from kwise_kemeny import (
     serialize_profile,
 )
 from kwise_kemeny.cli import main
+from kwise_kemeny.sampling import _voter_rng
 
 
 def analytic_mean_distance(m: int, phi: float) -> float:
@@ -34,7 +36,45 @@ def mean_distance_to(profile: Profile, sigma: Ranking) -> float:
     return total / profile.n
 
 
+def oracle_insert_position(rng, length: int, phi: float) -> int:
+    """0-based insertion slot among ``length`` + 1 choices; slot p costs
+    ``length - p`` new inversions and has weight phi^(length - p)."""
+    if phi == 1.0:
+        return int(rng.integers(length + 1))
+    weights = phi ** np.arange(length, -1, -1, dtype=np.float64)
+    total = weights.cumsum()
+    u = rng.random() * total[-1]
+    return int(np.searchsorted(total, u, side="right"))
+
+
+def oracle_rim_ranking(sigma: Ranking, phi: float, rng) -> Ranking:
+    """One voter's repeated insertion, one scalar draw per candidate."""
+    order: list[int] = []
+    for candidate in sigma.order:
+        order.insert(oracle_insert_position(rng, len(order), phi), candidate)
+    return Ranking(order)
+
+
+def oracle_mallows_sample(params: MallowsParams) -> Profile:
+    """The voter-by-voter sampler that the batched one replaced."""
+    rankings = [
+        oracle_rim_ranking(params.sigma, params.phi, _voter_rng(params.seed, v))
+        for v in range(params.n)
+    ]
+    return Profile.from_rankings(params.sigma.m, rankings)
+
+
 class TestMallows:
+    @pytest.mark.parametrize("phi", [1.0, 0.999, 0.95, 0.8, 0.5, 0.3, 1e-3])
+    def test_batched_draw_matches_voter_by_voter_oracle(self, phi):
+        rng = np.random.default_rng(int(phi * 1000))
+        for seed in range(20):
+            m = int(rng.integers(1, 21))
+            n = int(rng.integers(1, 61))
+            sigma = Ranking(rng.permutation(m))
+            params = MallowsParams(sigma, phi, n, seed)
+            assert mallows_sample(params) == oracle_mallows_sample(params)
+
     def test_seed_determinism(self):
         params = MallowsParams(Ranking([2, 0, 1, 3]), 0.6, 80, 424242)
         a, b = mallows_sample(params), mallows_sample(params)
@@ -103,6 +143,11 @@ class TestMallows:
 
 
 class TestImpartialCulture:
+    def test_matches_one_permutation_per_voter(self):
+        for m, n, seed in ((1, 3, 0), (4, 30, 1), (9, 17, 2)):
+            rankings = [Ranking(_voter_rng(seed, v).permutation(m)) for v in range(n)]
+            assert impartial_culture(m, n, seed) == Profile.from_rankings(m, rankings)
+
     def test_seed_determinism(self):
         assert serialize_profile(impartial_culture(5, 40, 9)) == serialize_profile(
             impartial_culture(5, 40, 9)

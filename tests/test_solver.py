@@ -15,7 +15,6 @@ from kwise_kemeny import (
     full_mask,
     mask_members,
     mask_of,
-    placement_cost,
     profile_distance,
 )
 from kwise_kemeny.core import PairCounts
@@ -33,6 +32,35 @@ from kwise_kemeny.solver import (
     solve_components,
 )
 from conftest import random_profile
+
+
+def placement_cost(subset, candidate, profile, k, table, context=0):
+    """Cost of ranking ``candidate`` first among ``subset`` (plus context),
+    by one scan of each voter group: the scalar reference for the cost rows.
+
+    Sums, over every voter and every candidate c' that the voter prefers to
+    ``candidate`` within the restriction, the number of subsets of size at
+    most k that ``candidate`` would top while the voter tops them with c'.
+    """
+    if not subset >> candidate & 1:
+        raise ValueError(f"candidate {candidate} not in subset")
+    if subset & context:
+        raise ValueError("subset and context must be disjoint")
+    pool = subset | context
+    s = pool.bit_count()
+    total = 0
+    for ranking, count in profile.groups:
+        acc = 0
+        position = 0  # 1-based rank within the restriction
+        for x in ranking.order:
+            if not pool >> x & 1:
+                continue
+            position += 1
+            if x == candidate:
+                break
+            acc += table.prefix_below(s - position - 1)
+        total += count * acc
+    return total
 
 
 def weighted_profile(rng, m, groups):
@@ -358,6 +386,46 @@ class TestColexWalk:
                 assert count_table_optima(table) == count_orders(argmin)
 
 
+class TestCountInWalk:
+    """The count taken during the DP walk against the second-walk oracle
+    and the state loop, on tie-heavy profiles: cached plans (<= 10
+    candidates) and plans built per table."""
+
+    @staticmethod
+    def check(m, seed):
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(m)
+        profile = Profile(m, [(Ranking(order), 2), (Ranking(order[::-1]), 2)])
+        for k in (2, 3, m):
+            counted = build_dp_table(profile, k, count_optima=True)
+            argmin = counted.argmin.tolist()
+            expected = count_orders(argmin)
+            assert counted.count == expected
+            assert count_table_optima(counted) == expected
+            assert enumerate_consensus(profile, k, 1).count == expected
+            plain = build_dp_table(profile, k)
+            assert plain.count is None
+            assert np.array_equal(plain.values, counted.values)
+            assert np.array_equal(plain.argmin, counted.argmin)
+        return expected
+
+    @pytest.mark.parametrize("m", [4, 7, 9, 11, 13, 14])
+    def test_matches_oracle(self, m):
+        self.check(m, 80 + m)
+
+    @pytest.mark.parametrize("m", [4, 9, 11, 14])
+    def test_exact_ints_in_walk(self, monkeypatch, m):
+        monkeypatch.setattr(solver, "_INT64_COUNTS", 2)
+        assert self.check(m, 90 + m) >= 1
+
+    def test_every_order_optimal(self):
+        # a ranking and its reverse equally weighted: at k = 2 every pair
+        # is split evenly, so all m! orders are optimal
+        for m in (4, 11, 14):
+            profile = Profile(m, [(Ranking(range(m)), 1), (Ranking(range(m)[::-1]), 1)])
+            assert build_dp_table(profile, 2, count_optima=True).count == math.factorial(m)
+
+
 class TestCountOptima:
     def test_matches_state_loop(self):
         rng = np.random.default_rng(61)
@@ -563,13 +631,14 @@ class TestCostRows:
                 moment = _moment_costs(counts, k, local, context, np.int64)
                 transformed = _subset_sum_costs(counts, k, local, context, np.int32)
                 assert np.array_equal(moment, transformed)
-                values, argmin = _layered_min(moment, len(local))
+                values, argmin, count = _layered_min(moment, len(local), True)
                 table = build_dp_table(profile, k, subset, context)
                 assert np.array_equal(values, table.values)
                 assert np.array_equal(argmin, table.argmin)
-                assert np.array_equal(
-                    _layered_min(transformed, len(local))[1], table.argmin
-                )
+                assert count == count_table_optima(table)
+                _, other_argmin, uncounted = _layered_min(transformed, len(local))
+                assert np.array_equal(other_argmin, table.argmin)
+                assert uncounted is None and table.count is None
 
     def test_partitioned_equals_full_dp(self):
         for m in (6, 10, 14):
