@@ -246,24 +246,25 @@ class Profile:
     @classmethod
     def _of_orders(cls, orders: np.ndarray, counts: Sequence[int]) -> "Profile":
         """The profile of the rows of a (ballots, m) matrix of checked
-        permutations with positive ``counts``: one lexsort into canonical
-        order, then equal neighbours merged, their counts summed as Python
-        ints (exact beyond 2^63)."""
-        rows = np.lexsort(orders.T[::-1])
-        orders, counts = orders[rows], [counts[i] for i in rows.tolist()]
-        new = np.ones(len(orders), bool)
-        new[1:] = (orders[1:] != orders[:-1]).any(axis=1)
-        starts = np.flatnonzero(new).tolist()
-        merged = [sum(counts[a:b]) for a, b in zip(starts, starts[1:] + [None])]
-        orders = orders[starts]
-        groups = zip(orders.tolist(), np.argsort(orders, axis=1).tolist(), merged)
+        permutations with positive ``counts``: rows sorted as lists into
+        canonical order, equal neighbours merged with their counts summed as
+        Python ints (exact beyond 2^63), inverses from one scatter."""
+        inverses = np.empty_like(orders)
+        inverses[np.arange(len(orders))[:, None], orders] = np.arange(orders.shape[1])
+        rows, inverses = orders.tolist(), inverses.tolist()
+        merged: list[list] = []  # [order, inverse, count] per distinct row
+        for i in sorted(range(len(rows)), key=rows.__getitem__):
+            if merged and merged[-1][0] == rows[i]:
+                merged[-1][2] += counts[i]
+            else:
+                merged.append([rows[i], inverses[i], counts[i]])
         profile = object.__new__(cls)
         object.__setattr__(profile, "m", orders.shape[1])
         object.__setattr__(profile, "groups", tuple([
             (Ranking._of_permutation(tuple(order), tuple(inverse)), count)
-            for order, inverse, count in groups
+            for order, inverse, count in merged
         ]))
-        object.__setattr__(profile, "n", sum(merged))
+        object.__setattr__(profile, "n", sum(counts))
         return profile
 
     def counts_array(self) -> np.ndarray:

@@ -364,7 +364,7 @@ def _plan(nloc: int):
     return _small_layers(nloc) if nloc <= _SMALL_PLAN else _layers(nloc)
 
 
-# Layer counts below this bound are held in int64.
+# Layer counts below this bound are held in fixed-width integers.
 _INT64_COUNTS = 1 << 63
 
 
@@ -378,8 +378,8 @@ def _layered_min(
     (a small array that stays in cache), then scattered once into the
     binary-indexed table.  Values take the cost table's dtype.  A state's
     count is the sum of the counts of the predecessors its argmin set
-    allows; a layer-L count is at most L!, so counts are int64 while
-    L! < 2^63 and exact Python ints from there on.
+    allows; a layer-L count is at most L!, so counts are int32 while
+    L! < 2^31, int64 while L! < 2^63 and exact Python ints from there on.
     """
     size = 1 << nloc
     values = np.zeros(size, dtype=cost.dtype)
@@ -388,23 +388,25 @@ def _layered_min(
     widest = math.comb(nloc, nloc // 2)
     layer_values = np.zeros((2, widest), cost.dtype)
     choices = np.empty(widest, np.intp)
-    counts = np.ones(1, np.int64)  # layer 0: the empty state, one order
+    counts = np.ones(1, np.int32)  # layer 0: the empty state, one order
     for level, (states, (previous, flat, bits)) in enumerate(_plan(nloc), 1):
         done = layer_values[~level & 1]
         current = layer_values[level & 1, : len(states)]
         chosen = choices[: len(states)]
+        if count_optima:  # a layer-L count is at most L!
+            most = math.factorial(level)
+            kind = object if most >= _INT64_COUNTS else np.int32 if most >> 31 == 0 else np.int64
+            done_counts, counts = counts.astype(kind, copy=False), np.empty(len(states), kind)
         for first in range(0, len(states), _LAYER_SLICE):
             part = slice(first, first + _LAYER_SLICE)
             totals = done[previous[:, part]]
             totals += flat_cost[flat[:, part]]
             best = np.minimum.reduce(totals, axis=0, out=current[part])
-            np.bitwise_or.reduce(
-                bits[:, part] * (totals == best), axis=0, out=chosen[part]
-            )
-        if count_optima:
-            if math.factorial(level) >= _INT64_COUNTS:
-                counts = counts.astype(object)
-            counts = np.where(chosen & bits, counts[previous], 0).sum(axis=0)
+            ties = totals == best  # the member slots in the argmin set
+            del totals  # dead from here; the count's gather takes its place
+            np.bitwise_or.reduce(bits[:, part] * ties, axis=0, out=chosen[part])
+            if count_optima:
+                counts[part] = (done_counts[previous[:, part]] * ties).sum(axis=0)
         values[states] = current
         argmin[states] = chosen
     return values, argmin, int(counts[0]) if count_optima else None
