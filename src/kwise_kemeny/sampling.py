@@ -57,7 +57,8 @@ def mallows_sample(params: MallowsParams) -> Profile:
         for j in range(m):  # slot p costs j - p new inversions
             total = (phi ** np.arange(j, -1, -1, dtype=np.float64)).cumsum()
             slots[:, j] = np.searchsorted(total, draws[:, j] * total[-1], side="right")
-    # positions[v, j]: the slot of sigma's j-th candidate in voter v's ranking
+    # positions[v, j]: where sigma's j-th candidate stands in voter v's ranking
+    # so far; inserting at slot p moves every candidate at p or lower down one
     positions = np.empty((n, m), np.intp)
     for j in range(m):
         placed = positions[:, :j]

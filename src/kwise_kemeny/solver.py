@@ -395,17 +395,19 @@ def _layered_min(
         chosen = choices[: len(states)]
         if count_optima:  # a layer-L count is at most L!
             most = math.factorial(level)
-            kind = object if most >= _INT64_COUNTS else np.int32 if most >> 31 == 0 else np.int64
-            done_counts, counts = counts.astype(kind, copy=False), np.empty(len(states), kind)
+            kind = (object if most >= _INT64_COUNTS
+                    else np.int32 if most < 1 << 31 else np.int64)
+            done_counts = counts.astype(kind, copy=False)
+            counts = np.empty(len(states), kind)
         for first in range(0, len(states), _LAYER_SLICE):
             part = slice(first, first + _LAYER_SLICE)
             totals = done[previous[:, part]]
             totals += flat_cost[flat[:, part]]
             best = np.minimum.reduce(totals, axis=0, out=current[part])
             ties = totals == best  # the member slots in the argmin set
-            del totals  # dead from here; the count's gather takes its place
             np.bitwise_or.reduce(bits[:, part] * ties, axis=0, out=chosen[part])
             if count_optima:
+                del totals  # dead here; the count's gather takes its place
                 counts[part] = (done_counts[previous[:, part]] * ties).sum(axis=0)
         values[states] = current
         argmin[states] = chosen

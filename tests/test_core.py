@@ -140,7 +140,8 @@ class TestProfile:
             m = int(rng.integers(1, 9))
             ballots = int(rng.integers(1, 40))
             orders = np.array([rng.permutation(m) for _ in range(ballots)])
-            orders = np.concatenate((orders, orders[: int(rng.integers(0, ballots + 1))]))
+            repeats = orders[: int(rng.integers(0, ballots + 1))]
+            orders = np.concatenate((orders, repeats))
             counts = [int(c) for c in rng.integers(1, 6, len(orders))]
             if trial % 3 == 0:
                 counts[0] = (1 << 64) + 7  # beyond int64, merged exactly

@@ -223,7 +223,11 @@ GOLDEN_SAMPLES = [
 ]
 
 
-@pytest.mark.parametrize("model,m,n,phi,step,seed,digest", GOLDEN_SAMPLES)
+@pytest.mark.parametrize(
+    "model,m,n,phi,step,seed,digest",
+    GOLDEN_SAMPLES,
+    ids=[f"{case[0]}-m{case[1]}-phi{case[3]}-step{case[4]}" for case in GOLDEN_SAMPLES],
+)
 def test_sample_bytes_are_pinned(capsys, model, m, n, phi, step, seed, digest):
     argv = ["sample", "--model", model, "--m", str(m), "--n", str(n),
             "--seed", str(seed)]

@@ -423,7 +423,8 @@ class TestCountInWalk:
         # is split evenly, so all m! orders are optimal
         for m in (4, 11, 14):
             profile = Profile(m, [(Ranking(range(m)), 1), (Ranking(range(m)[::-1]), 1)])
-            assert build_dp_table(profile, 2, count_optima=True).count == math.factorial(m)
+            table = build_dp_table(profile, 2, count_optima=True)
+            assert table.count == math.factorial(m)
 
 
 class TestCountOptima:
