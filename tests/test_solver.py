@@ -400,6 +400,8 @@ class TestCountInWalk:
             counted = build_dp_table(profile, k, count_optima=True)
             argmin = counted.argmin.tolist()
             expected = count_orders(argmin)
+            if k == 2:  # every pair is split evenly: all m! orders are optimal
+                assert expected == math.factorial(m)
             assert counted.count == expected
             assert count_table_optima(counted) == expected
             assert enumerate_consensus(profile, k, 1).count == expected
@@ -407,7 +409,6 @@ class TestCountInWalk:
             assert plain.count is None
             assert np.array_equal(plain.values, counted.values)
             assert np.array_equal(plain.argmin, counted.argmin)
-        return expected
 
     @pytest.mark.parametrize("m", [4, 7, 9, 11, 13, 14])
     def test_matches_oracle(self, m):
@@ -416,15 +417,7 @@ class TestCountInWalk:
     @pytest.mark.parametrize("m", [4, 9, 11, 14])
     def test_exact_ints_in_walk(self, monkeypatch, m):
         monkeypatch.setattr(solver, "_INT64_COUNTS", 2)
-        assert self.check(m, 90 + m) >= 1
-
-    def test_every_order_optimal(self):
-        # a ranking and its reverse equally weighted: at k = 2 every pair
-        # is split evenly, so all m! orders are optimal
-        for m in (4, 11, 14):
-            profile = Profile(m, [(Ranking(range(m)), 1), (Ranking(range(m)[::-1]), 1)])
-            table = build_dp_table(profile, 2, count_optima=True)
-            assert table.count == math.factorial(m)
+        self.check(m, 90 + m)
 
 
 class TestCountOptima:
