@@ -165,7 +165,7 @@ TIMING = ("avg_ms", "max_ms", "min_ms")
 
 
 def test_run_tables_script_is_deterministic(tmp_path):
-    """``scripts/run_tables.py`` (the experiment-grid driver) runs, writes
+    """``scripts/run_tables.py`` (the experiment-grid script) runs, writes
     its three reports, and repeats them under one seed up to the timings."""
     root = Path(__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=str(root / "src"))
