@@ -20,7 +20,6 @@ from .core import (
     full_mask,
     load_profile,
     mask_members,
-    mask_of,
     parse_profile,
     parse_soc,
     serialize_profile,
@@ -54,8 +53,6 @@ from .majority import (
     preprocess,
     refine_digraph,
     scc_decompose,
-    setwise_advantage,
-    setwise_support,
     solve,
     to_dot,
 )
@@ -68,7 +65,6 @@ from .sampling import (
 from .bench import (
     ExperimentConfig,
     ExperimentReport,
-    default_grid,
     run_bench,
 )
 
@@ -85,7 +81,6 @@ __all__ = [
     "full_mask",
     "load_profile",
     "mask_members",
-    "mask_of",
     "parse_profile",
     "parse_soc",
     "serialize_profile",
@@ -113,8 +108,6 @@ __all__ = [
     "preprocess",
     "refine_digraph",
     "scc_decompose",
-    "setwise_advantage",
-    "setwise_support",
     "solve",
     "to_dot",
     "RNG_ALGORITHM",
@@ -123,6 +116,5 @@ __all__ = [
     "mallows_sample",
     "ExperimentConfig",
     "ExperimentReport",
-    "default_grid",
     "run_bench",
 ]

@@ -27,16 +27,11 @@ from .majority import solve
 from .sampling import RNG_ALGORITHM, MallowsParams, mallows_sample
 
 MODES = ("dp", "pre", "pre-refined")
-_MODE_ALIASES = {
-    "preprocessed": "pre",
-    "preprocessed-refined": "pre-refined",
-}
 
 CSV_HEADER = "m,k,phi,mode,avg_ms,max_ms,min_ms,avg_consensus,avg_largest_scc"
 
 
 def normalize_mode(mode: str) -> str:
-    mode = _MODE_ALIASES.get(mode, mode)
     if mode not in MODES:
         raise ValueError(f"unknown solver mode {mode!r}; expected one of {MODES}")
     return mode
@@ -222,18 +217,4 @@ def _run_cell(
         avg_optimum=sum(values) / size,
         timeouts=timeouts,
         instances=size,
-    )
-
-
-def default_grid(seed: int = 0, include_m18: bool = False) -> ExperimentConfig:
-    """The standard desk-scale grid; m = 18 cells are opt-in (slow)."""
-    ms = (6, 10, 14) + ((18,) if include_m18 else ())
-    return ExperimentConfig(
-        ms=ms,
-        ks=(2, 3, "m"),
-        phis=(0.5, 0.8, 0.85, 0.9, 0.95, 1.0),
-        n=50,
-        instances=50,
-        seed=seed,
-        modes=("dp", "pre", "pre-refined"),
     )

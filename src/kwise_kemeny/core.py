@@ -1,11 +1,13 @@
-"""Election data model: candidates, rankings, profiles, subset masks and
-the pair statistics of a profile.
+"""Election data model: candidates, rankings, profiles, subset masks, the
+pair statistics of a profile and the profile file readers.
 
 Candidates are dense integer ids ``0..m-1``.  A subset of candidates is a
 plain ``int`` bitmask (``Mask``) with bit ``c`` set iff candidate ``c`` is a
 member; this is what every subset-indexed table in the solvers runs on.
 All types here are immutable after construction (``PairCounts`` builds its
 triple counts once, on first use) and safe to share between threads.
+Rankings and profiles hold only what the library itself reads; the tests
+keep their own restriction and relabelling helpers.
 """
 
 from __future__ import annotations
@@ -60,13 +62,6 @@ def full_mask(m: int) -> Mask:
     return (1 << m) - 1
 
 
-def mask_of(candidates: Iterable[int]) -> Mask:
-    mask = 0
-    for c in candidates:
-        mask |= 1 << c
-    return mask
-
-
 def mask_members(mask: Mask) -> tuple[int, ...]:
     """Set bits of ``mask`` in ascending order."""
     members = []
@@ -82,11 +77,6 @@ def iter_mask(mask: Mask) -> Iterator[int]:
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
-
-
-def popcount_array(values: np.ndarray) -> np.ndarray:
-    """Elementwise popcount of an unsigned integer array."""
-    return np.bitwise_count(values)
 
 
 # ---------------------------------------------------------------------------
@@ -144,31 +134,8 @@ class Ranking:
     def to_one_based(self) -> tuple[int, ...]:
         return tuple([c + 1 for c in self.order])
 
-    def rank_of(self, candidate: int) -> int:
-        """0-based position of ``candidate`` (0 = most preferred)."""
-        return self.inverse[candidate]
-
     def prefers(self, c: int, other: int) -> bool:
         return self.inverse[c] < self.inverse[other]
-
-    def top_choice(self, subset: Mask) -> int:
-        """The most preferred member of ``subset``."""
-        if subset == 0:
-            raise ValueError("empty contest set")
-        best = -1
-        best_pos = len(self.order)
-        for c in iter_mask(subset):
-            pos = self.inverse[c]
-            if pos < best_pos:
-                best_pos = pos
-                best = c
-        return best
-
-    def restrict(self, subset: Mask) -> tuple[int, ...]:
-        """Members of ``subset`` in this ranking's order (dense positions)."""
-        if subset == 0:
-            raise ValueError("empty contest set")
-        return tuple(c for c in self.order if subset >> c & 1)
 
     def below_set(self, candidate: int) -> Mask:
         """Bitmask of candidates ranked strictly below ``candidate``."""
@@ -176,17 +143,6 @@ class Ranking:
         for c in self.order[self.inverse[candidate] + 1 :]:
             mask |= 1 << c
         return mask
-
-    def above_set(self, candidate: int) -> Mask:
-        """Bitmask of candidates ranked strictly above ``candidate``."""
-        mask = 0
-        for c in self.order[: self.inverse[candidate]]:
-            mask |= 1 << c
-        return mask
-
-    def apply_relabel(self, image: Sequence[int]) -> "Ranking":
-        """Rename candidates: ``c`` becomes ``image[c]``, order preserved."""
-        return Ranking([image[c] for c in self.order])
 
     def __len__(self) -> int:
         return len(self.order)
@@ -276,22 +232,6 @@ class Profile:
         size = len(self.groups) * self.m
         return np.fromiter(inverses, np.int64, size).reshape(-1, self.m)
 
-    def relabel(self, image: Sequence[int]) -> "Profile":
-        """Apply a candidate renaming to every voter ranking."""
-        return Profile(self.m, [(r.apply_relabel(image), c) for r, c in self.groups])
-
-    def restrict(self, subset: Mask) -> "Profile":
-        """Restriction to ``subset`` with candidates reindexed densely."""
-        members = mask_members(subset)
-        if not members:
-            raise ValueError("empty contest set")
-        dense = {c: i for i, c in enumerate(members)}
-        groups = [
-            (Ranking([dense[c] for c in r.restrict(subset)]), count)
-            for r, count in self.groups
-        ]
-        return Profile(len(members), groups)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Profile)
@@ -378,13 +318,6 @@ class PairCounts:
 
     def __setattr__(self, name, value):
         raise AttributeError("PairCounts is immutable")
-
-    def margin(self, c: int, d: int) -> int:
-        return int(self.above[c, d] - self.above[d, c])
-
-    def contributions(self, c: int, d: int) -> list[int]:
-        """Advantage gained on (c, d) triples by adding each x to the contest set."""
-        return (self.joint[c, d] - self.joint[d, c]).tolist()
 
 
 _held_counts: contextvars.ContextVar[tuple[Profile, PairCounts] | None] = (

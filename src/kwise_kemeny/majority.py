@@ -8,9 +8,11 @@ digraph when some S gives a strictly positive advantage; the arc weight is
 the maximum advantage and the maximizing S is kept as the arc's witness.
 
 At k = 3 every candidate outside the pair contributes to the advantage
-independently, so the maximizing set is found greedily in polynomial time
-(`best_triple_advantage`).  For k >= 4 the maximization is intractable and
-only a guarded exhaustive search is offered (`best_advantage_exhaustive`).
+independently, so the maximizing set is found greedily in polynomial time;
+`kwise_digraph` applies that rule to all pairs in one array pass, and
+`best_triple_advantage`, the rule for one pair, is the tests' scalar
+reference.  For k >= 4 the maximization is intractable and only a guarded
+exhaustive search is offered (`best_advantage_exhaustive`).
 
 A topological order of the digraph's strongly connected components splits
 the aggregation problem: some consensus ranking orders the components that
@@ -55,7 +57,6 @@ from .core import (
     full_mask,
     iter_mask,
     mask_members,
-    popcount_array,
     validate_k,
 )
 from .distance import BinomialPrefixTable
@@ -170,58 +171,6 @@ class SccOrder:
     def largest(self) -> int:
         return max(mask.bit_count() for mask in self.components)
 
-    def component_of(self) -> dict[int, int]:
-        index: dict[int, int] = {}
-        for i, mask in enumerate(self.components):
-            for c in iter_mask(mask):
-                index[c] = i
-        return index
-
-
-def _check_pair_in_subset(subset: Mask, winner: int, loser: int) -> None:
-    if winner == loser:
-        raise ValueError("candidates must be distinct")
-    if not (subset >> winner & 1 and subset >> loser & 1):
-        raise ValueError("both candidates must belong to the contest set")
-
-
-def setwise_support(
-    profile: Profile,
-    subset: Mask,
-    winner: int,
-    loser: int,
-    k: int,
-    table: BinomialPrefixTable | None = None,
-) -> int:
-    """Number of (voter, set) pairs where ``winner`` tops a subset of
-    ``subset`` of size at most k containing both candidates.
-
-    A voter preferring the winner to the loser tops every such set whose
-    further members come from the winner's dominated members of
-    ``subset``; at k = 3 that is the pair itself plus one set per dominated
-    member.
-    """
-    _check_pair_in_subset(subset, winner, loser)
-    if table is None:  # sets larger than m do not exist, so k > m counts as m
-        table = BinomialPrefixTable(profile.m, min(k, profile.m))
-    rest = subset & ~(bit(winner) | bit(loser))
-    total = 0
-    for ranking, count in profile.groups:
-        if ranking.prefers(winner, loser):
-            pool = (ranking.below_set(winner) & rest).bit_count()
-            total += count * table.prefix_below(pool)
-    return total
-
-
-def setwise_advantage(
-    profile: Profile, subset: Mask, c: int, d: int, k: int
-) -> int:
-    """Net advantage of c over d on contest sets within ``subset``."""
-    table = BinomialPrefixTable(profile.m, k)
-    return setwise_support(profile, subset, c, d, k, table) - setwise_support(
-        profile, subset, d, c, k, table
-    )
-
 
 def _check_forced(c: int, d: int, forced_in: Mask, forced_out: Mask) -> None:
     pair = bit(c) | bit(d)
@@ -251,8 +200,10 @@ def best_triple_advantage(
     _check_forced(c, d, forced_in, forced_out)
     if counts is None:
         counts = PairCounts.of(profile)
-    gains = counts.contributions(c, d)
-    weight = counts.margin(c, d) + sum(gains[x] for x in iter_mask(forced_in))
+    # the margin, plus what each further member x of the contest set adds
+    weight = int(counts.above[c, d] - counts.above[d, c])
+    gains = (counts.joint[c, d] - counts.joint[d, c]).tolist()
+    weight += sum(gains[x] for x in iter_mask(forced_in))
     witness = bit(c) | bit(d) | forced_in
     blocked = witness | forced_out
     for x, gain in enumerate(gains):
@@ -304,7 +255,7 @@ def best_advantage_exhaustive(
         for j, x in enumerate(free):
             if pool >> x & 1:
                 local |= 1 << j
-        pools = popcount_array(subsets & np.uint32(local)).astype(np.int64) + base
+        pools = np.bitwise_count(subsets & np.uint32(local)).astype(np.int64) + base
         advantage += sign * lookup[pools]
     best = int(np.argmax(advantage))
     witness = bit(c) | bit(d) | forced_in

@@ -55,7 +55,6 @@ from .core import (
     full_mask,
     iter_mask,
     mask_members,
-    popcount_array,
     validate_k,
 )
 from .distance import BinomialPrefixTable
@@ -267,7 +266,7 @@ def _subset_sum_costs(
     beta = (ctx[:, None, :] > pos[:, :, None]).sum(axis=2)
     rows = np.broadcast_to(np.arange(nloc), masks.shape)
     weights = np.broadcast_to(counts.counts.astype(dtype)[:, None], masks.shape)
-    size = popcount_array(np.arange(1 << (nloc - 1)))
+    size = np.bitwise_count(np.arange(1 << (nloc - 1)))
     total = None  # state-major: total[T, j]
     for value in set(beta.ravel().tolist()):
         part = np.zeros((len(size), nloc), dtype=dtype)
@@ -543,7 +542,9 @@ def solve_components(
         raise ValueError("limit must be positive")
     started = time.perf_counter()
     m = profile.m
-    if m == 1:  # one ranking, no contest of two candidates
+    if m == 1:  # one ranking, no contest of two candidates, so any k >= 2
+        if k < 2:
+            validate_k(m, k)
         stats = SolveStats(1, _elapsed_ms(started), 1)
         return ConsensusResult(0, (Ranking.identity(1),), 1, False, stats)
     union = 0
@@ -551,16 +552,10 @@ def solve_components(
         if union & mask:
             raise ValueError("components overlap")
         union |= mask
-        # a lone component is the whole set, which _check_solvable guards
-        if len(components) > 1 and mask.bit_count() > MAX_CANDIDATES:
-            raise GuardError(
-                f"component of size {mask.bit_count()} exceeds the DP cap "
-                f"({MAX_CANDIDATES})"
-            )
     if union != full_mask(m):
         raise ValueError("components do not partition the candidate set")
     largest = max(mask.bit_count() for mask in components)
-    # also guards the one-candidate components, which build no table
+    # before any table: the largest component's size, k and the totals
     _check_solvable(m, profile.n, k, largest)
 
     optimum = states = 0

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from kwise_kemeny import Profile, Ranking, parse_profile
+from kwise_kemeny import Profile, Ranking, SccOrder, mask_members, parse_profile
 
 # 100 voters, 3 candidates: the Condorcet winner (c2) tops only 3 ballots
 # while c1 tops 49, so pairwise and setwise aggregation pull apart.
@@ -35,3 +35,40 @@ def random_profile(rng: np.random.Generator, m: int, n: int) -> Profile:
 @pytest.fixture
 def profile_factory():
     return random_profile
+
+
+# Stand-ins for views of the data model that only the tests use.
+
+
+def mask_of(candidates) -> int:
+    """The bitmask of an iterable of candidate ids."""
+    return sum(1 << c for c in set(candidates))
+
+
+def restrict(ranking: Ranking, subset: int) -> tuple[int, ...]:
+    """The members of a non-empty ``subset`` in ``ranking``'s order."""
+    members = tuple([c for c in ranking.order if subset >> c & 1])
+    if not members:
+        raise ValueError("empty contest set")
+    return members
+
+
+def top_choice(ranking: Ranking, subset: int) -> int:
+    """The most preferred member of a non-empty ``subset``."""
+    return restrict(ranking, subset)[0]
+
+
+def restrict_profile(profile: Profile, subset: int) -> Profile:
+    """The profile restricted to ``subset``, candidates reindexed densely."""
+    dense = {c: i for i, c in enumerate(mask_members(subset))}
+    return Profile(len(dense), [
+        (Ranking([dense[c] for c in restrict(ranking, subset)]), count)
+        for ranking, count in profile.groups
+    ])
+
+
+def component_index(order: SccOrder) -> dict[int, int]:
+    """Candidate id to the position of its component in ``order``."""
+    return {
+        c: i for i, mask in enumerate(order.components) for c in mask_members(mask)
+    }

@@ -33,11 +33,11 @@ from kwise_kemeny import (
     profile_distance,
     refine_digraph,
     scc_decompose,
-    setwise_advantage,
     solve,
 )
 from kwise_kemeny.majority import PairCounts
 from conftest import random_profile
+from oracles import setwise_advantage
 
 
 @contextlib.contextmanager
@@ -280,9 +280,13 @@ class TestAxioms:
                 profile = random_profile(rng, m, int(rng.integers(1, 9)))
                 k = int(rng.integers(2, m + 1))
                 image = list(rng.permutation(m))
-                relabeled = profile.relabel(image)
+                relabeled = Profile(m, [
+                    (Ranking([image[c] for c in r.order]), count)
+                    for r, count in profile.groups
+                ])
                 expected = {
-                    r.apply_relabel(image) for r in consensus_set(profile, k)
+                    Ranking([image[c] for c in r.order])
+                    for r in consensus_set(profile, k)
                 }
                 assert set(consensus_set(relabeled, k)) == expected
 

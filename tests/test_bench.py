@@ -11,7 +11,6 @@ from kwise_kemeny import (
     ExperimentConfig,
     MallowsParams,
     Ranking,
-    default_grid,
     enumerate_consensus,
     mallows_sample,
     run_bench,
@@ -53,22 +52,13 @@ class TestConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(ms=(), ks=(2,), phis=(0.5,))
 
-    def test_default_grid(self):
-        grid = default_grid(seed=5)
-        assert grid.ms == (6, 10, 14)
-        assert grid.seed == 5
-        assert grid.modes == ("dp", "pre", "pre-refined")
-        assert default_grid(include_m18=True).ms == (6, 10, 14, 18)
-
     def test_mode_normalization(self):
-        assert normalize_mode("preprocessed") == "pre"
-        assert normalize_mode("preprocessed-refined") == "pre-refined"
-        with pytest.raises(ValueError):
-            normalize_mode("fastest")
-        config = ExperimentConfig(
-            ms=(4,), ks=(2,), phis=(0.5,), modes=("preprocessed",)
-        )
-        assert config.modes == ("pre",)
+        assert normalize_mode("pre-refined") == "pre-refined"
+        for mode in ("fastest", "preprocessed", "preprocessed-refined"):
+            with pytest.raises(ValueError, match="unknown solver mode"):
+                normalize_mode(mode)
+        with pytest.raises(ValueError, match="unknown solver mode"):
+            ExperimentConfig(ms=(4,), ks=(2,), phis=(0.5,), modes=("preprocessed",))
 
 
 class TestInstanceSeeds:

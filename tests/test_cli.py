@@ -142,6 +142,35 @@ class TestSolve:
             "(m <= 30)\n"
         )
 
+    def test_component_cap_exit_code(self, capsys, tmp_path):
+        # c1 tops every ballot; the other 31 candidates form one cycle
+        rest = list(range(2, 33))
+        ballots = [[1] + rest[shift:] + rest[:shift] for shift in (0, 11, 21)]
+        path = tmp_path / "m32.txt"
+        path.write_text("32 3\n" + "".join(
+            "1: " + ",".join(map(str, ids)) + "\n" for ids in ballots
+        ))
+        for mode in ("pre", "pre-refined"):
+            code, out, err = run(
+                capsys, "solve", "--input", str(path), "--k", "3", "--mode", mode
+            )
+            assert (code, out) == (3, "")
+            assert err == (
+                "refused: subset DP refused: a subset of 31 candidates exceeds "
+                "the 2^m state cap (m <= 30)\n"
+            )
+
+    @pytest.mark.parametrize("mode", ["brute", "dp", "pre", "pre-refined"])
+    def test_one_candidate_refuses_k_below_two(self, capsys, tmp_path, mode):
+        path = tmp_path / "one.txt"
+        path.write_text("1 3\n3: 1\n")
+        for k in ("0", "-1"):
+            for flags in ((), ("--all",)):
+                code, out, err = run(capsys, "solve", "--input", str(path),
+                                     "--k", k, "--mode", mode, *flags)
+                assert (code, out) == (2, "")
+                assert err == f"error: k must satisfy 2 <= k <= m, got k={k}, m=1\n"
+
     def test_memory_error_is_refusal(self, capsys, monkeypatch, tension_file):
         def exhausted(*args, **kwargs):
             raise MemoryError
@@ -426,6 +455,16 @@ class TestBench:
         assert code == 0
         payload = json.loads(out)
         assert payload["cells"][0]["m"] == 4
+
+
+    def test_unknown_mode_is_input_error(self, capsys):
+        for mode in ("preprocessed", "preprocessed-refined"):
+            code, out, err = run(
+                capsys, "bench", "--m-list", "4", "--k-list", "2", "--phi-list",
+                "0.9", "--n", "4", "--instances", "2", "--modes", f"dp,{mode}",
+            )
+            assert (code, out) == (2, "")
+            assert err.startswith(f"error: unknown solver mode '{mode}'")
 
 
 class TestParser:

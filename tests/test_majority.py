@@ -19,22 +19,20 @@ from kwise_kemeny import (
     full_mask,
     kwise_digraph,
     mask_members,
-    mask_of,
     partitioned_dp,
     preprocess,
     profile_distance,
     refine_digraph,
     scc_decompose,
     serialize_profile,
-    setwise_advantage,
-    setwise_support,
     solve,
     to_dot,
 )
 from kwise_kemeny.cli import main
 from kwise_kemeny.majority import Arc, KwiseDigraph, SccOrder
 from kwise_kemeny.sampling import MallowsParams, mallows_sample
-from conftest import random_profile
+from conftest import component_index, mask_of, random_profile, top_choice
+from oracles import setwise_advantage, setwise_support
 
 # Arc weights of the six-candidate fixture's majority digraphs (1-based ids).
 PAIRWISE_ARCS = {
@@ -64,7 +62,7 @@ def naive_triple_support(profile, subset, winner, loser):
         for size in (2, 3):
             for combo in itertools.combinations(members, size):
                 if winner in combo and loser in combo:
-                    if ranking.top_choice(mask_of(combo)) == winner:
+                    if top_choice(ranking, mask_of(combo)) == winner:
                         total += count
     return total
 
@@ -152,7 +150,7 @@ def tarjan_order(graph):
 
 def constrained_max(profile, counts, c, d, k, forced_in, forced_out):
     if k == 2:
-        return counts.margin(c, d)
+        return counts.above[c, d] - counts.above[d, c]
     if k == 3:
         return best_triple_advantage(
             profile, c, d, forced_in=forced_in, forced_out=forced_out, counts=counts
@@ -175,7 +173,7 @@ def refine_oracle(graph, profile):
     arcs = dict(graph.arcs.items())
     order = tarjan_order(graph)
     while True:
-        comp_of = order.component_of()
+        comp_of = component_index(order)
         earlier, acc = [], 0
         for mask in order.components:
             earlier.append(acc)
@@ -357,7 +355,7 @@ class TestBestAdvantageExhaustive:
             weight, witness = best_advantage_exhaustive(
                 profile, c, d, 2, forced_in=forced_in, forced_out=forced_out
             )
-            assert weight == counts.margin(c, d)
+            assert weight == counts.above[c, d] - counts.above[d, c]
             assert witness == mask_of([c, d]) | forced_in
 
     def test_k3_matches_greedy(self):
@@ -514,7 +512,7 @@ class TestSccDecompose:
                        for c in range(m)}
             assert set(order.components) == classes
             assert order == tarjan_order(KwiseDigraph(m, 2, arcs))
-            position = order.component_of()
+            position = component_index(order)
             assert all(position[c] <= position[d] for c, d in arcs)
 
 
@@ -731,7 +729,7 @@ class TestPartitionedDp:
             graph, order = preprocess(profile, 3)
             if not order.order_unique or len(order.components) < 2:
                 continue
-            comp_of = order.component_of()
+            comp_of = component_index(order)
             strict = True
             for c, d in itertools.permutations(range(m), 2):
                 if comp_of[c] < comp_of[d]:

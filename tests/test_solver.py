@@ -14,7 +14,6 @@ from kwise_kemeny import (
     enumerate_consensus,
     full_mask,
     mask_members,
-    mask_of,
     profile_distance,
 )
 from kwise_kemeny.core import PairCounts
@@ -31,7 +30,7 @@ from kwise_kemeny.solver import (
     count_table_optima,
     solve_components,
 )
-from conftest import random_profile
+from conftest import mask_of, random_profile, restrict_profile
 
 
 def placement_cost(subset, candidate, profile, k, table, context=0):
@@ -138,7 +137,7 @@ def restricted_distance(order, subset, profile, k):
     if len(members) == 1:
         return 0
     dense = {c: i for i, c in enumerate(members)}
-    sub_profile = profile.restrict(subset)
+    sub_profile = restrict_profile(profile, subset)
     sub_ranking = Ranking([dense[c] for c in order])
     return profile_distance(sub_ranking, sub_profile, min(k, len(members)))
 
@@ -559,7 +558,7 @@ class TestSolveComponents:
 
     def test_component_guard_messages(self):
         profile = Profile.from_rankings(32, [Ranking(range(32))])
-        with pytest.raises(GuardError, match="component of size 31"):
+        with pytest.raises(GuardError, match="a subset of 31 candidates"):
             solve_components(profile, 3, (full_mask(31), 1 << 31))
         with pytest.raises(GuardError, match="m=32 exceeds the 2\\^m state cap"):
             solve_components(profile, 3, (full_mask(32),))
