@@ -12,11 +12,9 @@ from .core import (
     GuardError,
     InternalCheckError,
     MAX_CANDIDATES,
-    Mask,
     Profile,
     ProfileParseError,
     Ranking,
-    bit,
     full_mask,
     load_profile,
     mask_members,
@@ -47,7 +45,6 @@ from .majority import (
     PairCounts,
     SccOrder,
     best_advantage_exhaustive,
-    best_triple_advantage,
     kwise_digraph,
     partitioned_dp,
     preprocess,
@@ -73,11 +70,9 @@ __all__ = [
     "GuardError",
     "InternalCheckError",
     "MAX_CANDIDATES",
-    "Mask",
     "Profile",
     "ProfileParseError",
     "Ranking",
-    "bit",
     "full_mask",
     "load_profile",
     "mask_members",
@@ -102,7 +97,6 @@ __all__ = [
     "PairCounts",
     "SccOrder",
     "best_advantage_exhaustive",
-    "best_triple_advantage",
     "kwise_digraph",
     "partitioned_dp",
     "preprocess",

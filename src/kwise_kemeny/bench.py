@@ -31,12 +31,6 @@ MODES = ("dp", "pre", "pre-refined")
 CSV_HEADER = "m,k,phi,mode,avg_ms,max_ms,min_ms,avg_consensus,avg_largest_scc"
 
 
-def normalize_mode(mode: str) -> str:
-    if mode not in MODES:
-        raise ValueError(f"unknown solver mode {mode!r}; expected one of {MODES}")
-    return mode
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     ms: tuple[int, ...]
@@ -53,9 +47,11 @@ class ExperimentConfig:
             raise ValueError("m, k and phi lists must be non-empty")
         if self.n < 1 or self.instances < 1:
             raise ValueError("n and instances must be positive")
-        object.__setattr__(
-            self, "modes", tuple([normalize_mode(mode) for mode in self.modes])
-        )
+        for mode in self.modes:
+            if mode not in MODES:
+                raise ValueError(
+                    f"unknown solver mode {mode!r}; expected one of {MODES}"
+                )
 
     def resolve_ks(self, m: int) -> list[int]:
         out: list[int] = []

@@ -42,6 +42,7 @@ def _common_flags() -> argparse.ArgumentParser:
     return common
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="kwise-kemeny",
@@ -105,11 +106,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json-out", help="write the JSON report here")
     p.set_defaults(func=cmd_bench)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    return build_parser()
 
 
 def _load(args) -> object:
@@ -251,7 +247,7 @@ def main(argv=None) -> int:
     # than a small solve, and parsing leaves no state on it (each call gets
     # a fresh namespace).
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

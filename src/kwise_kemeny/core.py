@@ -4,6 +4,9 @@ pair statistics of a profile and the profile file readers.
 Candidates are dense integer ids ``0..m-1``.  A subset of candidates is a
 plain ``int`` bitmask (``Mask``) with bit ``c`` set iff candidate ``c`` is a
 member; this is what every subset-indexed table in the solvers runs on.
+Its helpers are ``full_mask`` and ``mask_members``; one bit is ``1 << c``.
+``validate_k`` is the one rule for k: 2 <= k <= m, except that a
+one-candidate profile contests nothing and takes any k >= 2.
 All types here are immutable after construction (``PairCounts`` builds its
 triple counts once, on first use) and safe to share between threads.
 Rankings and profiles hold only what the library itself reads; the tests
@@ -45,17 +48,14 @@ class InternalCheckError(RuntimeError):
 
 
 def validate_k(m: int, k: int) -> None:
-    """Reject a contest-set size bound outside ``2 <= k <= m``."""
-    if not 2 <= k <= m:
+    """Reject a contest-set size bound outside ``2 <= k <= m``; with one
+    candidate there is no contest, and any k >= 2 is accepted."""
+    if k < 2 or k > m > 1:
         raise ValueError(f"k must satisfy 2 <= k <= m, got k={k}, m={m}")
 
 
 # ---------------------------------------------------------------------------
 # bitmask helpers
-
-
-def bit(candidate: int) -> Mask:
-    return 1 << candidate
 
 
 def full_mask(m: int) -> Mask:
@@ -70,13 +70,6 @@ def mask_members(mask: Mask) -> tuple[int, ...]:
         members.append(low.bit_length() - 1)
         mask ^= low
     return tuple(members)
-
-
-def iter_mask(mask: Mask) -> Iterator[int]:
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 # ---------------------------------------------------------------------------
@@ -223,15 +216,6 @@ class Profile:
         object.__setattr__(profile, "n", sum(counts))
         return profile
 
-    def counts_array(self) -> np.ndarray:
-        return np.array([count for _, count in self.groups], dtype=np.int64)
-
-    def positions_matrix(self) -> np.ndarray:
-        """``pos[g, c]`` = position of candidate ``c`` in group ``g``."""
-        inverses = itertools.chain.from_iterable(r.inverse for r, _ in self.groups)
-        size = len(self.groups) * self.m
-        return np.fromiter(inverses, np.int64, size).reshape(-1, self.m)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Profile)
@@ -252,18 +236,20 @@ class PairCounts:
 
     ``above[c, x]`` counts voters preferring c to x; ``joint[c, d, x]``
     counts voters preferring c to both d and x (so ``joint[c, x, x]`` is
-    ``above[c, x]``), built on first use.  ``counts`` and ``positions`` are
-    the profile's group multiplicities and position matrix; ``prefers[g, c,
-    x]`` is 1 where group g ranks c above x, in a dtype whose products with
-    the counts are exact.
+    ``above[c, x]``), built on first use.  ``counts`` are the profile's group
+    multiplicities and ``positions[g, c]`` is the position of candidate c in
+    group g; ``prefers[g, c, x]`` is 1 where group g ranks c above x, in a
+    dtype whose products with the counts are exact.
     """
 
     __slots__ = ("m", "n", "counts", "positions", "prefers", "above", "_joint")
 
     def __init__(self, profile: Profile):
-        counts = profile.counts_array()
-        positions = profile.positions_matrix()
-        m, n = profile.m, int(counts.sum())
+        m, groups = profile.m, profile.groups
+        counts = np.array([count for _, count in groups], dtype=np.int64)
+        inverses = itertools.chain.from_iterable(r.inverse for r, _ in groups)
+        positions = np.fromiter(inverses, np.int64, len(groups) * m).reshape(-1, m)
+        n = int(counts.sum())
         prefers, weights = self._prefers(positions, counts, n)
         above = weights @ prefers.reshape(len(counts), m * m)
         object.__setattr__(self, "m", m)

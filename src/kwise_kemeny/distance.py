@@ -35,10 +35,8 @@ class BinomialPrefixTable:
     __slots__ = ("m", "k", "_prefix")
 
     def __init__(self, m: int, k: int):
-        if m < 2:
-            raise ValueError("table requires at least two candidates")
         validate_k(m, k)
-        cap = k - 2
+        cap = min(k - 2, m)  # with one candidate, k has no upper bound
         # row[i] = C(p, i) for i <= cap, updated in place per Pascal's rule
         row = [0] * (cap + 1)
         row[0] = 1
@@ -96,7 +94,7 @@ def kwise_distance_naive(r: Ranking, r2: Ranking, k: int) -> int:
         )
     pos1, pos2 = r.inverse, r2.inverse
     count = 0
-    for size in range(2, k + 1):
+    for size in range(2, min(k, m) + 1):
         for combo in itertools.combinations(range(m), size):
             top1 = min(combo, key=pos1.__getitem__)
             top2 = min(combo, key=pos2.__getitem__)

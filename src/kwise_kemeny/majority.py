@@ -53,9 +53,7 @@ from .core import (
     Mask,
     PairCounts,
     Profile,
-    bit,
     full_mask,
-    iter_mask,
     mask_members,
     validate_k,
 )
@@ -173,7 +171,7 @@ class SccOrder:
 
 
 def _check_forced(c: int, d: int, forced_in: Mask, forced_out: Mask) -> None:
-    pair = bit(c) | bit(d)
+    pair = 1 << c | 1 << d
     if forced_in & pair or forced_out & pair:
         raise ValueError("forced sets must not contain the candidate pair")
     if forced_in & forced_out:
@@ -203,8 +201,8 @@ def best_triple_advantage(
     # the margin, plus what each further member x of the contest set adds
     weight = int(counts.above[c, d] - counts.above[d, c])
     gains = (counts.joint[c, d] - counts.joint[d, c]).tolist()
-    weight += sum(gains[x] for x in iter_mask(forced_in))
-    witness = bit(c) | bit(d) | forced_in
+    weight += sum(gains[x] for x in mask_members(forced_in))
+    witness = 1 << c | 1 << d | forced_in
     blocked = witness | forced_out
     for x, gain in enumerate(gains):
         if gain > 0 and not blocked >> x & 1:
@@ -241,7 +239,7 @@ def best_advantage_exhaustive(
     validate_k(m, k)
     table = BinomialPrefixTable(m, k)
     lookup = table.as_array()
-    free = mask_members(full_mask(m) & ~(bit(c) | bit(d) | forced_in | forced_out))
+    free = mask_members(full_mask(m) & ~(1 << c | 1 << d | forced_in | forced_out))
     subsets = np.arange(1 << len(free), dtype=np.uint32)
     advantage = np.zeros(len(subsets), dtype=np.int64)
     fixed_members = forced_in
@@ -258,7 +256,7 @@ def best_advantage_exhaustive(
         pools = np.bitwise_count(subsets & np.uint32(local)).astype(np.int64) + base
         advantage += sign * lookup[pools]
     best = int(np.argmax(advantage))
-    witness = bit(c) | bit(d) | forced_in
+    witness = 1 << c | 1 << d | forced_in
     for j, x in enumerate(free):
         if best >> j & 1:
             witness |= 1 << x
@@ -554,7 +552,8 @@ def solve(
         )
     if mode == "brute":
         return brute_force_consensus(profile, k)
-    if mode == "dp" or profile.m == 1:  # one candidate: nothing to preprocess
+    # m = 1: the DP answers any k >= 2; the digraph would refuse k >= 4
+    if mode == "dp" or profile.m == 1:
         if limit is None:
             return dp_consensus(profile, k)
         return enumerate_consensus(profile, k, limit)

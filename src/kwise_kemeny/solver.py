@@ -53,7 +53,6 @@ from .core import (
     Profile,
     Ranking,
     full_mask,
-    iter_mask,
     mask_members,
     validate_k,
 )
@@ -510,7 +509,7 @@ def _singleton_costs(
     """
     rank = [0] * counts.m
     for i, mask in enumerate(components):
-        for c in iter_mask(mask):
+        for c in mask_members(mask):
             rank[c] = i
     later = np.less.outer(rank, rank)  # later[c, x]: x in a later component
     # below[c, g]: members of later components that group g ranks below c
@@ -542,9 +541,8 @@ def solve_components(
         raise ValueError("limit must be positive")
     started = time.perf_counter()
     m = profile.m
-    if m == 1:  # one ranking, no contest of two candidates, so any k >= 2
-        if k < 2:
-            validate_k(m, k)
+    if m == 1:  # one ranking, no contest of two candidates
+        validate_k(m, k)
         stats = SolveStats(1, _elapsed_ms(started), 1)
         return ConsensusResult(0, (Ranking.identity(1),), 1, False, stats)
     union = 0
@@ -604,19 +602,15 @@ def enumerate_consensus(
 # ---------------------------------------------------------------------------
 # brute force oracle
 
-_perm_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
-
-
+@functools.lru_cache(maxsize=None)
 def _perm_tables(m: int) -> tuple[np.ndarray, np.ndarray]:
-    if m not in _perm_cache:
-        perms = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
-        count = len(perms)
-        pos = np.empty_like(perms)
-        pos[np.arange(count)[:, None], perms] = np.arange(m, dtype=np.int8)
-        # below[p, c, x]: candidate x ranked below c in permutation p
-        below = pos[:, None, :] > pos[:, :, None]
-        _perm_cache[m] = (perms, below)
-    return _perm_cache[m]
+    perms = np.array(list(itertools.permutations(range(m))), dtype=np.int8)
+    count = len(perms)
+    pos = np.empty_like(perms)
+    pos[np.arange(count)[:, None], perms] = np.arange(m, dtype=np.int8)
+    # below[p, c, x]: candidate x ranked below c in permutation p
+    below = pos[:, None, :] > pos[:, :, None]
+    return perms, below
 
 
 def brute_force_consensus(profile: Profile, k: int) -> ConsensusResult:
@@ -628,14 +622,12 @@ def brute_force_consensus(profile: Profile, k: int) -> ConsensusResult:
             f"brute force refused: m={m} exceeds the bound m <= "
             f"{BRUTE_FORCE_MAX_M} ({BRUTE_FORCE_MAX_M}! = 40320 rankings)"
         )
-    if m == 1:
-        return solve_components(profile, k, (1,))
     validate_k(m, k)
     _check_accumulation(profile.n, m, k)
     perms, below = _perm_tables(m)
     prefix = BinomialPrefixTable(m, k).as_array()
     lookup = np.zeros(m, dtype=np.int64)  # pad: pools larger than m-2 never disagree
-    lookup[: m - 1] = prefix
+    lookup[: m - 1] = prefix[: m - 1]
     below_i16 = below.astype(np.int16)
     dist = np.zeros(len(perms), dtype=np.int64)
     for ranking, count in profile.groups:

@@ -5,7 +5,7 @@ group at a time, so the array routes of the library can be checked
 against it.
 """
 
-from kwise_kemeny import BinomialPrefixTable, Profile, bit
+from kwise_kemeny import BinomialPrefixTable, Profile
 
 
 def _check_pair_in_subset(subset: int, winner: int, loser: int) -> None:
@@ -34,7 +34,7 @@ def setwise_support(
     _check_pair_in_subset(subset, winner, loser)
     if table is None:  # sets larger than m do not exist, so k > m counts as m
         table = BinomialPrefixTable(profile.m, min(k, profile.m))
-    rest = subset & ~(bit(winner) | bit(loser))
+    rest = subset & ~(1 << winner | 1 << loser)
     total = 0
     for ranking, count in profile.groups:
         if ranking.prefers(winner, loser):

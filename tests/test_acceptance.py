@@ -17,7 +17,6 @@ from kwise_kemeny import (
     Profile,
     Ranking,
     best_advantage_exhaustive,
-    best_triple_advantage,
     brute_force_consensus,
     dp_consensus,
     enumerate_consensus,
@@ -35,7 +34,7 @@ from kwise_kemeny import (
     scc_decompose,
     solve,
 )
-from kwise_kemeny.majority import PairCounts
+from kwise_kemeny.majority import PairCounts, best_triple_advantage
 from conftest import random_profile
 from oracles import setwise_advantage
 

@@ -16,7 +16,6 @@ PUBLIC = [
     "KwiseDigraph",
     "MAX_CANDIDATES",
     "MallowsParams",
-    "Mask",
     "PairCounts",
     "Profile",
     "ProfileParseError",
@@ -26,8 +25,6 @@ PUBLIC = [
     "SolveStats",
     "__version__",
     "best_advantage_exhaustive",
-    "best_triple_advantage",
-    "bit",
     "brute_force_consensus",
     "build_dp_table",
     "dp_consensus",
@@ -74,6 +71,19 @@ DELETED = [
     ("majority", "_check_pair_in_subset"),
     ("bench", "default_grid"),
     ("bench", "_MODE_ALIASES"),
+    ("core", "bit"),
+    ("core", "iter_mask"),
+    ("core", "Profile.counts_array"),
+    ("core", "Profile.positions_matrix"),
+    ("bench", "normalize_mode"),
+    ("cli", "_parser"),
+    ("solver", "_perm_cache"),
+]
+
+# (module, name) pairs kept in their module but no longer exported
+UNEXPORTED = [
+    ("majority", "best_triple_advantage"),
+    ("core", "Mask"),
 ]
 
 
@@ -92,3 +102,10 @@ def test_deleted_names_are_gone():
         else:
             assert not hasattr(kwise_kemeny, attribute), name
         assert not hasattr(place, attribute), f"{module}.{name}"
+
+
+def test_unexported_names_stay_in_their_modules():
+    for module, name in UNEXPORTED:
+        assert not hasattr(kwise_kemeny, name), name
+        place = importlib.import_module(f"kwise_kemeny.{module}")
+        assert hasattr(place, name), f"{module}.{name}"

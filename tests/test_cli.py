@@ -160,14 +160,20 @@ class TestSolve:
                 "the 2^m state cap (m <= 30)\n"
             )
 
-    @pytest.mark.parametrize("mode", ["brute", "dp", "pre", "pre-refined"])
-    def test_one_candidate_refuses_k_below_two(self, capsys, tmp_path, mode):
+    @pytest.mark.parametrize(
+        "command", ["brute", "dp", "pre", "pre-refined", "distance", "digraph"]
+    )
+    def test_one_candidate_refuses_k_below_two(self, capsys, tmp_path, command):
         path = tmp_path / "one.txt"
         path.write_text("1 3\n3: 1\n")
+        argvs = {
+            "distance": [("distance", "--rank", "1")],
+            "digraph": [("digraph",), ("digraph", "--refine")],
+        }.get(command, [("solve", "--mode", command, *flags)
+                        for flags in ((), ("--all",))])
         for k in ("0", "-1"):
-            for flags in ((), ("--all",)):
-                code, out, err = run(capsys, "solve", "--input", str(path),
-                                     "--k", k, "--mode", mode, *flags)
+            for argv in argvs:
+                code, out, err = run(capsys, *argv, "--input", str(path), "--k", k)
                 assert (code, out) == (2, "")
                 assert err == f"error: k must satisfy 2 <= k <= m, got k={k}, m=1\n"
 
@@ -382,6 +388,50 @@ class TestDigraph:
         )
         assert code == 0
         assert json.loads(out)["k"] == 4
+
+
+ONE_DIGRAPH = (
+    '{"m": 1, "k": %d, "refined": %s, "arcs": [], "components": [[1]], '
+    '"order_unique": true}\n'
+)
+ONE_DOT = (
+    'digraph majority {\n  rankdir=LR;\n  subgraph cluster_0 {\n'
+    '    label="B1";\n    c1;\n  }\n}\n'
+)
+EXPONENTIAL_REFUSAL = (
+    "refused: constructing the 4-wise majority digraph requires an exponential "
+    "witness search (NP-hard for k >= 4); pass allow_exponential=True / "
+    "--force-exponential to proceed\n"
+)
+TOO_LARGE_K = "error: k must satisfy 2 <= k <= m, got k=4, m=3\n"
+
+# (profile, argv, exit code, stdout, stderr): every command takes a
+# one-candidate profile for any k >= 2, and k > m still fails for m >= 2.
+ONE_CANDIDATE_CASES = [
+    ("single", "distance --rank 1 --k 2", 0, "0\n", ""),
+    ("single", "distance --rank 1 --k 5", 0, "0\n", ""),
+    ("single", "digraph --k 2", 0, ONE_DIGRAPH % (2, "false"), ""),
+    ("single", "digraph --k 2 --refine", 0, ONE_DIGRAPH % (2, "true"), ""),
+    ("single", "digraph --k 2 --dot", 0, ONE_DOT, ""),
+    ("single", "digraph --k 4", 3, "", EXPONENTIAL_REFUSAL),
+    ("single", "digraph --k 4 --force-exponential", 0,
+     ONE_DIGRAPH % (4, "false"), ""),
+    ("tension", "distance --rank 1,2,3 --k 4", 2, "", TOO_LARGE_K),
+    ("tension", "digraph --k 4", 2, "", TOO_LARGE_K),
+    ("tension", "solve --k 4", 2, "", TOO_LARGE_K),
+]
+
+
+class TestOneCandidate:
+    @pytest.mark.parametrize(
+        "name, argv, code, out, err",
+        ONE_CANDIDATE_CASES,
+        ids=[f"{case[0]}-{case[1]}" for case in ONE_CANDIDATE_CASES],
+    )
+    def test_output(self, capsys, tmp_path, name, argv, code, out, err):
+        path = tmp_path / f"{name}.txt"
+        path.write_text(GOLDEN_TEXTS[name])
+        assert run(capsys, *argv.split(), "--input", str(path)) == (code, out, err)
 
 
 class TestSample:

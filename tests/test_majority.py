@@ -7,17 +7,19 @@ import numpy as np
 import pytest
 
 from kwise_kemeny import (
+    BinomialPrefixTable,
     GuardError,
     InternalCheckError,
     PairCounts,
     Profile,
     Ranking,
     best_advantage_exhaustive,
-    best_triple_advantage,
     dp_consensus,
     enumerate_consensus,
     full_mask,
     kwise_digraph,
+    kwise_distance,
+    kwise_distance_naive,
     mask_members,
     partitioned_dp,
     preprocess,
@@ -29,7 +31,7 @@ from kwise_kemeny import (
     to_dot,
 )
 from kwise_kemeny.cli import main
-from kwise_kemeny.majority import Arc, KwiseDigraph, SccOrder
+from kwise_kemeny.majority import Arc, KwiseDigraph, SccOrder, best_triple_advantage
 from kwise_kemeny.sampling import MallowsParams, mallows_sample
 from conftest import component_index, mask_of, random_profile, top_choice
 from oracles import setwise_advantage, setwise_support
@@ -802,6 +804,22 @@ class TestSolve:
     def test_unknown_mode_rejected(self, six_profile):
         with pytest.raises(ValueError, match="unknown solver mode"):
             solve(six_profile, 3, "fastest")
+
+
+class TestOneCandidate:
+    def test_no_contest_for_any_k(self):
+        profile = Profile(1, [(Ranking([0]), 3)])
+        only = Ranking([0])
+        for k in (2, 3, 5):
+            assert kwise_distance(only, only, k, BinomialPrefixTable(1, k)) == 0
+            assert kwise_distance_naive(only, only, k) == 0
+            assert profile_distance(only, profile, k) == 0
+        for k in (2, 3):
+            graph = kwise_digraph(profile, k)
+            assert dict(graph.arcs) == {}
+            assert scc_decompose(graph).components == (1,)
+            refined, order = preprocess(profile, k, refine=True)
+            assert dict(refined.arcs) == {} and order.components == (1,)
 
 
 class TestDotExport:

@@ -7,6 +7,7 @@ import pytest
 
 from kwise_kemeny import (
     MallowsParams,
+    PairCounts,
     Profile,
     Ranking,
     impartial_culture,
@@ -100,8 +101,8 @@ class TestMallows:
         m, n = 5, 10_000
         sigma = Ranking.identity(m)
         profile = mallows_sample(MallowsParams(sigma, 1.0, n, 7))
-        positions = profile.positions_matrix()
-        counts = profile.counts_array()
+        stats = PairCounts(profile)
+        positions, counts = stats.positions, stats.counts
         for a in range(m):
             for b in range(a + 1, m):
                 inverted = int(counts[positions[:, a] > positions[:, b]].sum())
