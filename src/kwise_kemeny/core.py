@@ -249,7 +249,7 @@ class PairCounts:
         counts = np.array([count for _, count in groups], dtype=np.int64)
         inverses = itertools.chain.from_iterable(r.inverse for r, _ in groups)
         positions = np.fromiter(inverses, np.int64, len(groups) * m).reshape(-1, m)
-        n = int(counts.sum())
+        n = profile.n
         prefers, weights = self._prefers(positions, counts, n)
         above = weights @ prefers.reshape(len(counts), m * m)
         object.__setattr__(self, "m", m)

@@ -312,11 +312,11 @@ def kwise_digraph(
     weights = counts.above - counts.above.T
     if k == 3:
         # gains[c, d, x]: what x adds to c's 3-wise advantage over d (the
-        # additivity `best_triple_advantage` uses), kept where positive
+        # additivity `best_triple_advantage` uses), kept where positive;
+        # gains[c, d, c] = -above[d, c] never is, gains[c, d, d] is the margin
         gains = counts.joint - counts.joint.transpose(1, 0, 2)
         useful = gains > 0
         every = np.arange(m)
-        useful[every, :, every] = False
         useful[:, every, every] = False
         weights += (gains * useful).sum(axis=2)
     arc_at = np.nonzero(weights > 0)

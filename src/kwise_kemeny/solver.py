@@ -16,14 +16,14 @@ for k >= 4 it is a truncated binomial sum that expands over subsets, so
 Yates' subset-sum (zeta) transforms of a histogram of the voters' rankings
 give every row in O(m^2 2^(m-1)) additions, whatever n is.
 
-The min/argmin runs one popcount layer at a time over states in colex
-order, where the states of layer L with top member t are the first
-C(t, L - 1) states of layer L - 1 plus t: each layer's plan (predecessor
-ranks, cost indices, member bits) is block copies of the previous one plus
-one offset per block (:func:`_layers`).  The optimum count, if asked for,
-is taken in the same walk.  Cost tables and DP values are int32 when
-n * sum_{i=2..k} C(m, i), which bounds every entry and partial sum, is
-below 2^31, else int64.
+The min runs one popcount layer at a time over states in colex order,
+where the states of layer L with top member t are the first C(t, L - 1)
+states of layer L - 1 plus t: each layer's plan (predecessor ranks, cost
+indices) is block copies of the previous one plus one offset per block
+(:func:`_layers`).  A plain walk keeps values only; a counted walk also
+stores the argmin sets and takes the optimum count.  Cost tables and DP
+values are int32 when n * sum_{i=2..k} C(m, i), which bounds every entry
+and partial sum, is below 2^31, else int64.
 
 `build_dp_table` also accepts a *context* mask of candidates known to be
 ranked below every candidate of S; placement costs are then charged against
@@ -96,20 +96,34 @@ class DpTable:
     """Subset table of the consensus dynamic program.
 
     ``values[S]`` is the optimal restricted cost for the local submask ``S``
-    (bit j of ``S`` stands for ``candidates[j]``); ``argmin[S]`` is the
-    bitmask of candidates that can be placed first at no extra cost.
-    ``count`` is the number of optimal orders, if the DP counted them.
+    (bit j of ``S`` stands for ``candidates[j]``), built from the cost rows
+    ``cost`` (see :func:`_other_bits`).  ``count`` is the number of optimal
+    orders and ``argmin`` the sets :meth:`choices` reads, if counted.
     """
 
     candidates: tuple[int, ...]
     context: Mask
+    cost: np.ndarray
     values: np.ndarray
-    argmin: np.ndarray
+    argmin: np.ndarray | None = None
     count: int | None = None
 
     @property
     def optimum(self) -> int:
         return int(self.values[-1])
+
+    def choices(self, state: int) -> int:
+        """The bitmask of the members of ``state`` that can be placed first
+        at no extra cost: stored by a counted walk, else the members j with
+        ``values[S - j] + cost[j, S - j] == values[S]``, in Python ints."""
+        if self.argmin is not None:
+            return int(self.argmin[state])
+        best, chosen = int(self.values[state]), 0
+        for j in mask_members(state):
+            rest = state ^ 1 << j  # packed: the bits above j move down one
+            cost = int(self.cost[j, rest & (1 << j) - 1 | rest >> j + 1 << j])
+            chosen |= (int(self.values[rest]) + cost == best) << j
+        return chosen
 
 
 @functools.lru_cache(maxsize=32)
@@ -289,12 +303,12 @@ def _layers(nloc: int):
     """The DP's popcount layers 1..nloc as plans over colex-ordered states.
 
     Per layer L: ``states``, the binary masks of its C(nloc, L) states, and
-    a plan of shape (3, L, C(nloc, L)) over each state's members in
+    a plan of shape (2, L, C(nloc, L)) over each state's members in
     ascending slots: ``plan[0]``, the colex rank in layer L - 1 of the state
     without that member; ``plan[1]``, the flat index of its cost entry in a
     state-major cost table (the other members packed as in
-    :func:`_other_bits`, times nloc, plus the member); ``plan[2]``, the
-    member's bit.
+    :func:`_other_bits`, times nloc, plus the member, which is therefore
+    the index modulo nloc).
 
     In colex order the states of layer L whose top member is t are the
     first C(t, L - 1) states of layer L - 1, plus t.  So each plan is block
@@ -309,17 +323,17 @@ def _layers(nloc: int):
     """
     index = np.int32 if nloc << (nloc - 1) < 1 << 31 else np.intp
     widest = max(level * math.comb(nloc, level) for level in range(1, nloc + 1))
-    buffers = np.empty((2, 3 * widest), index)
+    buffers = np.empty((2, 2 * widest), index)
     ramp = np.arange(math.comb(nloc - 1, (nloc - 1) // 2), dtype=index)
     states = np.zeros(1, dtype=index)
     plan = None
     for level in range(1, nloc + 1):
         size = math.comb(nloc, level)
-        new = buffers[level & 1][: 3 * level * size].reshape(3, level, size)
+        new = buffers[level & 1][: 2 * level * size].reshape(2, level, size)
         tops = np.arange(level - 1, nloc, dtype=index)
         counts = [math.comb(top, level - 1) for top in range(level - 1, nloc)]
         if level > 1:
-            shifts = np.zeros((3, len(counts), 1, 1), index)
+            shifts = np.zeros((2, len(counts), 1, 1), index)
             shifts[0, :, 0, 0] = counts
             shifts[1, :, 0, 0] = nloc << (tops - 1)
             start = 0
@@ -331,10 +345,8 @@ def _layers(nloc: int):
         np.concatenate([ramp[:count] for count in counts], out=new[0, -1])
         top = np.repeat(tops, counts)
         copied = states[new[0, -1]]
-        np.multiply(copied, nloc, out=new[1, -1])
-        new[1, -1] += top
-        np.left_shift(1, top, out=new[2, -1])
-        states = copied | new[2, -1]
+        np.add(copied * nloc, top, out=new[1, -1])
+        states = copied | 1 << top
         plan = new
         yield states, plan
 
@@ -368,29 +380,26 @@ _INT64_COUNTS = 1 << 63
 
 def _layered_min(
     cost: np.ndarray, nloc: int, count_optima: bool = False
-) -> tuple[np.ndarray, np.ndarray, int | None]:
-    """Values, argmin sets and, if asked, the optimum count of the subset
-    DP, one popcount layer at a time.
+) -> tuple[np.ndarray, np.ndarray | None, int | None]:
+    """Values of the subset DP, one popcount layer at a time, and with
+    ``count_optima`` its argmin sets and optimum count.
 
     A layer's values are computed in colex order from the previous layer's
     (a small array that stays in cache), then scattered once into the
     binary-indexed table.  Values take the cost table's dtype.  A state's
-    count is the sum of the counts of the predecessors its argmin set
-    allows; a layer-L count is at most L!, so counts are int32 while
-    L! < 2^31, int64 while L! < 2^63 and exact Python ints from there on.
+    argmin set ORs its tying slots' bits ``1 << flat % nloc``, its count
+    their predecessors' counts; a layer-L count is at most L!, so counts
+    are int32 while L! < 2^31, int64 while L! < 2^63, else Python ints.
     """
-    size = 1 << nloc
-    values = np.zeros(size, dtype=cost.dtype)
-    argmin = np.zeros(size, dtype=np.uint32)
+    values = np.zeros(1 << nloc, dtype=cost.dtype)
+    argmin = np.zeros(1 << nloc, dtype=np.uint32) if count_optima else None
     flat_cost = cost.T.reshape(-1)
     widest = math.comb(nloc, nloc // 2)
     layer_values = np.zeros((2, widest), cost.dtype)
-    choices = np.empty(widest, np.intp)
     counts = np.ones(1, np.int32)  # layer 0: the empty state, one order
-    for level, (states, (previous, flat, bits)) in enumerate(_plan(nloc), 1):
+    for level, (states, (previous, flat)) in enumerate(_plan(nloc), 1):
         done = layer_values[~level & 1]
         current = layer_values[level & 1, : len(states)]
-        chosen = choices[: len(states)]
         if count_optima:  # a layer-L count is at most L!
             most = math.factorial(level)
             kind = (object if most >= _INT64_COUNTS
@@ -402,13 +411,13 @@ def _layered_min(
             totals = done[previous[:, part]]
             totals += flat_cost[flat[:, part]]
             best = np.minimum.reduce(totals, axis=0, out=current[part])
-            ties = totals == best  # the member slots in the argmin set
-            np.bitwise_or.reduce(bits[:, part] * ties, axis=0, out=chosen[part])
             if count_optima:
+                ties = totals == best  # the member slots in the argmin set
                 del totals  # dead here; the count's gather takes its place
+                bits = ties << flat[:, part] % nloc
+                argmin[states[part]] = np.bitwise_or.reduce(bits, axis=0)
                 counts[part] = (done_counts[previous[:, part]] * ties).sum(axis=0)
         values[states] = current
-        argmin[states] = chosen
     return values, argmin, int(counts[0]) if count_optima else None
 
 
@@ -456,20 +465,21 @@ def build_dp_table(
     costs = _moment_costs if k <= 3 else _subset_sum_costs
     dtype = _table_dtype(counts.n, m, k)
     cost = costs(counts, k, candidates, context, dtype)
-    return DpTable(candidates, context, *_layered_min(cost, nloc, count_optima))
+    return DpTable(candidates, context, cost, *_layered_min(cost, nloc, count_optima))
 
 
 def count_table_optima(table: DpTable) -> int:
-    """Exact number of distinct optimal orders encoded by the argmin sets,
-    by a second walk of the layer plans: the reference for the count that
-    :func:`_layered_min` takes during the DP, which solves use."""
-    nloc = len(table.candidates)
+    """Exact number of optimal orders, by a second walk of the layer plans
+    over the slots whose value plus cost meets the state's: the reference
+    for the count :func:`_layered_min` takes during the DP, as solves do."""
+    nloc, values = len(table.candidates), table.values
     counts = np.ones(nloc, dtype=np.int64)  # layer 1: one order per state
     layers = itertools.islice(_plan(nloc), 1, None)
-    for level, (states, (previous, _, bits)) in enumerate(layers, 2):
+    for level, (states, (previous, flat)) in enumerate(layers, 2):
         if math.factorial(level) >= _INT64_COUNTS:
             counts = counts.astype(object)
-        allowed = table.argmin[states] & bits
+        rest = values[states ^ 1 << flat % nloc]
+        allowed = rest + table.cost.T.flat[flat] == values[states]
         counts = np.where(allowed, counts[previous], 0).sum(axis=0)
     return int(counts[0])
 
@@ -477,6 +487,7 @@ def count_table_optima(table: DpTable) -> int:
 def enumerate_table_orders(table: DpTable, limit: int) -> list[tuple[int, ...]]:
     """Up to ``limit`` optimal orders, in peel-lexicographic order."""
     results: list[tuple[int, ...]] = []
+    choices_of = functools.cache(table.choices)
     full = len(table.values) - 1
     stack: list[tuple[int, tuple[int, ...]]] = [(full, ())]
     while stack and len(results) < limit:
@@ -484,7 +495,7 @@ def enumerate_table_orders(table: DpTable, limit: int) -> list[tuple[int, ...]]:
         if state == 0:
             results.append(prefix)
             continue
-        choices = int(table.argmin[state])
+        choices = choices_of(state)
         branches = []
         while choices:
             low = choices & -choices
@@ -561,7 +572,8 @@ def solve_components(
     pieces: list[list[tuple[int, ...]]] = []
     later = union  # candidates of the components not yet solved
     with PairCounts.shared(profile) as counts:
-        alone = _singleton_costs(counts, k, components)
+        if any(mask & (mask - 1) == 0 for mask in components):
+            alone = _singleton_costs(counts, k, components)
         for component in components:
             later ^= component
             if component & (component - 1) == 0:  # one candidate, one order

@@ -45,6 +45,12 @@ def mask_of(candidates) -> int:
     return sum(1 << c for c in set(candidates))
 
 
+def argmin_sets(table) -> list[int]:
+    """A DP table's first-member sets, state by state, read through
+    ``DpTable.choices`` (stored by a counted walk, else derived)."""
+    return [table.choices(state) for state in range(len(table.values))]
+
+
 def restrict(ranking: Ranking, subset: int) -> tuple[int, ...]:
     """The members of a non-empty ``subset`` in ``ranking``'s order."""
     members = tuple([c for c in ranking.order if subset >> c & 1])

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -30,7 +31,7 @@ from kwise_kemeny.solver import (
     count_table_optima,
     solve_components,
 )
-from conftest import mask_of, random_profile, restrict_profile
+from conftest import argmin_sets, mask_of, random_profile, restrict_profile
 
 
 def placement_cost(subset, candidate, profile, k, table, context=0):
@@ -109,6 +110,26 @@ def held_karp(profile, k, subset, context):
     return values, argmin
 
 
+def packed(rest, j):
+    """``rest`` (a state without member j) as an index of cost row j."""
+    return rest & ((1 << j) - 1) | rest >> (j + 1) << j
+
+
+def table_held_karp(cost):
+    """Plain-Python subset DP over a cost table (row j indexed by the other
+    members, packed): values and argmin sets indexed like ``DpTable``."""
+    values, argmin = [0], [0]
+    for state in range(1, 1 << cost.shape[0]):
+        totals = {
+            j: values[state ^ 1 << j] + int(cost[j, packed(state ^ 1 << j, j)])
+            for j in mask_members(state)
+        }
+        best = min(totals.values())
+        values.append(best)
+        argmin.append(mask_of(j for j, total in totals.items() if total == best))
+    return values, argmin
+
+
 def count_orders(argmin):
     """Optimal orders encoded by argmin sets, one state at a time (the
     reference for ``count_table_optima``)."""
@@ -122,13 +143,9 @@ def count_orders(argmin):
     return counts[-1]
 
 
-def random_argmin(rng, nloc, ties):
-    """Argmin sets drawn as random non-empty subsets of each state."""
-    states = np.arange(1 << nloc)
-    keep = rng.random((1 << nloc, nloc)) < ties
-    drawn = (keep << np.arange(nloc)).sum(axis=1) & states
-    lowest = states & -states
-    return np.where(drawn == 0, lowest, drawn).astype(np.uint32)
+def random_cost_table(rng, nloc, levels):
+    """Cost rows drawn from ``levels`` small values: few levels, many ties."""
+    return rng.integers(0, levels, (nloc, 1 << (nloc - 1))).astype(np.int32)
 
 
 def restricted_distance(order, subset, profile, k):
@@ -288,7 +305,7 @@ class TestDpTableInvariants:
             k = int(rng.integers(2, m + 1))
             prefix = BinomialPrefixTable(m, k)
             table = build_dp_table(profile, k)
-            values, argmin = table.values, table.argmin
+            values = table.values
             assert values[0] == 0
             for state in range(1, 1 << m):
                 best = None
@@ -302,7 +319,7 @@ class TestDpTableInvariants:
                     elif total == best:
                         winners |= 1 << c
                 assert values[state] == best
-                assert int(argmin[state]) == winners
+                assert table.choices(state) == winners
 
     def test_context_shifts_costs(self):
         rng = np.random.default_rng(17)
@@ -330,12 +347,35 @@ class TestDpTableInvariants:
         rng = np.random.default_rng(18)
         for m, k in ((9, 3), (11, 5)):
             profile = weighted_profile(rng, m, 6)
-            whole = build_dp_table(profile, k)
-            monkeypatch.setattr(solver, "_LAYER_SLICE", 7)
-            sliced = build_dp_table(profile, k)
-            monkeypatch.undo()
-            assert np.array_equal(sliced.values, whole.values)
-            assert np.array_equal(sliced.argmin, whole.argmin)
+            for counted in (False, True):
+                whole = build_dp_table(profile, k, count_optima=counted)
+                monkeypatch.setattr(solver, "_LAYER_SLICE", 7)
+                sliced = build_dp_table(profile, k, count_optima=counted)
+                monkeypatch.undo()
+                assert np.array_equal(sliced.values, whole.values)
+                assert argmin_sets(sliced) == argmin_sets(whole)
+                assert sliced.count == whole.count
+
+
+class TestTableMemory:
+    def test_build_peak_at_m16(self):
+        # cost table, two layers of two-row plans and the values, plus 1 MiB
+        # of slice temporaries: no argmin table and no member-bit plan row
+        m = 16
+        profile = mallows_sample(MallowsParams(Ranking.identity(m), 1.0, 50, 1))
+        widest = max(level * math.comb(m, level) for level in range(1, m + 1))
+        entries = (m << (m - 1)) + 2 * 2 * widest + (1 << m)
+        for k in (2, 3, m):
+            build_dp_table(profile, k)  # caches filled outside the measure
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                table = build_dp_table(profile, k)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert table.values.dtype == np.int32
+            assert peak <= 4 * entries + (1 << 20)
 
 
 class TestColexWalk:
@@ -347,15 +387,16 @@ class TestColexWalk:
             rank = [{s: r for r, s in enumerate(layer)} for layer in layers]
             plans = [_layers(nloc)] + [_plan(nloc)] * (nloc <= solver._SMALL_PLAN)
             for plan in plans:
-                for level, (states, (previous, flat, bits)) in enumerate(plan, 1):
+                for level, (states, rows) in enumerate(plan, 1):
                     assert states.tolist() == layers[level]
+                    assert len(rows) == 2  # no member-bit row: flat % nloc
+                    previous, flat = rows
+                    assert previous.shape == flat.shape == (level, len(states))
                     for i, state in enumerate(layers[level]):
                         for slot, j in enumerate(mask_members(state)):
                             rest = state ^ 1 << j
-                            packed = rest & ((1 << j) - 1) | rest >> (j + 1) << j
                             assert previous[slot, i] == rank[level - 1][rest]
-                            assert flat[slot, i] == packed * nloc + j
-                            assert bits[slot, i] == 1 << j
+                            assert flat[slot, i] == packed(rest, j) * nloc + j
 
     def test_matches_held_karp(self):
         rng = np.random.default_rng(51)
@@ -369,7 +410,7 @@ class TestColexWalk:
                 table = build_dp_table(profile, k, subset, context)
                 values, argmin = held_karp(profile, k, subset, context)
                 assert table.values.tolist() == values
-                assert table.argmin.tolist() == argmin
+                assert argmin_sets(table) == argmin
 
     def test_ties_match_held_karp(self):
         # few voters in opposite orders leave many tied placements
@@ -381,7 +422,7 @@ class TestColexWalk:
                 table = build_dp_table(profile, k)
                 values, argmin = held_karp(profile, k, full_mask(m), 0)
                 assert table.values.tolist() == values
-                assert table.argmin.tolist() == argmin
+                assert argmin_sets(table) == argmin
                 assert count_table_optima(table) == count_orders(argmin)
 
 
@@ -397,7 +438,8 @@ class TestCountInWalk:
         profile = Profile(m, [(Ranking(order), 2), (Ranking(order[::-1]), 2)])
         for k in (2, 3, m):
             counted = build_dp_table(profile, k, count_optima=True)
-            argmin = counted.argmin.tolist()
+            argmin = argmin_sets(counted)
+            assert argmin == counted.argmin.tolist()
             expected = count_orders(argmin)
             if k == 2:  # every pair is split evenly: all m! orders are optimal
                 assert expected == math.factorial(m)
@@ -405,9 +447,10 @@ class TestCountInWalk:
             assert count_table_optima(counted) == expected
             assert enumerate_consensus(profile, k, 1).count == expected
             plain = build_dp_table(profile, k)
-            assert plain.count is None
+            assert plain.count is None and plain.argmin is None
             assert np.array_equal(plain.values, counted.values)
-            assert np.array_equal(plain.argmin, counted.argmin)
+            assert argmin_sets(plain) == argmin
+            assert count_table_optima(plain) == expected
 
     @pytest.mark.parametrize("m", [4, 7, 9, 11, 13, 14])
     def test_matches_oracle(self, m):
@@ -420,32 +463,72 @@ class TestCountInWalk:
 
 
 class TestCountOptima:
+    """The count in the walk and the second walk over random tie-heavy cost
+    tables, both against the state loop over the table's argmin sets."""
+
+    @staticmethod
+    def check(cost):
+        nloc = cost.shape[0]
+        values, argmin = table_held_karp(cost)
+        expected = count_orders(argmin)
+        walked, stored, count = _layered_min(cost, nloc, True)
+        assert walked.tolist() == values and stored.tolist() == argmin
+        assert count == expected
+        plain = DpTable(tuple(range(nloc)), 0, cost, *_layered_min(cost, nloc))
+        assert count_table_optima(plain) == expected
+        return expected
+
     def test_matches_state_loop(self):
         rng = np.random.default_rng(61)
         for nloc in range(1, 13):
-            for ties in (0.3, 0.7):
-                argmin = random_argmin(rng, nloc, ties)
-                table = DpTable(tuple(range(nloc)), 0, np.zeros(1 << nloc), argmin)
-                assert count_table_optima(table) == count_orders(argmin)
+            for levels in (2, 4):
+                self.check(random_cost_table(rng, nloc, levels))
 
     def test_every_member_optimal(self, monkeypatch):
-        # argmin[S] = S: every order is optimal, nloc! of them; a low bound
+        # zero costs: every order is optimal, nloc! of them; a low bound
         # moves the later layers to exact Python ints
         for nloc in (1, 5, 9, 12):
-            argmin = np.arange(1 << nloc, dtype=np.uint32)
-            table = DpTable(tuple(range(nloc)), 0, np.zeros(1 << nloc), argmin)
-            assert count_table_optima(table) == math.factorial(nloc)
+            cost = np.zeros((nloc, 1 << (nloc - 1)), np.int32)
+            assert self.check(cost) == math.factorial(nloc)
             monkeypatch.setattr(solver, "_INT64_COUNTS", 1 << 10)
-            assert count_table_optima(table) == math.factorial(nloc)
+            assert self.check(cost) == math.factorial(nloc)
             monkeypatch.undo()
 
     def test_wide_route_matches_state_loop(self, monkeypatch):
         monkeypatch.setattr(solver, "_INT64_COUNTS", 2)
         rng = np.random.default_rng(62)
         for nloc in (3, 8, 11):
-            argmin = random_argmin(rng, nloc, 0.8)
-            table = DpTable(tuple(range(nloc)), 0, np.zeros(1 << nloc), argmin)
-            assert count_table_optima(table) == count_orders(argmin)
+            self.check(random_cost_table(rng, nloc, 2))
+
+
+class TestChoices:
+    """``DpTable.choices`` against the Held-Karp oracle on every state, on
+    tie-heavy profiles: plain (derived) and counted (stored) tables, with
+    and without a context, in int32 and in int64."""
+
+    @staticmethod
+    def check(profile, k, subset, context):
+        values, argmin = held_karp(profile, k, subset, context)
+        for counted in (False, True):
+            table = build_dp_table(profile, k, subset, context, counted)
+            assert (table.argmin is None) == (not counted)
+            assert table.values.tolist() == values
+            assert argmin_sets(table) == argmin
+        return table.values.dtype
+
+    @pytest.mark.parametrize("m", [4, 7, 9])
+    def test_matches_held_karp(self, monkeypatch, m):
+        rng = np.random.default_rng(100 + m)
+        order = rng.permutation(m)
+        profile = Profile(m, [(Ranking(order), 2), (Ranking(order[::-1]), 2)])
+        below = mask_of(order[-2:].tolist())  # two candidates below the rest
+        pieces = [(full_mask(m), 0), (full_mask(m) & ~below, below)]
+        for k in (2, 3, m):
+            for subset, context in pieces:
+                assert self.check(profile, k, subset, context) == np.int32
+                monkeypatch.setattr(solver, "_table_dtype", lambda *_: np.int64)
+                assert self.check(profile, k, subset, context) == np.int64
+                monkeypatch.undo()
 
 
 class TestTableDtype:
@@ -474,7 +557,7 @@ class TestTableDtype:
                 assert table.values.dtype == dtype
                 values, argmin = held_karp(profile, k, full_mask(m), 0)
                 assert table.values.tolist() == values
-                assert table.argmin.tolist() == argmin
+                assert argmin_sets(table) == argmin
                 # the majority's last candidate placed first costs near the bound
                 majority = max(profile.groups, key=lambda group: group[1])[0]
                 last = majority.order[-1]
@@ -491,7 +574,7 @@ class TestTableDtype:
                 monkeypatch.undo()
                 assert wide.values.dtype == np.int64
                 assert np.array_equal(wide.values, table.values)
-                assert np.array_equal(wide.argmin, table.argmin)
+                assert argmin_sets(wide) == argmin
 
 
 class TestEnumerate:
@@ -627,10 +710,11 @@ class TestCostRows:
                 values, argmin, count = _layered_min(moment, len(local), True)
                 table = build_dp_table(profile, k, subset, context)
                 assert np.array_equal(values, table.values)
-                assert np.array_equal(argmin, table.argmin)
+                assert argmin.tolist() == argmin_sets(table)
                 assert count == count_table_optima(table)
-                _, other_argmin, uncounted = _layered_min(transformed, len(local))
-                assert np.array_equal(other_argmin, table.argmin)
+                other, no_argmin, uncounted = _layered_min(transformed, len(local))
+                assert np.array_equal(other, table.values)
+                assert no_argmin is None and table.argmin is None
                 assert uncounted is None and table.count is None
 
     def test_partitioned_equals_full_dp(self):
