@@ -268,6 +268,7 @@ class PairCounts:
         a dtype whose products are exact: every sum of products is an
         integer in [0, n], so float32 BLAS products are exact below 2^24."""
         dtype = np.float32 if n < 1 << 24 else np.int64
+        positions = positions.astype(np.min_scalar_type(positions.shape[1]))
         prefers = (positions[:, :, None] < positions[:, None, :]).astype(dtype)
         return prefers, counts.astype(dtype)
 

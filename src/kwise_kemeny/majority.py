@@ -313,12 +313,10 @@ def kwise_digraph(
     if k == 3:
         # gains[c, d, x]: what x adds to c's 3-wise advantage over d (the
         # additivity `best_triple_advantage` uses), kept where positive;
-        # gains[c, d, c] = -above[d, c] never is, gains[c, d, d] is the margin
+        # gains[c, d, c] = -above[d, c] never is; x = d adds above[c, d], taken back
         gains = counts.joint - counts.joint.transpose(1, 0, 2)
         useful = gains > 0
-        every = np.arange(m)
-        useful[:, every, every] = False
-        weights += (gains * useful).sum(axis=2)
+        weights += (gains * useful).sum(axis=2) - counts.above
     arc_at = np.nonzero(weights > 0)
     pairs = np.stack(arc_at, axis=1)
     rows = useful[arc_at] if k == 3 else None

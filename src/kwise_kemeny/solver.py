@@ -14,7 +14,8 @@ polynomial of degree <= 2 in the number of pool members it ranks above the
 placed candidate, so O(n m^3) pair and triple counts give every cost row;
 for k >= 4 it is a truncated binomial sum that expands over subsets, so
 Yates' subset-sum (zeta) transforms of a histogram of the voters' rankings
-give every row in O(m^2 2^(m-1)) additions, whatever n is.
+give every row in O(m^2 2^(m-1)) additions, whatever n is (on large tables,
+the lowest bits of the superset-sum by expanding each group's entries).
 
 The min runs one popcount layer at a time over states in colex order,
 where the states of layer L with top member t are the first C(t, L - 1)
@@ -40,6 +41,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import time
 from dataclasses import dataclass
 
@@ -170,6 +172,7 @@ def _table_dtype(n: int, m: int, k: int) -> type:
     return np.int32 if _disagreement_bound(n, m, k) < 1 << 31 else np.int64
 
 
+@functools.lru_cache(maxsize=None)
 def _other_bits(nloc: int) -> np.ndarray:
     """``others[j, i]``: local index of bit i of row j's half-size index.
 
@@ -178,7 +181,9 @@ def _other_bits(nloc: int) -> np.ndarray:
     and for local i + 1 from j on.
     """
     i = np.arange(nloc - 1)
-    return i[None, :] + (i[None, :] >= np.arange(nloc)[:, None])
+    others = i[None, :] + (i[None, :] >= np.arange(nloc)[:, None])
+    others.flags.writeable = False
+    return others
 
 
 def _moment_costs(
@@ -242,13 +247,23 @@ def _moment_costs(
     return cost
 
 
-def _subset_sums(table: np.ndarray, supersets: bool = False) -> None:
+def _subset_sums(table: np.ndarray, supersets: bool = False, first: int = 0) -> None:
     """In place, entry T of a state-major table becomes the sum over the
-    subsets (or supersets) of T, one contiguous doubling step per bit."""
+    subsets (or supersets) of T: one doubling step per bit from ``first``."""
     src, dst = (1, 0) if supersets else (0, 1)
-    for i in range(table.shape[0].bit_length() - 1):
+    for i in range(first, table.shape[0].bit_length() - 1):
         pairs = table.reshape(-1, 2, table.shape[1] << i)
         pairs[:, dst] += pairs[:, src]
+
+
+_LOW_BITS = 7
+
+
+def _expanded_bits(groups: int, bits: int) -> int:
+    """How many of the lowest bits (up to ``_LOW_BITS``) of a 2^bits-row
+    superset-sum to expand per voter group instead of by dense passes: as
+    many as keep groups * 2^low within about 1/16 of the rows."""
+    return min(_LOW_BITS, max(0, bits - 4 - groups.bit_length()))
 
 
 def _subset_sum_costs(
@@ -266,26 +281,32 @@ def _subset_sum_costs(
         cost_j(T) = n H[|T| + b] - sum_{V subset of T} W_j(V),
         W_j(V) = sum_g count_g h(|V|, beta_g) [V subset of B_g].
 
-    A histogram of the B_g per distinct beta goes through a superset-sum
-    and is scaled by h; the total goes through a subset-sum.  Every term
-    is nonnegative, so the accumulation guard bounds each partial sum.
+    Per distinct beta, each group adds its count at B_hi | V for every V
+    within its low bits B_lo (:func:`_expanded_bits`), dense doubling passes
+    over the high bits finish the superset-sum, it is scaled by h, and the
+    total goes through a subset-sum.  Every term is nonnegative, so the
+    accumulation guard bounds each partial sum.
     """
     nloc = len(candidates)
+    low = _expanded_bits(len(counts.counts), nloc - 1)
     h = _subset_weights(counts.m, k).astype(dtype)
     pos = counts.positions[:, list(candidates)]
     below = pos[:, _other_bits(nloc)] > pos[:, :, None]  # [g, j, bit]
-    masks = (below << np.arange(nloc - 1)).sum(axis=2)
+    masks = below @ (1 << np.arange(nloc - 1))
     ctx = counts.positions[:, mask_members(context)]
-    beta = (ctx[:, None, :] > pos[:, :, None]).sum(axis=2)
-    rows = np.broadcast_to(np.arange(nloc), masks.shape)
-    weights = np.broadcast_to(counts.counts.astype(dtype)[:, None], masks.shape)
+    beta = (ctx[:, None, :] > pos[:, :, None]).sum(axis=2).ravel()
+    # entry e = g * nloc + j, once per V within its low bits
+    found = np.flatnonzero(np.arange(1 << low) & ~masks[:, :, None] == 0)
+    entry = found >> low
+    index = (masks.ravel()[entry] >> low << low | found % (1 << low)) * nloc + entry % nloc
+    weights = np.repeat(counts.counts.astype(dtype), nloc)[entry]
     size = np.bitwise_count(np.arange(1 << (nloc - 1)))
     total = None  # state-major: total[T, j]
-    for value in set(beta.ravel().tolist()):
+    for value in set(beta.tolist()):
         part = np.zeros((len(size), nloc), dtype=dtype)
-        chosen = beta == value
-        np.add.at(part, (masks[chosen], rows[chosen]), weights[chosen])
-        _subset_sums(part, supersets=True)
+        chosen = beta[entry] == value
+        np.add.at(part.reshape(-1), index[chosen], weights[chosen])
+        _subset_sums(part, supersets=True, first=low)
         part *= h[size, value, None]
         total = part if total is None else np.add(total, part, out=total)
     _subset_sums(total)
@@ -386,7 +407,8 @@ def _layered_min(
 
     A layer's values are computed in colex order from the previous layer's
     (a small array that stays in cache), then scattered once into the
-    binary-indexed table.  Values take the cost table's dtype.  A state's
+    binary-indexed table.  Values take the cost table's dtype, gathered by
+    ``take`` on generated plans, by fancy indexing on cached ones.  A state's
     argmin set ORs its tying slots' bits ``1 << flat % nloc``, its count
     their predecessors' counts; a layer-L count is at most L!, so counts
     are int32 while L! < 2^31, int64 while L! < 2^63, else Python ints.
@@ -394,6 +416,8 @@ def _layered_min(
     values = np.zeros(1 << nloc, dtype=cost.dtype)
     argmin = np.zeros(1 << nloc, dtype=np.uint32) if count_optima else None
     flat_cost = cost.T.reshape(-1)
+    # `take` reads int32 plans with no intp copy, but copies read-only ones
+    gather = np.take if nloc > _SMALL_PLAN else operator.getitem
     widest = math.comb(nloc, nloc // 2)
     layer_values = np.zeros((2, widest), cost.dtype)
     counts = np.ones(1, np.int32)  # layer 0: the empty state, one order
@@ -408,15 +432,15 @@ def _layered_min(
             counts = np.empty(len(states), kind)
         for first in range(0, len(states), _LAYER_SLICE):
             part = slice(first, first + _LAYER_SLICE)
-            totals = done[previous[:, part]]
-            totals += flat_cost[flat[:, part]]
+            totals = gather(done, previous[:, part])
+            totals += gather(flat_cost, flat[:, part])
             best = np.minimum.reduce(totals, axis=0, out=current[part])
             if count_optima:
                 ties = totals == best  # the member slots in the argmin set
                 del totals  # dead here; the count's gather takes its place
                 bits = ties << flat[:, part] % nloc
                 argmin[states[part]] = np.bitwise_or.reduce(bits, axis=0)
-                counts[part] = (done_counts[previous[:, part]] * ties).sum(axis=0)
+                counts[part] = (gather(done_counts, previous[:, part]) * ties).sum(axis=0)
         values[states] = current
     return values, argmin, int(counts[0]) if count_optima else None
 

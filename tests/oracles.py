@@ -1,11 +1,15 @@
-"""Scalar reference oracles that only the tests use.
+"""Reference oracles that only the tests use.
 
-Each one computes a quantity of the paper from its definition, one voter
-group at a time, so the array routes of the library can be checked
-against it.
+The scalar ones compute a quantity of the paper from its definition, one
+voter group at a time, so the array routes of the library can be checked
+against them.  The others are array routes the library replaced, kept so
+that the routes replacing them can be checked for equal results.
 """
 
-from kwise_kemeny import BinomialPrefixTable, Profile
+import numpy as np
+
+from kwise_kemeny import BinomialPrefixTable, Profile, mask_members
+from kwise_kemeny.solver import _other_bits, _subset_weights
 
 
 def _check_pair_in_subset(subset: int, winner: int, loser: int) -> None:
@@ -49,3 +53,39 @@ def setwise_advantage(profile: Profile, subset: int, c: int, d: int, k: int) -> 
     return setwise_support(profile, subset, c, d, k, table) - setwise_support(
         profile, subset, d, c, k, table
     )
+
+
+def dense_subset_sum_costs(counts, k, candidates, context, dtype):
+    """The cost rows of ``solver._subset_sum_costs`` with every bit of the
+    superset-sum done by dense doubling passes: per distinct beta, a
+    histogram of the groups' below-sets, its superset-sum, scaled by h;
+    then a subset-sum of the total."""
+    nloc = len(candidates)
+    h = _subset_weights(counts.m, k).astype(dtype)
+    pos = counts.positions[:, list(candidates)]
+    below = pos[:, _other_bits(nloc)] > pos[:, :, None]  # [g, j, bit]
+    masks = (below << np.arange(nloc - 1)).sum(axis=2)
+    ctx = counts.positions[:, mask_members(context)]
+    beta = (ctx[:, None, :] > pos[:, :, None]).sum(axis=2)
+    rows = np.broadcast_to(np.arange(nloc), masks.shape)
+    weights = np.broadcast_to(counts.counts.astype(dtype)[:, None], masks.shape)
+    size = np.bitwise_count(np.arange(1 << (nloc - 1)))
+    total = np.zeros((len(size), nloc), dtype=dtype)  # state-major: total[T, j]
+    for value in set(beta.ravel().tolist()):
+        part = np.zeros_like(total)
+        chosen = beta == value
+        np.add.at(part, (masks[chosen], rows[chosen]), weights[chosen])
+        for i in range(nloc - 1):  # superset-sum, one doubling step per bit
+            pairs = part.reshape(-1, 2, nloc << i)
+            pairs[:, 0] += pairs[:, 1]
+        total += part * h[size, value, None]
+    for i in range(nloc - 1):  # subset-sum
+        pairs = total.reshape(-1, 2, nloc << i)
+        pairs[:, 1] += pairs[:, 0]
+    return (counts.n * h[0, size + context.bit_count(), None] - total).T
+
+
+def prefers_by_positions(positions):
+    """``PairCounts.prefers`` compared in the positions' own dtype:
+    ``[g, c, x]`` is whether group g ranks c above x."""
+    return positions[:, :, None] < positions[:, None, :]

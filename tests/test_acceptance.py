@@ -375,7 +375,8 @@ class TestTrends:
                 pre = solve(profile, 3, "pre")
                 pre_total += time.perf_counter() - started
                 assert pre.optimum == plain.optimum
-            assert dp_total >= 5.0 * pre_total
+            print(f"dp/pre = {dp_total / pre_total:.2f}")
+            assert dp_total >= 5.0 * pre_total, f"dp/pre = {dp_total / pre_total:.2f}"
 
 
 # ---------------------------------------------------------------------------

@@ -31,10 +31,21 @@ from kwise_kemeny import (
     to_dot,
 )
 from kwise_kemeny.cli import main
-from kwise_kemeny.majority import Arc, KwiseDigraph, SccOrder, best_triple_advantage
+from kwise_kemeny.majority import (
+    Arc,
+    KwiseDigraph,
+    SccOrder,
+    _mask_rows,
+    _row_masks,
+    best_triple_advantage,
+)
 from kwise_kemeny.sampling import MallowsParams, mallows_sample
 from conftest import component_index, mask_of, random_profile, top_choice
-from oracles import setwise_advantage, setwise_support
+from oracles import (
+    prefers_by_positions,
+    setwise_advantage,
+    setwise_support,
+)
 
 # Arc weights of the six-candidate fixture's majority digraphs (1-based ids).
 PAIRWISE_ARCS = {
@@ -236,6 +247,17 @@ class TestPairCounts:
                 assert counts.joint[c, d, x] == expected
                 if d == x:
                     assert counts.above[c, d] == expected
+
+    def test_prefers_from_narrow_positions(self):
+        # positions compare as uint8 up to 255 candidates, uint16 beyond
+        rng = np.random.default_rng(81)
+        for m in (1, 5, 255, 256, 300):
+            profile = Profile(m, [(Ranking(rng.permutation(m)), 2) for _ in range(3)])
+            counts = PairCounts(profile)
+            assert counts.positions.dtype == np.int64
+            assert np.array_equal(
+                counts.prefers, prefers_by_positions(counts.positions)
+            )
 
     def test_shared_within_block_only(self, six_profile):
         other = Profile(6, six_profile.groups[:2])
@@ -535,6 +557,30 @@ class TestSccDecompose:
                 for c, d in zip(*np.nonzero(adjacent))
             })
             assert scc_decompose(graph) == tarjan_order(graph)
+        # successor rows of about and beyond 64 bits
+        for m in (63, 64, 65, 130):
+            adjacent = rng.random((m, m)) < 0.05
+            np.fill_diagonal(adjacent, False)
+            graph = KwiseDigraph(m, 2, {
+                (int(c), int(d)): Arc(1, 1 << int(c) | 1 << int(d))
+                for c, d in zip(*np.nonzero(adjacent))
+            })
+            assert scc_decompose(graph) == tarjan_order(graph)
+
+
+class TestRowMasks:
+    def test_round_trip(self):
+        rng = np.random.default_rng(64)
+        for m in (1, 8, 63, 64, 65, 130):
+            bits = rng.random((6, m)) < 0.5
+            bits[0] = True  # the top bit included
+            bits[1] = False
+            masks = _row_masks(bits)
+            assert masks == [sum(1 << int(x) for x in np.flatnonzero(row)) for row in bits]
+            assert masks[0] == full_mask(m) and masks[1] == 0
+            assert np.array_equal(_mask_rows(masks, m), bits)
+            assert _row_masks(bits.T) == _row_masks(bits.T.copy())  # strided
+        assert _row_masks(np.zeros((0, 5), bool)) == []
 
 
 class TestRefine:

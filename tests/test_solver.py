@@ -32,6 +32,7 @@ from kwise_kemeny.solver import (
     solve_components,
 )
 from conftest import argmin_sets, mask_of, random_profile, restrict_profile
+from oracles import dense_subset_sum_costs
 
 
 def placement_cost(subset, candidate, profile, k, table, context=0):
@@ -716,6 +717,49 @@ class TestCostRows:
                 assert np.array_equal(other, table.values)
                 assert no_argmin is None and table.argmin is None
                 assert uncounted is None and table.count is None
+
+    def test_expanded_low_bits_match_dense_route(self, monkeypatch):
+        # nloc 1-14 with the low bits the size rule picks (up to 5 here),
+        # then with all of _LOW_BITS (the count above, equal to and below
+        # nloc - 1); a four-member context leaving at least three betas
+        rng = np.random.default_rng(44)
+        cases = []
+        for nloc in range(1, 15):
+            m = nloc + 4
+            profile = weighted_profile(rng, m, 9)
+            local = tuple(sorted(rng.choice(m, nloc, replace=False).tolist()))
+            context = full_mask(m) & ~mask_of(local)
+            betas = {sum(r.prefers(j, x) for x in mask_members(context))
+                     for r, _ in profile.groups for j in local}
+            assert len(betas) >= 3
+            cases.append((PairCounts(profile), local, context))
+        for expand_all in (False, True):
+            if expand_all:
+                monkeypatch.setattr(solver, "_expanded_bits",
+                                    lambda groups, bits: min(solver._LOW_BITS, bits))
+            for counts, local, context in cases:
+                m = counts.m
+                for k in (4, 5, m):
+                    for dtype in (np.int32, np.int64):
+                        rows = _subset_sum_costs(counts, k, local, context, dtype)
+                        assert rows.dtype == dtype
+                        assert np.array_equal(rows, dense_subset_sum_costs(
+                            counts, k, local, context, dtype))
+                for k in (2, 3):
+                    assert np.array_equal(
+                        _subset_sum_costs(counts, k, local, context, np.int64),
+                        _moment_costs(counts, k, local, context, np.int64),
+                    )
+
+    def test_expanded_bits_rule(self):
+        # groups x 2^low stays within 1/16 of the rows; 50 voter groups at
+        # m = 18 expand all of _LOW_BITS
+        assert solver._expanded_bits(50, 17) == solver._LOW_BITS
+        for groups in (1, 2, 7, 50, 400, 5000):
+            for bits in range(30):
+                low = solver._expanded_bits(groups, bits)
+                assert 0 <= low <= min(solver._LOW_BITS, bits)
+                assert low == 0 or groups << low <= 1 << (bits - 4)
 
     def test_partitioned_equals_full_dp(self):
         for m in (6, 10, 14):
