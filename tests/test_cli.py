@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import re
@@ -7,7 +8,14 @@ from pathlib import Path
 
 import pytest
 
-from kwise_kemeny import cli, impartial_culture, serialize_profile
+from kwise_kemeny import (
+    MallowsParams,
+    Ranking,
+    cli,
+    impartial_culture,
+    mallows_sample,
+    serialize_profile,
+)
 from kwise_kemeny.cli import main
 from conftest import SIX_TEXT, TENSION_TEXT
 
@@ -388,6 +396,42 @@ class TestDigraph:
         )
         assert code == 0
         assert json.loads(out)["k"] == 4
+
+
+# SHA-256 of `digraph` stdout, JSON and DOT, on the six-candidate fixture and
+# on one sampled 12-candidate profile (Mallows, phi 0.8, 50 voters, seed 12).
+GOLDEN_DIGRAPHS = [
+    ("six", "--k 2",
+     "14b8592383a8d8e6a1d01e580427a55399b5ff27cd7ed3ed9450228f47e53448"),
+    ("six", "--k 3",
+     "e5bda56e379c4368dd18a3d8317c015cb69095e35365f11fb666f7bd23e8ff7c"),
+    ("six", "--k 3 --refine",
+     "4e2e7647f976b52fb06d283af46602978c71c6be01072e2c0dd2512521895dce"),
+    ("six", "--k 4 --force-exponential",
+     "d583a62c7b11e7de3019fee04dfdd50699ca3467409cc9ffa8815045c224406b"),
+    ("six", "--k 4 --force-exponential --refine",
+     "fcc33b0c32ae76460936342616e1f034c5d495241f338a1175ac9e30716657b8"),
+    ("six", "--k 3 --dot",
+     "2cdfe0da41d6c3c113df416f26e1476b0b29fb2428c39b25209b5eb1484b1e16"),
+    ("m12", "--k 3 --refine",
+     "626e59b32745a90d0acdc8e55ab228c33baa44cc1949952c9041e7c607c633ca"),
+    ("m12", "--k 4 --force-exponential",
+     "67e79d448ac94f2dbff468829acdf6ec5cde1ff06ce22c5759608448ae3a3f99"),
+]
+
+
+@pytest.mark.parametrize("name, flags, digest", GOLDEN_DIGRAPHS)
+def test_digraph_bytes_are_pinned(capsys, tmp_path, name, flags, digest):
+    if name == "six":
+        text = SIX_TEXT
+    else:
+        params = MallowsParams(Ranking.identity(12), 0.8, 50, 12)
+        text = serialize_profile(mallows_sample(params))
+    path = tmp_path / f"{name}.txt"
+    path.write_text(text)
+    code, out, err = run(capsys, "digraph", "--input", str(path), *flags.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
 
 
 ONE_DIGRAPH = (
