@@ -40,7 +40,6 @@ from .solver import (
     enumerate_consensus,
 )
 from .majority import (
-    Arc,
     KwiseDigraph,
     PairCounts,
     SccOrder,
@@ -92,7 +91,6 @@ __all__ = [
     "build_dp_table",
     "dp_consensus",
     "enumerate_consensus",
-    "Arc",
     "KwiseDigraph",
     "PairCounts",
     "SccOrder",

@@ -179,10 +179,14 @@ def cmd_digraph(args) -> int:
             {
                 "from": c + 1,
                 "to": d + 1,
-                "weight": arc.weight,
-                "witness": [x + 1 for x in mask_members(arc.witness)],
+                "weight": weight,
+                "witness": [
+                    x + 1 for x, inside in enumerate(row) if inside or x in (c, d)
+                ],
             }
-            for (c, d), arc in graph.arc_items()
+            for (c, d), weight, row in zip(
+                graph.arcs.tolist(), graph.weights.tolist(), graph.witnesses.tolist()
+            )
         ],
         "components": [
             [c + 1 for c in mask_members(mask)] for mask in order.components

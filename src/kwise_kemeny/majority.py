@@ -23,8 +23,10 @@ re-maximizing intra-component arcs under the placement constraints implied
 by the component order and by unanimous dominance, dropping arcs whose
 constrained advantage is no longer positive.
 
-The digraph's arcs are arrays (`_ArcTable`), and both steps read them as
-arrays.  `scc_decompose` runs Kosaraju's searches on one successor and one
+A `KwiseDigraph` holds its arcs as arrays at every k: the (c, d) pairs in
+ascending order, their weights, and one boolean row per arc whose members,
+with the pair, form the arc's witness.  Both steps read only these arrays.
+`scc_decompose` runs Kosaraju's searches on one successor and one
 predecessor bitmask per vertex.  A refinement pass is one array expression
 over the intra-component arcs: at k = 3 it reads the gains tensor
 ``joint[c, d, x] - joint[d, c, x]`` that `kwise_digraph` also uses, at k = 2
@@ -39,11 +41,8 @@ call it.
 from __future__ import annotations
 
 import heapq
-import itertools
 import time
 from dataclasses import dataclass, field, replace
-from collections.abc import Iterator, Mapping
-from typing import NamedTuple
 
 import numpy as np
 
@@ -70,92 +69,25 @@ EXHAUSTIVE_FREE_BOUND = 20
 SOLVE_MODES = ("brute", "dp", "pre", "pre-refined")
 
 
-class Arc(NamedTuple):
-    weight: int
-    witness: Mask
-
-
-class _ArcTable(Mapping):
-    """Arcs of a digraph held as arrays; the ``Arc`` objects are made on the
-    first lookup.  Splitting into components and refining read only the
-    arrays, so a preprocessed solve makes no per-arc objects.
-
-    ``pairs`` is an (arcs, 2) array of (c, d) rows in ascending order,
-    ``weights`` the arc weights and ``rows`` a boolean (arcs, m) matrix of
-    each witness's members (the pair itself may be left out), or None when
-    every witness is just its pair.
-    """
-
-    def __init__(
-        self, pairs: np.ndarray, weights: np.ndarray, rows: np.ndarray | None
-    ):
-        self.pairs = pairs
-        self.weights = weights
-        self.rows = rows
-        self._arcs: dict[tuple[int, int], Arc] | None = None
-
-    @classmethod
-    def of(cls, m: int, arcs: Mapping[tuple[int, int], Arc]) -> "_ArcTable":
-        """The arcs of any mapping as a table."""
-        if isinstance(arcs, cls):
-            return arcs
-        items = sorted(arcs.items())
-        pairs = np.array([pair for pair, _ in items], dtype=np.intp).reshape(-1, 2)
-        weights = np.array([arc.weight for _, arc in items], dtype=np.int64)
-        rows = _mask_rows([arc.witness for _, arc in items], m)
-        return cls(pairs, weights, rows)
-
-    def subset(self, keep: np.ndarray) -> "_ArcTable":
-        """The arcs selected by a boolean vector, in the same order."""
-        rows = None if self.rows is None else self.rows[keep]
-        return _ArcTable(self.pairs[keep], self.weights[keep], rows)
-
-    def _pair_tuples(self) -> list[tuple[int, int]]:
-        return list(map(tuple, self.pairs.tolist()))
-
-    def _table(self) -> dict[tuple[int, int], Arc]:
-        if self._arcs is None:
-            pairs = self._pair_tuples()
-            extras = (
-                itertools.repeat(0) if self.rows is None else _row_masks(self.rows)
-            )
-            witnesses = (
-                extra | 1 << c | 1 << d for (c, d), extra in zip(pairs, extras)
-            )
-            self._arcs = dict(
-                zip(pairs, map(Arc, self.weights.tolist(), witnesses))
-            )
-        return self._arcs
-
-    def __getitem__(self, pair: tuple[int, int]) -> Arc:
-        return self._table()[pair]
-
-    def items(self):  # not ItemsView, which looks up every arc on its own
-        return self._table().items()
-
-    def __iter__(self) -> Iterator[tuple[int, int]]:
-        return iter(self._pair_tuples())
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KwiseDigraph:
-    """Weighted arc set of the k-wise majority digraph.
+    """Weighted arc set of the k-wise majority digraph, held as arrays.
 
-    ``order``, when set, is the digraph's component order as
+    ``arcs`` is an (a, 2) intp array of (c, d) rows in ascending order,
+    ``weights`` the int64 arc weights and ``witnesses`` a boolean (a, m)
+    array.  An arc's witness set is its pair plus the members of its row;
+    the row may or may not hold the pair itself (at k = 2 every row is
+    empty).  ``order``, when set, is the digraph's component order as
     `scc_decompose` computes it; `refine_digraph` sets it, because its
     fixed point has just computed it.
     """
 
     m: int
     k: int
-    arcs: Mapping[tuple[int, int], Arc]
-    order: "SccOrder | None" = field(default=None, compare=False, repr=False)
-
-    def arc_items(self) -> list[tuple[tuple[int, int], Arc]]:
-        return sorted(self.arcs.items())
+    arcs: np.ndarray
+    weights: np.ndarray
+    witnesses: np.ndarray
+    order: "SccOrder | None" = field(default=None, repr=False)
 
 
 @dataclass(frozen=True)
@@ -300,14 +232,17 @@ def kwise_digraph(
             "pass allow_exponential=True / --force-exponential to proceed"
         )
     if k > 3:
-        arcs: dict[tuple[int, int], Arc] = {}
-        for c in range(m):
-            for d in range(m):
-                if c != d:
-                    weight, witness = best_advantage_exhaustive(profile, c, d, k)
-                    if weight > 0:
-                        arcs[(c, d)] = Arc(weight, witness)
-        return KwiseDigraph(m, k, arcs)
+        found = [
+            (c, d, *best_advantage_exhaustive(profile, c, d, k))
+            for c in range(m) for d in range(m) if c != d
+        ]
+        found = [arc for arc in found if arc[2] > 0]
+        return KwiseDigraph(
+            m, k,
+            np.array([arc[:2] for arc in found], dtype=np.intp).reshape(-1, 2),
+            np.array([arc[2] for arc in found], dtype=np.int64),
+            _mask_rows([arc[3] for arc in found], m),
+        )
     counts = PairCounts.of(profile)
     weights = counts.above - counts.above.T
     if k == 3:
@@ -318,9 +253,9 @@ def kwise_digraph(
         useful = gains > 0
         weights += (gains * useful).sum(axis=2) - counts.above
     arc_at = np.nonzero(weights > 0)
-    pairs = np.stack(arc_at, axis=1)
-    rows = useful[arc_at] if k == 3 else None
-    return KwiseDigraph(m, k, _ArcTable(pairs, weights[arc_at], rows))
+    arcs = np.stack(arc_at, axis=1)
+    witnesses = useful[arc_at] if k == 3 else np.zeros((len(arcs), m), dtype=bool)
+    return KwiseDigraph(m, k, arcs, weights[arc_at], witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -335,7 +270,7 @@ def scc_decompose(graph: KwiseDigraph) -> SccOrder:
     iff every pair of consecutive components is joined by an arc, i.e. the
     condensation admits a single topological order.
     """
-    return _components(graph.m, _ArcTable.of(graph.m, graph.arcs).pairs)
+    return _components(graph.m, graph.arcs)
 
 
 def _components(m: int, pairs: np.ndarray) -> SccOrder:
@@ -442,10 +377,9 @@ def refine_digraph(
     """
     m, k = graph.m, graph.k
     counts = PairCounts.of(profile)
-    table = _ArcTable.of(m, graph.arcs)
     if order is None:
-        order = _components(m, table.pairs)
-    source, target = table.pairs.T
+        order = _components(m, graph.arcs)
+    source, target = graph.arcs.T
     dominated = counts.above == counts.n  # [x, c]: every voter prefers x to c
     every = np.arange(m)
     keep = np.ones(len(source), dtype=bool)
@@ -483,8 +417,10 @@ def refine_digraph(
             break
         keep[inside[dropped]] = False
         inside = inside[~dropped]
-        order = _components(m, table.pairs[keep])
-    return KwiseDigraph(m, k, table.subset(keep), order)
+        order = _components(m, graph.arcs[keep])
+    return KwiseDigraph(
+        m, k, graph.arcs[keep], graph.weights[keep], graph.witnesses[keep], order
+    )
 
 
 def _constrained_max(
@@ -585,7 +521,7 @@ def to_dot(graph: KwiseDigraph, order: SccOrder | None = None) -> str:
             for c in mask_members(mask):
                 lines.append(f"    c{c + 1};")
             lines.append("  }")
-    for (c, d), arc in graph.arc_items():
-        lines.append(f'  c{c + 1} -> c{d + 1} [label="{arc.weight}"];')
+    for (c, d), weight in zip(graph.arcs.tolist(), graph.weights.tolist()):
+        lines.append(f'  c{c + 1} -> c{d + 1} [label="{weight}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

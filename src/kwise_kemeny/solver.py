@@ -301,14 +301,19 @@ def _subset_sum_costs(
     index = (masks.ravel()[entry] >> low << low | found % (1 << low)) * nloc + entry % nloc
     weights = np.repeat(counts.counts.astype(dtype), nloc)[entry]
     size = np.bitwise_count(np.arange(1 << (nloc - 1)))
-    total = None  # state-major: total[T, j]
-    for value in set(beta.tolist()):
-        part = np.zeros((len(size), nloc), dtype=dtype)
+    # state-major: total[T, j]; the betas after the first share one buffer
+    total = part = np.zeros((len(size), nloc), dtype=dtype)
+    for i, value in enumerate(set(beta.tolist())):
+        if i == 1:
+            part = np.zeros_like(total)
+        elif i:
+            part[...] = 0
         chosen = beta[entry] == value
         np.add.at(part.reshape(-1), index[chosen], weights[chosen])
         _subset_sums(part, supersets=True, first=low)
         part *= h[size, value, None]
-        total = part if total is None else np.add(total, part, out=total)
+        if i:
+            total += part
     _subset_sums(total)
     np.subtract(counts.n * h[0, size + context.bit_count(), None], total, out=total)
     return total.T

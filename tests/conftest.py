@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from kwise_kemeny import Profile, Ranking, SccOrder, mask_members, parse_profile
+from kwise_kemeny import (
+    KwiseDigraph,
+    Profile,
+    Ranking,
+    SccOrder,
+    mask_members,
+    parse_profile,
+)
 
 # 100 voters, 3 candidates: the Condorcet winner (c2) tops only 3 ballots
 # while c1 tops 49, so pairwise and setwise aggregation pull apart.
@@ -77,4 +84,33 @@ def component_index(order: SccOrder) -> dict[int, int]:
     """Candidate id to the position of its component in ``order``."""
     return {
         c: i for i, mask in enumerate(order.components) for c in mask_members(mask)
+    }
+
+
+def digraph_of(m: int, k: int, arcs: dict) -> KwiseDigraph:
+    """A digraph from ``{(c, d): (weight, witness mask)}``, its arrays in
+    ascending pair order."""
+    pairs = sorted(arcs)
+    witnesses = np.zeros((len(pairs), m), dtype=bool)
+    for row, pair in zip(witnesses, pairs):
+        row[list(mask_members(arcs[pair][1]))] = True
+    return KwiseDigraph(
+        m, k,
+        np.array(pairs, dtype=np.intp).reshape(-1, 2),
+        np.array([arcs[pair][0] for pair in pairs], dtype=np.int64),
+        witnesses,
+    )
+
+
+def arc_view(graph: KwiseDigraph) -> dict:
+    """``{(c, d): (weight, witness mask)}`` of a digraph's arrays, the
+    witness holding the pair; checks the arrays' shapes and pair order."""
+    pairs = list(map(tuple, graph.arcs.tolist()))
+    assert pairs == sorted(set(pairs))
+    assert graph.arcs.shape == (len(pairs), 2)
+    assert graph.weights.shape == (len(pairs),)
+    assert graph.witnesses.shape == (len(pairs), graph.m)
+    return {
+        (c, d): (weight, mask_of(np.flatnonzero(row).tolist()) | 1 << c | 1 << d)
+        for (c, d), weight, row in zip(pairs, graph.weights.tolist(), graph.witnesses)
     }

@@ -35,7 +35,7 @@ from kwise_kemeny import (
     solve,
 )
 from kwise_kemeny.majority import PairCounts, best_triple_advantage
-from conftest import random_profile
+from conftest import arc_view, random_profile
 from oracles import setwise_advantage
 
 
@@ -92,19 +92,15 @@ class TestFixedInstances:
 
     def test_1d_majority_digraphs(self, six_profile):
         with criterion("1d"):
-            pairwise = {
-                (c + 1, d + 1): a.weight
-                for (c, d), a in kwise_digraph(six_profile, 2).arcs.items()
-            }
+            arcs = arc_view(kwise_digraph(six_profile, 2))
+            pairwise = {(c + 1, d + 1): weight for (c, d), (weight, _) in arcs.items()}
             assert pairwise == {
                 (1, 2): 10, (1, 3): 10, (1, 4): 10, (1, 5): 10, (1, 6): 6,
                 (2, 4): 8, (2, 5): 10, (2, 6): 6, (3, 5): 10, (3, 6): 6,
                 (4, 3): 2, (4, 5): 10, (4, 6): 6, (5, 6): 6,
             }
-            triple = {
-                (c + 1, d + 1): a.weight
-                for (c, d), a in kwise_digraph(six_profile, 3).arcs.items()
-            }
+            arcs = arc_view(kwise_digraph(six_profile, 3))
+            triple = {(c + 1, d + 1): weight for (c, d), (weight, _) in arcs.items()}
             assert triple == {
                 (1, 2): 48, (1, 3): 48, (1, 4): 48, (1, 5): 48, (1, 6): 30,
                 (2, 3): 1, (2, 4): 28, (2, 5): 32, (2, 6): 20,
@@ -121,7 +117,7 @@ class TestFixedInstances:
                 (0,), (1,), (2, 3), (4, 5),
             ]
             refined = refine_digraph(graph, six_profile, order)
-            assert set(graph.arcs) - set(refined.arcs) == {(2, 3), (5, 4)}
+            assert set(arc_view(graph)) - set(arc_view(refined)) == {(2, 3), (5, 4)}
             final = scc_decompose(refined)
             result = partitioned_dp(six_profile, 3, final)
             assert result.rankings[0].to_one_based() == (1, 2, 4, 3, 5, 6)

@@ -1,11 +1,13 @@
 """The public surface: growing or cutting it shows up here as a diff."""
 
+import ast
 import importlib
+import importlib.util
+from pathlib import Path
 
 import kwise_kemeny
 
 PUBLIC = [
-    "Arc",
     "BinomialPrefixTable",
     "ConsensusResult",
     "DpTable",
@@ -78,6 +80,8 @@ DELETED = [
     ("bench", "normalize_mode"),
     ("cli", "_parser"),
     ("solver", "_perm_cache"),
+    ("majority", "Arc"),
+    ("majority", "KwiseDigraph.arc_items"),
 ]
 
 # (module, name) pairs kept in their module but no longer exported
@@ -109,3 +113,78 @@ def test_unexported_names_stay_in_their_modules():
         assert not hasattr(kwise_kemeny, name), name
         place = importlib.import_module(f"kwise_kemeny.{module}")
         assert hasattr(place, name), f"{module}.{name}"
+
+
+def _imports_unused(tree: ast.Module) -> list[str]:
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                imported[alias.asname or alias.name.partition(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                imported[alias.asname or alias.name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    # names in string constants, which covers quoted annotations such as
+    # "SccOrder | None"
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            try:
+                quoted = ast.parse(node.value, mode="eval")
+            except SyntaxError:
+                continue
+            used |= {n.id for n in ast.walk(quoted) if isinstance(n, ast.Name)}
+    return sorted(f"{name} (line {line})" for name, line in imported.items()
+                  if name not in used)
+
+
+def test_modules_use_every_import():
+    package = Path(kwise_kemeny.__file__).parent
+    unused = {}
+    for path in sorted(package.glob("*.py")):
+        if path.name != "__init__.py":
+            names = _imports_unused(ast.parse(path.read_text(encoding="utf-8")))
+            if names:
+                unused[path.name] = names
+    assert unused == {}
+
+
+def test_unused_import_check_sees_one():
+    tree = ast.parse(
+        "import itertools\n"
+        "from typing import NamedTuple\n"
+        "import numpy as np\n"
+        "shape: 'np.ndarray' = np.zeros(1)\n"
+    )
+    assert _imports_unused(tree) == ["NamedTuple (line 2)", "itertools (line 1)"]
+
+
+def _load_tracing():
+    path = Path(__file__).parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_trace_targets_exist(six_profile):
+    # perfbench/tracing.py wraps functions by name and reads the arc count
+    # of a digraph as len(graph.arcs); a rename or a new shape fails here
+    importlib.import_module("kwise_kemeny.cli")
+    tracing = _load_tracing()
+    assert tracing.Tracer(kwise_kemeny).missing == set()
+    m = six_profile.m
+    for k in (2, 3, 4):
+        graph = kwise_kemeny.kwise_digraph(six_profile, k, allow_exponential=True)
+        expected = sum(
+            kwise_kemeny.best_advantage_exhaustive(six_profile, c, d, k)[0] > 0
+            for c in range(m) for d in range(m) if c != d
+        )
+        assert len(graph.arcs) == expected
+        assert tracing._span_attrs("majority.kwise_digraph", (), graph) == {
+            "arcs": expected
+        }
+        refined = kwise_kemeny.refine_digraph(graph, six_profile)
+        assert tracing._span_attrs("majority.refine_digraph", (graph,), refined) == {
+            "removed": expected - len(refined.arcs)
+        }

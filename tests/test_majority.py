@@ -32,15 +32,20 @@ from kwise_kemeny import (
 )
 from kwise_kemeny.cli import main
 from kwise_kemeny.majority import (
-    Arc,
-    KwiseDigraph,
     SccOrder,
     _mask_rows,
     _row_masks,
     best_triple_advantage,
 )
 from kwise_kemeny.sampling import MallowsParams, mallows_sample
-from conftest import component_index, mask_of, random_profile, top_choice
+from conftest import (
+    arc_view,
+    component_index,
+    digraph_of,
+    mask_of,
+    random_profile,
+    top_choice,
+)
 from oracles import (
     prefers_by_positions,
     setwise_advantage,
@@ -65,7 +70,7 @@ TRIPLEWISE_ARCS = {
 
 
 def arcs_one_based(graph):
-    return {(c + 1, d + 1): arc.weight for (c, d), arc in graph.arcs.items()}
+    return {(c + 1, d + 1): weight for (c, d), (weight, _) in arc_view(graph).items()}
 
 
 def naive_triple_support(profile, subset, winner, loser):
@@ -100,7 +105,7 @@ def tarjan_order(graph):
     over adjacency lists, then a heap Kahn over the condensation's arcs."""
     m = graph.m
     adjacency = [[] for _ in range(m)]
-    for c, d in graph.arcs:
+    for c, d in arc_view(graph):
         adjacency[c].append(d)
     index_of, lowlink, on_stack = [-1] * m, [0] * m, [False] * m
     stack, comp_id, components, work = [], [0] * m, [], []
@@ -141,7 +146,7 @@ def tarjan_order(graph):
                     components.append(mask)
     succ = [set() for _ in components]
     indegree = [0] * len(components)
-    for c, d in graph.arcs:
+    for c, d in arc_view(graph):
         a, b = comp_id[c], comp_id[d]
         if a != b and b not in succ[a]:
             succ[a].add(b)
@@ -183,7 +188,7 @@ def refine_oracle(graph, profile):
         sum(1 << x for x in range(m) if x != c and counts.above[x, c] == counts.n)
         for c in range(m)
     ]
-    arcs = dict(graph.arcs.items())
+    arcs = arc_view(graph)
     order = tarjan_order(graph)
     while True:
         comp_of = component_index(order)
@@ -207,10 +212,10 @@ def refine_oracle(graph, profile):
             if weight <= 0:
                 removed.append((c, d))
         if not removed:
-            return KwiseDigraph(m, graph.k, arcs), order
+            return digraph_of(m, graph.k, arcs), order
         for pair in removed:
             del arcs[pair]
-        order = tarjan_order(KwiseDigraph(m, graph.k, arcs))
+        order = tarjan_order(digraph_of(m, graph.k, arcs))
 
 
 class TestPairCounts:
@@ -273,20 +278,20 @@ class TestPairwiseDigraph:
     def test_six_profile_matches_fixture(self, six_profile):
         graph = kwise_digraph(six_profile, 2)
         assert arcs_one_based(graph) == PAIRWISE_ARCS
-        for (c, d), arc in graph.arcs.items():
-            assert arc.witness == mask_of([c, d])
+        for (c, d), (_, witness) in arc_view(graph).items():
+            assert witness == mask_of([c, d])
 
     def test_unanimous_profile_is_complete(self):
         profile = Profile(4, [(Ranking([1, 3, 0, 2]), 7)])
         graph = kwise_digraph(profile, 2)
         assert len(graph.arcs) == 6
-        assert all(arc.weight == 7 for arc in graph.arcs.values())
+        assert all(weight == 7 for weight, _ in arc_view(graph).values())
 
     def test_balanced_profile_has_no_arcs(self):
         profile = Profile.from_rankings(
             3, [Ranking([0, 1, 2]), Ranking([2, 1, 0])]
         )
-        assert kwise_digraph(profile, 2).arcs == {}
+        assert arc_view(kwise_digraph(profile, 2)) == {}
 
 
 class TestTripleSupport:
@@ -425,13 +430,13 @@ class TestKwiseDigraph:
         for _ in range(10):
             m = int(rng.integers(2, 7))
             profile = random_profile(rng, m, int(rng.integers(1, 10)))
-            graph = kwise_digraph(profile, 2)
+            arcs = arc_view(kwise_digraph(profile, 2))
             for c, d in itertools.permutations(range(m), 2):
                 weight, witness = best_advantage_exhaustive(profile, c, d, 2)
                 if weight > 0:
-                    assert graph.arcs[(c, d)] == Arc(weight, witness)
+                    assert arcs[(c, d)] == (weight, witness)
                 else:
-                    assert (c, d) not in graph.arcs
+                    assert (c, d) not in arcs
 
     def test_k3_equals_greedy_witness(self):
         rng = np.random.default_rng(52)
@@ -441,14 +446,14 @@ class TestKwiseDigraph:
                 (Ranking(rng.permutation(m)), int(rng.integers(1, 5)))
                 for _ in range(int(rng.integers(1, 9)))
             ])
-            graph = kwise_digraph(profile, 3)
+            arcs = arc_view(kwise_digraph(profile, 3))
             for c, d in itertools.permutations(range(m), 2):
                 weight, witness = best_triple_advantage(profile, c, d)
                 if weight > 0:
-                    assert graph.arcs[(c, d)] == Arc(weight, witness)
+                    assert arcs[(c, d)] == (weight, witness)
                     assert best_advantage_exhaustive(profile, c, d, 3)[0] == weight
                 else:
-                    assert (c, d) not in graph.arcs
+                    assert (c, d) not in arcs
 
     def test_k4_needs_opt_in(self, six_profile):
         with pytest.raises(GuardError, match="force"):
@@ -457,13 +462,13 @@ class TestKwiseDigraph:
     def test_k4_matches_definition_when_forced(self):
         rng = np.random.default_rng(51)
         profile = random_profile(rng, 5, 6)
-        graph = kwise_digraph(profile, 4, allow_exponential=True)
+        arcs = arc_view(kwise_digraph(profile, 4, allow_exponential=True))
         for c, d in itertools.permutations(range(5), 2):
             best, _ = exhaustive_best(profile, c, d, 4)
             if best > 0:
-                assert graph.arcs[(c, d)].weight == best
+                assert arcs[(c, d)][0] == best
             else:
-                assert (c, d) not in graph.arcs
+                assert (c, d) not in arcs
 
     def test_zero_weight_arcs_excluded(self):
         # Opposite voters cancel pairwise, but a third candidate can still
@@ -474,9 +479,9 @@ class TestKwiseDigraph:
         )
         graph = kwise_digraph(profile, 3)
         assert arcs_one_based(graph) == {(1, 2): 1, (3, 2): 1}
-        for (c, d), arc in graph.arcs.items():
-            assert arc.weight > 0
-            assert setwise_advantage(profile, arc.witness, c, d, 3) == arc.weight
+        for (c, d), (weight, witness) in arc_view(graph).items():
+            assert weight > 0
+            assert setwise_advantage(profile, witness, c, d, 3) == weight
 
 
 class TestSccDecompose:
@@ -489,7 +494,7 @@ class TestSccDecompose:
         assert order.largest == 2
 
     def test_arcless_graph(self):
-        graph = KwiseDigraph(3, 2, {})
+        graph = digraph_of(3, 2, {})
         order = scc_decompose(graph)
         assert [mask_members(c) for c in order.components] == [(0,), (1,), (2,)]
         assert not order.order_unique
@@ -503,19 +508,19 @@ class TestSccDecompose:
         assert order.order_unique
 
     def test_single_candidate(self):
-        order = scc_decompose(KwiseDigraph(1, 2, {}))
+        order = scc_decompose(digraph_of(1, 2, {}))
         assert order.components == (1,)
         assert order.order_unique
 
     def test_long_chain_within_recursion_limit(self):
         m = 3000
         assert m > sys.getrecursionlimit()
-        path = {(c, c + 1): Arc(1, 0b11 << c) for c in range(m - 1)}
-        order = scc_decompose(KwiseDigraph(m, 2, path))
+        path = {(c, c + 1): (1, 0b11 << c) for c in range(m - 1)}
+        order = scc_decompose(digraph_of(m, 2, path))
         assert order.components == tuple(1 << c for c in range(m))
         assert order.order_unique
-        cycle = {**path, (m - 1, 0): Arc(1, 1 | 1 << (m - 1))}
-        order = scc_decompose(KwiseDigraph(m, 2, cycle))
+        cycle = {**path, (m - 1, 0): (1, 1 | 1 << (m - 1))}
+        order = scc_decompose(digraph_of(m, 2, cycle))
         assert order.components == (full_mask(m),)
 
     def test_components_are_mutual_reachability_classes(self):
@@ -525,17 +530,17 @@ class TestSccDecompose:
             adjacent = rng.random((m, m)) < rng.uniform(0.05, 0.4)
             np.fill_diagonal(adjacent, False)
             arcs = {
-                (int(c), int(d)): Arc(1, 1 << int(c) | 1 << int(d))
+                (int(c), int(d)): (1, 1 << int(c) | 1 << int(d))
                 for c, d in zip(*np.nonzero(adjacent))
             }
             reach = adjacent | np.eye(m, dtype=bool)
             for via in range(m):  # Warshall's transitive closure
                 reach |= reach[:, via : via + 1] & reach[via]
-            order = scc_decompose(KwiseDigraph(m, 2, arcs))
+            order = scc_decompose(digraph_of(m, 2, arcs))
             classes = {mask_of(np.flatnonzero(reach[c] & reach[:, c]).tolist())
                        for c in range(m)}
             assert set(order.components) == classes
-            assert order == tarjan_order(KwiseDigraph(m, 2, arcs))
+            assert order == tarjan_order(digraph_of(m, 2, arcs))
             position = component_index(order)
             assert all(position[c] <= position[d] for c, d in arcs)
 
@@ -552,8 +557,8 @@ class TestSccDecompose:
             back = rng.random((m, m)) < rng.uniform(0.0, 0.1)
             adjacent = adjacent & forward | back & ~forward
             np.fill_diagonal(adjacent, False)
-            graph = KwiseDigraph(m, 2, {
-                (int(c), int(d)): Arc(1, 1 << int(c) | 1 << int(d))
+            graph = digraph_of(m, 2, {
+                (int(c), int(d)): (1, 1 << int(c) | 1 << int(d))
                 for c, d in zip(*np.nonzero(adjacent))
             })
             assert scc_decompose(graph) == tarjan_order(graph)
@@ -561,8 +566,8 @@ class TestSccDecompose:
         for m in (63, 64, 65, 130):
             adjacent = rng.random((m, m)) < 0.05
             np.fill_diagonal(adjacent, False)
-            graph = KwiseDigraph(m, 2, {
-                (int(c), int(d)): Arc(1, 1 << int(c) | 1 << int(d))
+            graph = digraph_of(m, 2, {
+                (int(c), int(d)): (1, 1 << int(c) | 1 << int(d))
                 for c, d in zip(*np.nonzero(adjacent))
             })
             assert scc_decompose(graph) == tarjan_order(graph)
@@ -587,7 +592,7 @@ class TestRefine:
     def test_six_profile_refinement(self, six_profile):
         graph = kwise_digraph(six_profile, 3)
         refined = refine_digraph(graph, six_profile)
-        removed = set(graph.arcs) - set(refined.arcs)
+        removed = set(arc_view(graph)) - set(arc_view(refined))
         assert removed == {(2, 3), (5, 4)}
         order = scc_decompose(refined)
         assert [mask_members(c) for c in order.components] == [
@@ -600,7 +605,7 @@ class TestRefine:
     def test_acyclic_graph_unchanged(self):
         profile = Profile(4, [(Ranking([0, 1, 2, 3]), 5)])
         graph = kwise_digraph(profile, 3)
-        assert refine_digraph(graph, profile).arcs == graph.arcs
+        assert arc_view(refine_digraph(graph, profile)) == arc_view(graph)
 
     def test_refined_solve_keeps_optimum(self):
         rng = np.random.default_rng(60)
@@ -628,7 +633,8 @@ class TestRefineOracle:
             for a in payload["arcs"]
         ]
         assert arcs == [
-            (c, d, arc.weight, arc.witness) for (c, d), arc in expected.arc_items()
+            (c, d, weight, witness)
+            for (c, d), (weight, witness) in arc_view(expected).items()
         ]
         components = [mask_of(c - 1 for c in ids) for ids in payload["components"]]
         assert tuple(components) == order.components
@@ -664,21 +670,21 @@ class TestRefineOracle:
         profile = Profile.from_rankings(
             3, [Ranking(order) for order in ([0, 1, 2], [2, 1, 0], [0, 1, 2], [1, 2, 0])]
         )
-        graph = KwiseDigraph(3, 2, {
-            (c, d): Arc(1, 1 << c | 1 << d)
+        graph = digraph_of(3, 2, {
+            (c, d): (1, 1 << c | 1 << d)
             for c, d in itertools.permutations(range(3), 2)
         })
         refined = refine_digraph(graph, profile)
-        assert set(refined.arcs) == {(1, 2)}
+        assert set(arc_view(refined)) == {(1, 2)}
         expected, order = refine_oracle(graph, profile)
-        assert dict(refined.arcs.items()) == dict(expected.arcs.items())
+        assert arc_view(refined) == arc_view(expected)
         assert refined.order == order == scc_decompose(refined)
 
     def test_inconsistent_digraph_raises_on_both_routes(self):
         # c1 tops every ballot, yet the hand-built arcs put it after {c2, c3}
         profile = Profile(3, [(Ranking([0, 1, 2]), 2), (Ranking([0, 2, 1]), 1)])
-        graph = KwiseDigraph(3, 3, {
-            (1, 2): Arc(1, 0b110), (2, 1): Arc(1, 0b110), (1, 0): Arc(1, 0b011),
+        graph = digraph_of(3, 3, {
+            (1, 2): (1, 0b110), (2, 1): (1, 0b110), (1, 0): (1, 0b011),
         })
         with pytest.raises(InternalCheckError, match="overlap"):
             refine_digraph(graph, profile)
@@ -695,10 +701,10 @@ class TestRefineOracle:
             adjacent = rng.random((m, m)) < rng.uniform(0.2, 0.8)
             np.fill_diagonal(adjacent, False)
             arcs = {
-                (c, d): Arc(int(rng.integers(1, 9)), 1 << c | 1 << d)
+                (c, d): (int(rng.integers(1, 9)), 1 << c | 1 << d)
                 for c, d in zip(*(axis.tolist() for axis in np.nonzero(adjacent)))
             }
-            graph = KwiseDigraph(m, k, arcs)
+            graph = digraph_of(m, k, arcs)
             try:
                 expected, order = refine_oracle(graph, profile)
             except InternalCheckError:
@@ -707,7 +713,7 @@ class TestRefineOracle:
                 raised += 1
                 continue
             refined = refine_digraph(graph, profile, scc_decompose(graph))
-            assert dict(refined.arcs.items()) == dict(expected.arcs.items())
+            assert arc_view(refined) == arc_view(expected)
             assert refined.order == order
             kept += 1
         assert raised > 0 and kept > 0
@@ -862,10 +868,10 @@ class TestOneCandidate:
             assert profile_distance(only, profile, k) == 0
         for k in (2, 3):
             graph = kwise_digraph(profile, k)
-            assert dict(graph.arcs) == {}
+            assert arc_view(graph) == {}
             assert scc_decompose(graph).components == (1,)
             refined, order = preprocess(profile, k, refine=True)
-            assert dict(refined.arcs) == {} and order.components == (1,)
+            assert arc_view(refined) == {} and order.components == (1,)
 
 
 class TestDotExport:
