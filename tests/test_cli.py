@@ -205,16 +205,19 @@ class TestSolve:
         assert err == "internal check failed: maximum recursion depth exceeded\n"
 
 
-# One candidate, and a profile whose two voters disagree on every pair, so
-# optima tie and `count`/`truncated` differ between modes and flags.
+# One candidate, and profiles whose two voters disagree on every pair, so
+# optima tie and `count`/`truncated` differ between modes and flags; at
+# m = 8 a counted walk reads back many tying orders.
 GOLDEN_TEXTS = {
     "six": SIX_TEXT,
     "tension": TENSION_TEXT,
     "single": "1 3\n3: 1\n",
     "reversal": "4 2\n1: 1,2,3,4\n1: 4,3,2,1\n",
+    "reversal8": "8 2\n1: 1,2,3,4,5,6,7,8\n1: 8,7,6,5,4,3,2,1\n",
 }
 
-# `solve` stdout for every mode and enumeration flag, `stats.millis` removed.
+# `solve` stdout for every mode and enumeration flag (at m = 8, `dp` and
+# `pre` with a limit), `stats.millis` removed.
 GOLDEN_SOLVE = [
     ('six', 3, 'brute', '',
      '{"optimum": 63, "rankings": [[1, 2, 4, 3, 5, 6]], "count": 1, "truncated": false, "stats": {"states": 720}}'),
@@ -336,6 +339,14 @@ GOLDEN_SOLVE = [
      '{"optimum": 10, "rankings": [[1, 4, 2, 3]], "count": 1, "truncated": false, "stats": {"states": 8}}'),
     ('reversal', 3, 'pre-refined', '--all',
      '{"optimum": 10, "rankings": [[1, 4, 2, 3]], "count": 1, "truncated": false, "stats": {"states": 8}}'),
+    ('reversal8', 2, 'dp', '--all --limit 25',
+     '{"optimum": 28, "rankings": [[1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 4, 5, 6, 8, 7], [1, 2, 3, 4, 5, 7, 6, 8], [1, 2, 3, 4, 5, 7, 8, 6], [1, 2, 3, 4, 5, 8, 6, 7], [1, 2, 3, 4, 5, 8, 7, 6], [1, 2, 3, 4, 6, 5, 7, 8], [1, 2, 3, 4, 6, 5, 8, 7], [1, 2, 3, 4, 6, 7, 5, 8], [1, 2, 3, 4, 6, 7, 8, 5], [1, 2, 3, 4, 6, 8, 5, 7], [1, 2, 3, 4, 6, 8, 7, 5], [1, 2, 3, 4, 7, 5, 6, 8], [1, 2, 3, 4, 7, 5, 8, 6], [1, 2, 3, 4, 7, 6, 5, 8], [1, 2, 3, 4, 7, 6, 8, 5], [1, 2, 3, 4, 7, 8, 5, 6], [1, 2, 3, 4, 7, 8, 6, 5], [1, 2, 3, 4, 8, 5, 6, 7], [1, 2, 3, 4, 8, 5, 7, 6], [1, 2, 3, 4, 8, 6, 5, 7], [1, 2, 3, 4, 8, 6, 7, 5], [1, 2, 3, 4, 8, 7, 5, 6], [1, 2, 3, 4, 8, 7, 6, 5], [1, 2, 3, 5, 4, 6, 7, 8]], "count": 40320, "truncated": true, "stats": {"states": 256}}'),
+    ('reversal8', 2, 'pre', '--all --limit 25',
+     '{"optimum": 28, "rankings": [[1, 2, 3, 4, 5, 6, 7, 8]], "count": 1, "truncated": false, "stats": {"states": 16}}'),
+    ('reversal8', 3, 'dp', '--all --limit 25',
+     '{"optimum": 84, "rankings": [[1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 4, 5, 6, 8, 7], [1, 2, 3, 4, 5, 8, 6, 7], [1, 2, 3, 4, 5, 8, 7, 6], [1, 2, 3, 4, 8, 5, 6, 7], [1, 2, 3, 4, 8, 5, 7, 6], [1, 2, 3, 4, 8, 7, 5, 6], [1, 2, 3, 4, 8, 7, 6, 5], [1, 2, 3, 8, 4, 5, 6, 7], [1, 2, 3, 8, 4, 5, 7, 6], [1, 2, 3, 8, 4, 7, 5, 6], [1, 2, 3, 8, 4, 7, 6, 5], [1, 2, 3, 8, 7, 4, 5, 6], [1, 2, 3, 8, 7, 4, 6, 5], [1, 2, 3, 8, 7, 6, 4, 5], [1, 2, 3, 8, 7, 6, 5, 4], [1, 2, 8, 3, 4, 5, 6, 7], [1, 2, 8, 3, 4, 5, 7, 6], [1, 2, 8, 3, 4, 7, 5, 6], [1, 2, 8, 3, 4, 7, 6, 5], [1, 2, 8, 3, 7, 4, 5, 6], [1, 2, 8, 3, 7, 4, 6, 5], [1, 2, 8, 3, 7, 6, 4, 5], [1, 2, 8, 3, 7, 6, 5, 4], [1, 2, 8, 7, 3, 4, 5, 6]], "count": 128, "truncated": true, "stats": {"states": 256}}'),
+    ('reversal8', 3, 'pre', '--all --limit 25',
+     '{"optimum": 84, "rankings": [[1, 8, 2, 3, 4, 5, 6, 7], [1, 8, 2, 3, 4, 5, 7, 6], [1, 8, 2, 3, 4, 7, 5, 6], [1, 8, 2, 3, 4, 7, 6, 5], [1, 8, 2, 3, 7, 4, 5, 6], [1, 8, 2, 3, 7, 4, 6, 5], [1, 8, 2, 3, 7, 6, 4, 5], [1, 8, 2, 3, 7, 6, 5, 4], [1, 8, 2, 7, 3, 4, 5, 6], [1, 8, 2, 7, 3, 4, 6, 5], [1, 8, 2, 7, 3, 6, 4, 5], [1, 8, 2, 7, 3, 6, 5, 4], [1, 8, 2, 7, 6, 3, 4, 5], [1, 8, 2, 7, 6, 3, 5, 4], [1, 8, 2, 7, 6, 5, 3, 4], [1, 8, 2, 7, 6, 5, 4, 3], [1, 8, 7, 2, 3, 4, 5, 6], [1, 8, 7, 2, 3, 4, 6, 5], [1, 8, 7, 2, 3, 6, 4, 5], [1, 8, 7, 2, 3, 6, 5, 4], [1, 8, 7, 2, 6, 3, 4, 5], [1, 8, 7, 2, 6, 3, 5, 4], [1, 8, 7, 2, 6, 5, 3, 4], [1, 8, 7, 2, 6, 5, 4, 3], [1, 8, 7, 6, 2, 3, 4, 5]], "count": 32, "truncated": true, "stats": {"states": 68}}'),
 ]
 
 
