@@ -47,6 +47,8 @@ class ExperimentConfig:
             raise ValueError("m, k and phi lists must be non-empty")
         if self.n < 1 or self.instances < 1:
             raise ValueError("n and instances must be positive")
+        if self.timeout_s is not None and not self.timeout_s >= 0:
+            raise ValueError(f"timeout must be at least 0 seconds, not {self.timeout_s}")
         for mode in self.modes:
             if mode not in MODES:
                 raise ValueError(

@@ -417,10 +417,9 @@ def refine_digraph(
             break
         keep[inside[dropped]] = False
         inside = inside[~dropped]
-        order = _components(m, graph.arcs[keep])
-    return KwiseDigraph(
-        m, k, graph.arcs[keep], graph.weights[keep], graph.witnesses[keep], order
-    )
+        order = _components(m, graph.arcs.compress(keep, axis=0))
+    parts = (graph.arcs, graph.weights, graph.witnesses)
+    return KwiseDigraph(m, k, *(part.compress(keep, axis=0) for part in parts), order)
 
 
 def _constrained_max(

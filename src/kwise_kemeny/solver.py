@@ -21,10 +21,10 @@ The min runs one popcount layer at a time over states in colex order,
 where the states of layer L with top member t are the first C(t, L - 1)
 states of layer L - 1 plus t: each layer's plan (predecessor ranks, cost
 indices) is block copies of the previous one plus one offset per block
-(:func:`_layers`).  A plain walk keeps values only; a counted walk also
-stores the argmin sets and takes the optimum count.  Cost tables and DP
-values are int32 when n * sum_{i=2..k} C(m, i), which bounds every entry
-and partial sum, is below 2^31, else int64.
+(:func:`_layers`).  The walk keeps values only (a counted walk also takes
+the optimum count); readback derives argmin sets (:meth:`DpTable.choices`).
+Cost tables and DP values are int32 when n * sum_{i=2..k} C(m, i), which
+bounds every entry and partial sum, is below 2^31, else int64.
 
 `build_dp_table` also accepts a *context* mask of candidates known to be
 ranked below every candidate of S; placement costs are then charged against
@@ -100,14 +100,13 @@ class DpTable:
     ``values[S]`` is the optimal restricted cost for the local submask ``S``
     (bit j of ``S`` stands for ``candidates[j]``), built from the cost rows
     ``cost`` (see :func:`_other_bits`).  ``count`` is the number of optimal
-    orders and ``argmin`` the sets :meth:`choices` reads, if counted.
+    orders, if counted.
     """
 
     candidates: tuple[int, ...]
     context: Mask
     cost: np.ndarray
     values: np.ndarray
-    argmin: np.ndarray | None = None
     count: int | None = None
 
     @property
@@ -115,11 +114,9 @@ class DpTable:
         return int(self.values[-1])
 
     def choices(self, state: int) -> int:
-        """The bitmask of the members of ``state`` that can be placed first
-        at no extra cost: stored by a counted walk, else the members j with
-        ``values[S - j] + cost[j, S - j] == values[S]``, in Python ints."""
-        if self.argmin is not None:
-            return int(self.argmin[state])
+        """The bitmask of the members j of ``state`` with
+        ``values[S - j] + cost[j, S - j] == values[S]``: those that can be
+        placed first at no extra cost, in Python ints."""
         best, chosen = int(self.values[state]), 0
         for j in mask_members(state):
             rest = state ^ 1 << j  # packed: the bits above j move down one
@@ -406,20 +403,19 @@ _INT64_COUNTS = 1 << 63
 
 def _layered_min(
     cost: np.ndarray, nloc: int, count_optima: bool = False
-) -> tuple[np.ndarray, np.ndarray | None, int | None]:
+) -> tuple[np.ndarray, int | None]:
     """Values of the subset DP, one popcount layer at a time, and with
-    ``count_optima`` its argmin sets and optimum count.
+    ``count_optima`` its optimum count.
 
     A layer's values are computed in colex order from the previous layer's
     (a small array that stays in cache), then scattered once into the
     binary-indexed table.  Values take the cost table's dtype, gathered by
     ``take`` on generated plans, by fancy indexing on cached ones.  A state's
-    argmin set ORs its tying slots' bits ``1 << flat % nloc``, its count
-    their predecessors' counts; a layer-L count is at most L!, so counts
-    are int32 while L! < 2^31, int64 while L! < 2^63, else Python ints.
+    count sums its tying slots' predecessor counts; a layer-L count is at
+    most L!, so counts are int32 while L! < 2^31, int64 while L! < 2^63,
+    else Python ints.
     """
     values = np.zeros(1 << nloc, dtype=cost.dtype)
-    argmin = np.zeros(1 << nloc, dtype=np.uint32) if count_optima else None
     flat_cost = cost.T.reshape(-1)
     # `take` reads int32 plans with no intp copy, but copies read-only ones
     gather = np.take if nloc > _SMALL_PLAN else operator.getitem
@@ -443,11 +439,9 @@ def _layered_min(
             if count_optima:
                 ties = totals == best  # the member slots in the argmin set
                 del totals  # dead here; the count's gather takes its place
-                bits = ties << flat[:, part] % nloc
-                argmin[states[part]] = np.bitwise_or.reduce(bits, axis=0)
                 counts[part] = (gather(done_counts, previous[:, part]) * ties).sum(axis=0)
         values[states] = current
-    return values, argmin, int(counts[0]) if count_optima else None
+    return values, int(counts[0]) if count_optima else None
 
 
 def _check_solvable(m: int, n: int, k: int, nloc: int) -> None:

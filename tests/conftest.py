@@ -54,7 +54,7 @@ def mask_of(candidates) -> int:
 
 def argmin_sets(table) -> list[int]:
     """A DP table's first-member sets, state by state, read through
-    ``DpTable.choices`` (stored by a counted walk, else derived)."""
+    ``DpTable.choices`` (derived from the values and cost rows)."""
     return [table.choices(state) for state in range(len(table.values))]
 
 

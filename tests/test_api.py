@@ -82,6 +82,7 @@ DELETED = [
     ("solver", "_perm_cache"),
     ("majority", "Arc"),
     ("majority", "KwiseDigraph.arc_items"),
+    ("solver", "DpTable.argmin"),
 ]
 
 # (module, name) pairs kept in their module but no longer exported

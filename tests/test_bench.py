@@ -59,6 +59,15 @@ class TestConfig:
             with pytest.raises(ValueError, match="unknown solver mode"):
                 ExperimentConfig(ms=(4,), ks=(2,), phis=(0.5,), modes=(mode,))
 
+    def test_rejects_meaningless_timeout(self):
+        # -1 would time out every instance and NaN none
+        for timeout in (-1.0, -1e-9, float("-inf"), float("nan")):
+            with pytest.raises(ValueError, match="timeout must be at least 0"):
+                ExperimentConfig(ms=(4,), ks=(2,), phis=(0.5,), timeout_s=timeout)
+        for timeout in (None, 0.0, 2.5, float("inf")):
+            config = ExperimentConfig(ms=(4,), ks=(2,), phis=(0.5,), timeout_s=timeout)
+            assert config.timeout_s == timeout
+
 
 class TestInstanceSeeds:
     def test_stable_and_distinct(self):

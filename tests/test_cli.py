@@ -571,6 +571,15 @@ class TestBench:
             assert (code, out) == (2, "")
             assert err.startswith(f"error: unknown solver mode '{mode}'")
 
+    @pytest.mark.parametrize("timeout", ["-1", "nan"])
+    def test_meaningless_timeout_is_input_error(self, capsys, timeout):
+        code, out, err = run(
+            capsys, "bench", "--m-list", "4", "--k-list", "2", "--phi-list",
+            "0.9", "--n", "4", "--instances", "2", "--timeout", timeout,
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: timeout must be at least 0 seconds")
+
 
 class TestParser:
     def test_unknown_command(self, capsys):

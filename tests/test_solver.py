@@ -361,22 +361,25 @@ class TestDpTableInvariants:
 class TestTableMemory:
     def test_build_peak_at_m16(self):
         # cost table, two layers of two-row plans and the values, plus 1 MiB
-        # of slice temporaries: no argmin table and no member-bit plan row
+        # of slice temporaries: no argmin table and no member-bit plan row;
+        # a counted walk adds two int64 layer-count rows
         m = 16
         profile = mallows_sample(MallowsParams(Ranking.identity(m), 1.0, 50, 1))
         widest = max(level * math.comb(m, level) for level in range(1, m + 1))
         entries = (m << (m - 1)) + 2 * 2 * widest + (1 << m)
         for k in (2, 3, m):
             build_dp_table(profile, k)  # caches filled outside the measure
-            tracemalloc.start()
-            try:
-                base = tracemalloc.get_traced_memory()[0]
-                table = build_dp_table(profile, k)
-                peak = tracemalloc.get_traced_memory()[1] - base
-            finally:
-                tracemalloc.stop()
-            assert table.values.dtype == np.int32
-            assert peak <= 4 * entries + (1 << 20)
+            for counted in (False, True):
+                tracemalloc.start()
+                try:
+                    base = tracemalloc.get_traced_memory()[0]
+                    table = build_dp_table(profile, k, count_optima=counted)
+                    peak = tracemalloc.get_traced_memory()[1] - base
+                finally:
+                    tracemalloc.stop()
+                assert table.values.dtype == np.int32
+                counts = 2 * 8 * math.comb(m, m // 2) if counted else 0
+                assert peak <= 4 * entries + counts + (1 << 20)
 
 
 class TestColexWalk:
@@ -439,8 +442,9 @@ class TestCountInWalk:
         profile = Profile(m, [(Ranking(order), 2), (Ranking(order[::-1]), 2)])
         for k in (2, 3, m):
             counted = build_dp_table(profile, k, count_optima=True)
-            argmin = argmin_sets(counted)
-            assert argmin == counted.argmin.tolist()
+            values, argmin = table_held_karp(counted.cost)
+            assert counted.values.tolist() == values
+            assert argmin_sets(counted) == argmin
             expected = count_orders(argmin)
             if k == 2:  # every pair is split evenly: all m! orders are optimal
                 assert expected == math.factorial(m)
@@ -448,7 +452,7 @@ class TestCountInWalk:
             assert count_table_optima(counted) == expected
             assert enumerate_consensus(profile, k, 1).count == expected
             plain = build_dp_table(profile, k)
-            assert plain.count is None and plain.argmin is None
+            assert plain.count is None
             assert np.array_equal(plain.values, counted.values)
             assert argmin_sets(plain) == argmin
             assert count_table_optima(plain) == expected
@@ -472,8 +476,9 @@ class TestCountOptima:
         nloc = cost.shape[0]
         values, argmin = table_held_karp(cost)
         expected = count_orders(argmin)
-        walked, stored, count = _layered_min(cost, nloc, True)
-        assert walked.tolist() == values and stored.tolist() == argmin
+        walked, count = _layered_min(cost, nloc, True)
+        counted = DpTable(tuple(range(nloc)), 0, cost, walked, count)
+        assert walked.tolist() == values and argmin_sets(counted) == argmin
         assert count == expected
         plain = DpTable(tuple(range(nloc)), 0, cost, *_layered_min(cost, nloc))
         assert count_table_optima(plain) == expected
@@ -504,15 +509,15 @@ class TestCountOptima:
 
 class TestChoices:
     """``DpTable.choices`` against the Held-Karp oracle on every state, on
-    tie-heavy profiles: plain (derived) and counted (stored) tables, with
-    and without a context, in int32 and in int64."""
+    tie-heavy profiles: plain and counted tables, with and without a
+    context, in int32 and in int64."""
 
     @staticmethod
     def check(profile, k, subset, context):
         values, argmin = held_karp(profile, k, subset, context)
         for counted in (False, True):
             table = build_dp_table(profile, k, subset, context, counted)
-            assert (table.argmin is None) == (not counted)
+            assert (table.count is None) == (not counted)
             assert table.values.tolist() == values
             assert argmin_sets(table) == argmin
         return table.values.dtype
@@ -708,14 +713,13 @@ class TestCostRows:
                 moment = _moment_costs(counts, k, local, context, np.int64)
                 transformed = _subset_sum_costs(counts, k, local, context, np.int32)
                 assert np.array_equal(moment, transformed)
-                values, argmin, count = _layered_min(moment, len(local), True)
+                values, count = _layered_min(moment, len(local), True)
                 table = build_dp_table(profile, k, subset, context)
                 assert np.array_equal(values, table.values)
-                assert argmin.tolist() == argmin_sets(table)
+                assert table_held_karp(moment)[1] == argmin_sets(table)
                 assert count == count_table_optima(table)
-                other, no_argmin, uncounted = _layered_min(transformed, len(local))
+                other, uncounted = _layered_min(transformed, len(local))
                 assert np.array_equal(other, table.values)
-                assert no_argmin is None and table.argmin is None
                 assert uncounted is None and table.count is None
 
     def test_expanded_low_bits_match_dense_route(self, monkeypatch):
