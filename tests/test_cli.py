@@ -207,17 +207,25 @@ class TestSolve:
 
 # One candidate, and profiles whose two voters disagree on every pair, so
 # optima tie and `count`/`truncated` differ between modes and flags; at
-# m = 8 a counted walk reads back many tying orders.
+# m = 8 and 13 a counted walk reads back many tying orders.  At m = 13 and
+# 16 the DP tables are larger than the cached 10-bit plans.
 GOLDEN_TEXTS = {
     "six": SIX_TEXT,
     "tension": TENSION_TEXT,
     "single": "1 3\n3: 1\n",
     "reversal": "4 2\n1: 1,2,3,4\n1: 4,3,2,1\n",
     "reversal8": "8 2\n1: 1,2,3,4,5,6,7,8\n1: 8,7,6,5,4,3,2,1\n",
+    "reversal13": "13 2\n1: {}\n1: {}\n".format(
+        ",".join(map(str, range(1, 14))), ",".join(map(str, range(13, 0, -1)))
+    ),
+    "mallows16": serialize_profile(
+        mallows_sample(MallowsParams(Ranking.identity(16), 0.8, 50, 1))
+    ),
 }
 
 # `solve` stdout for every mode and enumeration flag (at m = 8, `dp` and
-# `pre` with a limit), `stats.millis` removed.
+# `pre` with a limit; at m = 13 and 16, `dp` and `pre-refined`),
+# `stats.millis` removed.
 GOLDEN_SOLVE = [
     ('six', 3, 'brute', '',
      '{"optimum": 63, "rankings": [[1, 2, 4, 3, 5, 6]], "count": 1, "truncated": false, "stats": {"states": 720}}'),
@@ -347,6 +355,20 @@ GOLDEN_SOLVE = [
      '{"optimum": 84, "rankings": [[1, 2, 3, 4, 5, 6, 7, 8], [1, 2, 3, 4, 5, 6, 8, 7], [1, 2, 3, 4, 5, 8, 6, 7], [1, 2, 3, 4, 5, 8, 7, 6], [1, 2, 3, 4, 8, 5, 6, 7], [1, 2, 3, 4, 8, 5, 7, 6], [1, 2, 3, 4, 8, 7, 5, 6], [1, 2, 3, 4, 8, 7, 6, 5], [1, 2, 3, 8, 4, 5, 6, 7], [1, 2, 3, 8, 4, 5, 7, 6], [1, 2, 3, 8, 4, 7, 5, 6], [1, 2, 3, 8, 4, 7, 6, 5], [1, 2, 3, 8, 7, 4, 5, 6], [1, 2, 3, 8, 7, 4, 6, 5], [1, 2, 3, 8, 7, 6, 4, 5], [1, 2, 3, 8, 7, 6, 5, 4], [1, 2, 8, 3, 4, 5, 6, 7], [1, 2, 8, 3, 4, 5, 7, 6], [1, 2, 8, 3, 4, 7, 5, 6], [1, 2, 8, 3, 4, 7, 6, 5], [1, 2, 8, 3, 7, 4, 5, 6], [1, 2, 8, 3, 7, 4, 6, 5], [1, 2, 8, 3, 7, 6, 4, 5], [1, 2, 8, 3, 7, 6, 5, 4], [1, 2, 8, 7, 3, 4, 5, 6]], "count": 128, "truncated": true, "stats": {"states": 256}}'),
     ('reversal8', 3, 'pre', '--all --limit 25',
      '{"optimum": 84, "rankings": [[1, 8, 2, 3, 4, 5, 6, 7], [1, 8, 2, 3, 4, 5, 7, 6], [1, 8, 2, 3, 4, 7, 5, 6], [1, 8, 2, 3, 4, 7, 6, 5], [1, 8, 2, 3, 7, 4, 5, 6], [1, 8, 2, 3, 7, 4, 6, 5], [1, 8, 2, 3, 7, 6, 4, 5], [1, 8, 2, 3, 7, 6, 5, 4], [1, 8, 2, 7, 3, 4, 5, 6], [1, 8, 2, 7, 3, 4, 6, 5], [1, 8, 2, 7, 3, 6, 4, 5], [1, 8, 2, 7, 3, 6, 5, 4], [1, 8, 2, 7, 6, 3, 4, 5], [1, 8, 2, 7, 6, 3, 5, 4], [1, 8, 2, 7, 6, 5, 3, 4], [1, 8, 2, 7, 6, 5, 4, 3], [1, 8, 7, 2, 3, 4, 5, 6], [1, 8, 7, 2, 3, 4, 6, 5], [1, 8, 7, 2, 3, 6, 4, 5], [1, 8, 7, 2, 3, 6, 5, 4], [1, 8, 7, 2, 6, 3, 4, 5], [1, 8, 7, 2, 6, 3, 5, 4], [1, 8, 7, 2, 6, 5, 3, 4], [1, 8, 7, 2, 6, 5, 4, 3], [1, 8, 7, 6, 2, 3, 4, 5]], "count": 32, "truncated": true, "stats": {"states": 68}}'),
+    ('reversal13', 2, 'dp', '--all --limit 25',
+     '{"optimum": 78, "rankings": [[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 12], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 11, 13], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 12, 13, 11], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 11, 12], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 12, 11], [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 10, 12, 13], [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 10, 13, 12], [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 10, 13], [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 12, 13, 10], [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 10, 12], [1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 12, 10], [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 10, 11, 13], [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 10, 13, 11], [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 11, 10, 13], [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 11, 13, 10], [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 10, 11], [1, 2, 3, 4, 5, 6, 7, 8, 9, 12, 13, 11, 10], [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 10, 11, 12], [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 10, 12, 11], [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 11, 10, 12], [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 11, 12, 10], [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 12, 10, 11], [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 12, 11, 10], [1, 2, 3, 4, 5, 6, 7, 8, 10, 9, 11, 12, 13]], "count": 6227020800, "truncated": true, "stats": {"states": 8192}}'),
+    ('reversal13', 3, 'dp', '--all --limit 25',
+     '{"optimum": 364, "rankings": [[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 12], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 11, 12], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 12, 11], [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 10, 11, 12], [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 10, 12, 11], [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 12, 10, 11], [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 12, 11, 10], [1, 2, 3, 4, 5, 6, 7, 8, 13, 9, 10, 11, 12], [1, 2, 3, 4, 5, 6, 7, 8, 13, 9, 10, 12, 11], [1, 2, 3, 4, 5, 6, 7, 8, 13, 9, 12, 10, 11], [1, 2, 3, 4, 5, 6, 7, 8, 13, 9, 12, 11, 10], [1, 2, 3, 4, 5, 6, 7, 8, 13, 12, 9, 10, 11], [1, 2, 3, 4, 5, 6, 7, 8, 13, 12, 9, 11, 10], [1, 2, 3, 4, 5, 6, 7, 8, 13, 12, 11, 9, 10], [1, 2, 3, 4, 5, 6, 7, 8, 13, 12, 11, 10, 9], [1, 2, 3, 4, 5, 6, 7, 13, 8, 9, 10, 11, 12], [1, 2, 3, 4, 5, 6, 7, 13, 8, 9, 10, 12, 11], [1, 2, 3, 4, 5, 6, 7, 13, 8, 9, 12, 10, 11], [1, 2, 3, 4, 5, 6, 7, 13, 8, 9, 12, 11, 10], [1, 2, 3, 4, 5, 6, 7, 13, 8, 12, 9, 10, 11], [1, 2, 3, 4, 5, 6, 7, 13, 8, 12, 9, 11, 10], [1, 2, 3, 4, 5, 6, 7, 13, 8, 12, 11, 9, 10], [1, 2, 3, 4, 5, 6, 7, 13, 8, 12, 11, 10, 9], [1, 2, 3, 4, 5, 6, 7, 13, 12, 8, 9, 10, 11]], "count": 4096, "truncated": true, "stats": {"states": 8192}}'),
+    ('reversal13', 13, 'dp', '--all --limit 25',
+     '{"optimum": 8178, "rankings": [[1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 13, 12], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 11, 12], [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 13, 12, 11], [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 10, 11, 12], [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 10, 12, 11], [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 12, 10, 11], [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 12, 11, 10], [1, 2, 3, 4, 5, 6, 7, 8, 13, 9, 10, 11, 12], [1, 2, 3, 4, 5, 6, 7, 8, 13, 9, 10, 12, 11], [1, 2, 3, 4, 5, 6, 7, 8, 13, 9, 12, 10, 11], [1, 2, 3, 4, 5, 6, 7, 8, 13, 9, 12, 11, 10], [1, 2, 3, 4, 5, 6, 7, 8, 13, 12, 9, 10, 11], [1, 2, 3, 4, 5, 6, 7, 8, 13, 12, 9, 11, 10], [1, 2, 3, 4, 5, 6, 7, 8, 13, 12, 11, 9, 10], [1, 2, 3, 4, 5, 6, 7, 8, 13, 12, 11, 10, 9], [1, 2, 3, 4, 5, 6, 7, 13, 8, 9, 10, 11, 12], [1, 2, 3, 4, 5, 6, 7, 13, 8, 9, 10, 12, 11], [1, 2, 3, 4, 5, 6, 7, 13, 8, 9, 12, 10, 11], [1, 2, 3, 4, 5, 6, 7, 13, 8, 9, 12, 11, 10], [1, 2, 3, 4, 5, 6, 7, 13, 8, 12, 9, 10, 11], [1, 2, 3, 4, 5, 6, 7, 13, 8, 12, 9, 11, 10], [1, 2, 3, 4, 5, 6, 7, 13, 8, 12, 11, 9, 10], [1, 2, 3, 4, 5, 6, 7, 13, 8, 12, 11, 10, 9], [1, 2, 3, 4, 5, 6, 7, 13, 12, 8, 9, 10, 11]], "count": 4096, "truncated": true, "stats": {"states": 8192}}'),
+    ('mallows16', 2, 'dp', '',
+     '{"optimum": 1769, "rankings": [[1, 2, 3, 4, 5, 7, 6, 9, 8, 11, 14, 10, 12, 15, 13, 16]], "count": 1, "truncated": false, "stats": {"states": 65536}}'),
+    ('mallows16', 3, 'dp', '',
+     '{"optimum": 13517, "rankings": [[1, 2, 4, 3, 5, 7, 6, 8, 9, 11, 14, 10, 12, 15, 13, 16]], "count": 1, "truncated": false, "stats": {"states": 65536}}'),
+    ('mallows16', 2, 'pre-refined', '',
+     '{"optimum": 1769, "rankings": [[1, 2, 3, 4, 5, 7, 6, 9, 8, 11, 14, 10, 12, 15, 13, 16]], "count": 1, "truncated": false, "stats": {"states": 32}}'),
+    ('mallows16', 3, 'pre-refined', '',
+     '{"optimum": 13517, "rankings": [[1, 2, 4, 3, 5, 7, 6, 8, 9, 11, 14, 10, 12, 15, 13, 16]], "count": 1, "truncated": false, "stats": {"states": 34}}'),
 ]
 
 
