@@ -17,11 +17,10 @@ Yates' subset-sum (zeta) transforms of a histogram of the voters' rankings
 give every row in O(m^2 2^(m-1)) additions, whatever n is (on large tables,
 the lowest bits of the superset-sum by expanding each group's entries).
 
-The min runs one popcount layer at a time over states in colex order,
-where the states of layer L with top member t are the first C(t, L - 1)
-states of layer L - 1 plus t: each layer's plan (predecessor ranks, cost
-indices) is block copies of the previous one plus one offset per block
-(:func:`_layers`).  The walk keeps values only (a counted walk also takes
+The min walks blocks of states H | L, L the lowest 10 bits, each part in
+colex order by a cached layer plan (predecessor ranks, cost indices;
+:func:`_layers`): a block (|H|, |L|) takes one row and one column gather of
+its two neighbours.  The walk keeps values only (a counted walk also takes
 the optimum count); readback derives argmin sets (:meth:`DpTable.choices`).
 Cost tables and DP values are int32 when n * sum_{i=2..k} C(m, i), which
 bounds every entry and partial sum, is below 2^31, else int64.
@@ -41,7 +40,6 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-import operator
 import time
 from dataclasses import dataclass
 
@@ -316,9 +314,8 @@ def _subset_sum_costs(
     return total.T
 
 
-# States per slice.  It bounds the DP's per-slice temporaries to a few
-# hundred KB, which stay in cache and reuse heap pages instead of being
-# mapped and faulted afresh on each slice.
+# States per slice of a DP block, in whole rows: the walk's temporaries stay
+# a few hundred KB, in cache and on reused heap pages.
 _LAYER_SLICE = 1 << 12
 
 
@@ -397,6 +394,27 @@ def _plan(nloc: int):
     return _small_layers(nloc) if nloc <= _SMALL_PLAN else _layers(nloc)
 
 
+@functools.lru_cache(maxsize=None)
+def _blocks(nloc: int, low: int) -> tuple:
+    """Per layer of the low and high parts' plans (:func:`_layered_min`):
+    predecessor ranks, own and other terms of cost indices, states in place.
+    Low member l of H | L costs at ``(H << (low - 1)) * nloc`` plus ``packed(L
+    - l) * nloc + l``, high member low + t at ``L * nloc`` plus ``(packed(H -
+    t) << low) * nloc + low + t``."""
+    def part(bits, offset, shift):
+        layers = [(None, *[np.zeros(1, np.intp)] * 3)]  # layer 0: the empty set
+        for states, (previous, flat) in _plan(bits) if bits else ():
+            states, flat = states.astype(np.intp), flat.astype(np.intp)
+            own = (flat // bits << offset) * nloc + offset + flat % bits
+            layers.append((previous.astype(np.intp), own,
+                           (states << shift) * nloc, states << offset))
+        for array in itertools.chain(*(layer[1:] for layer in layers)):
+            array.flags.writeable = False
+        return layers
+
+    return part(low, 0, 0), part(nloc - low, low, low - 1)
+
+
 # Layer counts below this bound are held in fixed-width integers.
 _INT64_COUNTS = 1 << 63
 
@@ -404,44 +422,67 @@ _INT64_COUNTS = 1 << 63
 def _layered_min(
     cost: np.ndarray, nloc: int, count_optima: bool = False
 ) -> tuple[np.ndarray, int | None]:
-    """Values of the subset DP, one popcount layer at a time, and with
+    """Values of the subset DP, one block at a time, and with
     ``count_optima`` its optimum count.
 
-    A layer's values are computed in colex order from the previous layer's
-    (a small array that stays in cache), then scattered once into the
-    binary-indexed table.  Values take the cost table's dtype, gathered by
-    ``take`` on generated plans, by fancy indexing on cached ones.  A state's
-    count sums its tying slots' predecessor counts; a layer-L count is at
-    most L!, so counts are int32 while L! < 2^31, int64 while L! < 2^63,
-    else Python ints.
+    A state is H | L, L its low b = min(nloc, ``_SMALL_PLAN``) bits; block
+    (a, c), the states with |H| = a and |L| = c, is a (C(h, a), C(b, c))
+    array (one row, dropped, at h = 0) scattered once into the table.
+    Placing a low member first gathers columns of block (a, c - 1) by the
+    low plan, a high one rows of block (a - 1, c) by the high plan; cost
+    indices are a broadcast add of two cached terms (:func:`_blocks`).  A
+    state's count sums its tying slots' predecessor counts; a level-L count
+    is at most L!, so counts are int32 while L! < 2^31, int64 while
+    L! < 2^63, else Python ints.
     """
-    values = np.zeros(1 << nloc, dtype=cost.dtype)
+    low, wide = min(nloc, _SMALL_PLAN), nloc > _SMALL_PLAN  # wide: blocks have rows
+    lows, highs = _blocks(nloc, low)
+    values = np.empty(1 << nloc, dtype=cost.dtype)
     flat_cost = cost.T.reshape(-1)
-    # `take` reads int32 plans with no intp copy, but copies read-only ones
-    gather = np.take if nloc > _SMALL_PLAN else operator.getitem
-    widest = math.comb(nloc, nloc // 2)
-    layer_values = np.zeros((2, widest), cost.dtype)
-    counts = np.ones(1, np.int32)  # layer 0: the empty state, one order
-    for level, (states, (previous, flat)) in enumerate(_plan(nloc), 1):
-        done = layer_values[~level & 1]
-        current = layer_values[level & 1, : len(states)]
-        if count_optima:  # a layer-L count is at most L!
-            most = math.factorial(level)
-            kind = (object if most >= _INT64_COUNTS
-                    else np.int32 if most < 1 << 31 else np.int64)
-            done_counts = counts.astype(kind, copy=False)
-            counts = np.empty(len(states), kind)
-        for first in range(0, len(states), _LAYER_SLICE):
-            part = slice(first, first + _LAYER_SLICE)
-            totals = gather(done, previous[:, part])
-            totals += gather(flat_cost, flat[:, part])
-            best = np.minimum.reduce(totals, axis=0, out=current[part])
+    for a, (high_previous, high_own, high_other, high_states) in enumerate(highs):
+        row, row_counts = [], []
+        for c, (low_previous, low_own, low_other, low_states) in enumerate(lows):
+            shape = (len(high_states), len(low_states))[not wide:]
+            block, counts = np.zeros(shape, cost.dtype), None
             if count_optima:
-                ties = totals == best  # the member slots in the argmin set
-                del totals  # dead here; the count's gather takes its place
-                counts[part] = (gather(done_counts, previous[:, part]) * ties).sum(axis=0)
-        values[states] = current
-    return values, int(counts[0]) if count_optima else None
+                most = math.factorial(a + c)
+                kind = (object if most >= _INT64_COUNTS
+                        else np.int32 if most < 1 << 31 else np.int64)
+                counts = np.empty(shape, kind)
+            step = max(1, _LAYER_SLICE // len(low_states))
+            for first in range(0, len(high_states), step):
+                rows = slice(first, first + step) if wide else ...
+                best = block[rows]
+                if c:  # a low member placed first
+                    left = (row[-1][rows].take(low_previous, axis=1) if wide
+                            else row[-1][low_previous])
+                    left += (flat_cost.take(high_other[rows, None, None] + low_own)
+                             if a else flat_cost[low_own])
+                    np.minimum.reduce(left, axis=-2, out=best)
+                if a:  # a high member placed first
+                    up = above[c].take(high_previous[:, rows], axis=0)
+                    up += flat_cost.take(high_own[:, rows, None] + low_other)
+                    if c:
+                        np.minimum(best, np.minimum.reduce(up, axis=0), out=best)
+                    else:
+                        np.minimum.reduce(up, axis=0, out=best)
+                if count_optima:
+                    tally = int(a + c == 0)  # the empty state: one order
+                    if c:
+                        done = row_counts[-1].astype(kind, copy=False)
+                        ways = (done[rows].take(low_previous, axis=1) if wide
+                                else done[low_previous])
+                        tally = np.add.reduce(ways * (left == best[..., None, :]), -2)
+                    if a:
+                        done = above_counts[c].astype(kind, copy=False)
+                        ways = done.take(high_previous[:, rows], axis=0)
+                        tally = tally + np.add.reduce(ways * (up == best), 0)
+                    counts[rows] = tally
+            values[high_states[:, None] | low_states if wide else low_states] = block
+            row.append(block)
+            row_counts.append(counts)
+        above, above_counts = row, row_counts
+    return values, counts.item() if count_optima else None
 
 
 def _check_solvable(m: int, n: int, k: int, nloc: int) -> None:

@@ -360,13 +360,12 @@ class TestDpTableInvariants:
 
 class TestTableMemory:
     def test_build_peak_at_m16(self):
-        # cost table, two layers of two-row plans and the values, plus 1 MiB
-        # of slice temporaries: no argmin table and no member-bit plan row;
-        # a counted walk adds two int64 layer-count rows
+        # cost table and values, plus 1 MiB of slice temporaries: no plan
+        # buffers, no argmin table; a counted walk adds two int64 rows of
+        # the widest layer's counts
         m = 16
         profile = mallows_sample(MallowsParams(Ranking.identity(m), 1.0, 50, 1))
-        widest = max(level * math.comb(m, level) for level in range(1, m + 1))
-        entries = (m << (m - 1)) + 2 * 2 * widest + (1 << m)
+        entries = (m << (m - 1)) + (1 << m)
         for k in (2, 3, m):
             build_dp_table(profile, k)  # caches filled outside the measure
             for counted in (False, True):
@@ -428,6 +427,76 @@ class TestColexWalk:
                 assert table.values.tolist() == values
                 assert argmin_sets(table) == argmin
                 assert count_table_optima(table) == count_orders(argmin)
+
+
+class TestBlockWalk:
+    """Tables wider than the cached 10-bit plans, whose blocks have rows
+    (high bits), against the state loops: tie-heavy pieces with contexts,
+    generated high plans and blocks split into slices."""
+
+    @staticmethod
+    def piece(rng, m, nloc):
+        """A subset of ``nloc`` of the m candidates and a random context."""
+        subset = mask_of(rng.choice(m, nloc, replace=False).tolist())
+        return subset, int(rng.integers(0, 1 << m)) & ~subset
+
+    @staticmethod
+    def check(cost, nloc):
+        """Both walks over a cost table against the state loop."""
+        values, argmin = table_held_karp(cost)
+        expected = count_orders(argmin)
+        for counted in (False, True):
+            walked, count = _layered_min(cost, nloc, counted)
+            table = DpTable(tuple(range(nloc)), 0, cost, walked, count)
+            assert walked.tolist() == values
+            assert argmin_sets(table) == argmin
+            assert count == (expected if counted else None)
+        assert count_table_optima(table) == expected
+
+    @pytest.mark.parametrize("nloc", [11, 12, 13])
+    def test_matches_held_karp(self, nloc):
+        rng = np.random.default_rng(70 + nloc)
+        m = nloc + 2
+        profile = weighted_profile(rng, m, 3)
+        for k in (2, 3, m):
+            subset, context = self.piece(rng, m, nloc)
+            values, argmin = held_karp(profile, k, subset, context)
+            for counted in (False, True):
+                table = build_dp_table(profile, k, subset, context, counted)
+                assert table.values.tolist() == values
+                assert argmin_sets(table) == argmin
+                assert table.count == (count_orders(argmin) if counted else None)
+
+    def test_matches_table_held_karp_at_14(self):
+        rng = np.random.default_rng(74)
+        order = rng.permutation(16)
+        profile = Profile(16, [(Ranking(order), 2), (Ranking(order[::-1]), 3)])
+        for k in (2, 3):
+            subset, context = self.piece(rng, 16, 14)
+            self.check(build_dp_table(profile, k, subset, context).cost, 14)
+
+    @pytest.mark.parametrize("nloc", [7, 9, 12])
+    def test_generated_high_plans(self, monkeypatch, nloc):
+        # production generates high plans only past 2 * _SMALL_PLAN bits
+        monkeypatch.setattr(solver, "_SMALL_PLAN", 3)
+        rng = np.random.default_rng(75 + nloc)
+        for levels in (2, 5):
+            self.check(random_cost_table(rng, nloc, levels), nloc)
+
+    def test_sliced_blocks(self, monkeypatch):
+        # three high bits: blocks of up to three rows, one row per slice
+        # wherever a row holds more than seven states
+        rng = np.random.default_rng(76)
+        profile = weighted_profile(rng, 13, 4)
+        for k in (3, 5):
+            whole = build_dp_table(profile, k, count_optima=True)
+            monkeypatch.setattr(solver, "_LAYER_SLICE", 7)
+            sliced = build_dp_table(profile, k, count_optima=True)
+            monkeypatch.undo()
+            assert np.array_equal(sliced.values, whole.values)
+            assert argmin_sets(sliced) == argmin_sets(whole)
+            assert sliced.count == whole.count
+            self.check(whole.cost, 13)
 
 
 class TestCountInWalk:
