@@ -162,7 +162,7 @@ class Profile:
     ``n`` is the number of voters.
     """
 
-    __slots__ = ("m", "groups", "n")
+    __slots__ = ("m", "groups", "n", "_positions")
 
     def __init__(self, m: int, groups: Iterable[tuple[Ranking, int]]):
         m = int(m)
@@ -184,6 +184,7 @@ class Profile:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "groups", canonical)
         object.__setattr__(self, "n", sum(merged.values()))
+        object.__setattr__(self, "_positions", None)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Profile is immutable")
@@ -197,23 +198,27 @@ class Profile:
         """The profile of the rows of a (ballots, m) matrix of checked
         permutations with positive ``counts``: rows sorted as lists into
         canonical order, equal neighbours merged with their counts summed as
-        Python ints (exact beyond 2^63), inverses from one scatter."""
-        inverses = np.empty_like(orders)
-        inverses[np.arange(len(orders))[:, None], orders] = np.arange(orders.shape[1])
-        rows, inverses = orders.tolist(), inverses.tolist()
-        merged: list[list] = []  # [order, inverse, count] per distinct row
+        Python ints (exact beyond 2^63), inverses from one scatter; the
+        groups' inverses are also kept as an int64 position matrix."""
+        positions = np.empty(orders.shape, np.int64)
+        positions[np.arange(len(orders))[:, None], orders] = np.arange(orders.shape[1])
+        rows, inverses = orders.tolist(), positions.tolist()
+        merged: list[list] = []  # [order, inverse, count, row] per distinct row
         for i in sorted(range(len(rows)), key=rows.__getitem__):
             if merged and merged[-1][0] == rows[i]:
                 merged[-1][2] += counts[i]
             else:
-                merged.append([rows[i], inverses[i], counts[i]])
+                merged.append([rows[i], inverses[i], counts[i], i])
         profile = object.__new__(cls)
         object.__setattr__(profile, "m", orders.shape[1])
         object.__setattr__(profile, "groups", tuple([
             (Ranking._of_permutation(tuple(order), tuple(inverse)), count)
-            for order, inverse, count in merged
+            for order, inverse, count, _ in merged
         ]))
         object.__setattr__(profile, "n", sum(counts))
+        positions = positions[[row for *_, row in merged]]
+        positions.flags.writeable = False
+        object.__setattr__(profile, "_positions", positions)
         return profile
 
     def __eq__(self, other) -> bool:
@@ -247,8 +252,10 @@ class PairCounts:
     def __init__(self, profile: Profile):
         m, groups = profile.m, profile.groups
         counts = np.array([count for _, count in groups], dtype=np.int64)
-        inverses = itertools.chain.from_iterable(r.inverse for r, _ in groups)
-        positions = np.fromiter(inverses, np.int64, len(groups) * m).reshape(-1, m)
+        positions = profile._positions  # kept by profiles read or sampled as arrays
+        if positions is None:
+            inverses = itertools.chain.from_iterable(r.inverse for r, _ in groups)
+            positions = np.fromiter(inverses, np.int64, len(groups) * m).reshape(-1, m)
         n = profile.n
         prefers, weights = self._prefers(positions, counts, n)
         above = weights @ prefers.reshape(len(counts), m * m)

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -59,6 +59,7 @@ from .core import (
 from .distance import BinomialPrefixTable
 from .solver import (
     ConsensusResult,
+    SolveStats,
     brute_force_consensus,
     dp_consensus,
     enumerate_consensus,
@@ -197,6 +198,8 @@ def best_advantage_exhaustive(
 
 def _row_masks(bits: np.ndarray) -> list[Mask]:
     """The bitmask of each row of a boolean matrix (column x is bit x)."""
+    if bits.shape[1] < 63:  # one exact int64 product
+        return (bits @ (1 << np.arange(bits.shape[1]))).tolist()
     rows = np.packbits(bits, axis=1, bitorder="little")
     width, data = rows.shape[1], rows.tobytes()
     return [
@@ -251,7 +254,7 @@ def kwise_digraph(
         # gains[c, d, c] = -above[d, c] never is; x = d adds above[c, d], taken back
         gains = counts.joint - counts.joint.transpose(1, 0, 2)
         useful = gains > 0
-        weights += (gains * useful).sum(axis=2) - counts.above
+        weights += np.maximum(gains, 0).sum(axis=2) - counts.above
     arc_at = np.nonzero(weights > 0)
     arcs = np.stack(arc_at, axis=1)
     witnesses = useful[arc_at] if k == 3 else np.zeros((len(arcs), m), dtype=bool)
@@ -495,7 +498,9 @@ def solve(
         _, order = preprocess(profile, k, mode == "pre-refined", allow_exponential)
         result = partitioned_dp(profile, k, order, limit)
     millis = (time.perf_counter() - started) * 1000.0
-    return replace(result, stats=replace(result.stats, millis=millis))
+    stats = SolveStats(result.stats.states, millis, result.stats.largest_component)
+    return ConsensusResult(result.optimum, result.rankings, result.count,
+                           result.truncated, stats)
 
 
 # ---------------------------------------------------------------------------

@@ -203,7 +203,7 @@ def _moment_costs(
     nloc = len(candidates)
     cand = np.array(candidates, dtype=np.intp)
     pool = np.concatenate((cand, np.array(mask_members(context), dtype=np.intp)))
-    a = counts.above[pool][:, cand].T  # a[j, x]: voters preferring x to j
+    a = counts.above.T[cand[:, None], pool]  # a[j, x]: voters preferring x to j
     base = a[:, nloc:].sum(axis=1)
     linear = a[:, :nloc]
     if k == 3:
@@ -371,9 +371,9 @@ def _layers(nloc: int):
         yield states, plan
 
 
-# Small tables are solved by the thousand in preprocessed solves; their
-# layer plans are cheap to keep, as intp, which numpy indexes without a
-# conversion.
+# Plans of up to this many bits are kept, as intp, which numpy indexes
+# without a conversion: small tables are solved by the thousand in
+# preprocessed solves, and larger ones walk blocks of two such plans.
 _SMALL_PLAN = 10
 
 
@@ -637,11 +637,11 @@ def solve_components(
     later = union  # candidates of the components not yet solved
     with PairCounts.shared(profile) as counts:
         if any(mask & (mask - 1) == 0 for mask in components):
-            alone = _singleton_costs(counts, k, components)
+            alone = _singleton_costs(counts, k, components).tolist()
         for component in components:
             later ^= component
             if component & (component - 1) == 0:  # one candidate, one order
-                optimum += int(alone[component.bit_length() - 1])
+                optimum += alone[component.bit_length() - 1]
                 states += 2
                 pieces.append([(component.bit_length() - 1,)])
                 continue
