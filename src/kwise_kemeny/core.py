@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import contextlib
 import contextvars
-import itertools
 from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
@@ -184,7 +183,9 @@ class Profile:
         object.__setattr__(self, "m", m)
         object.__setattr__(self, "groups", canonical)
         object.__setattr__(self, "n", sum(merged.values()))
-        object.__setattr__(self, "_positions", None)
+        positions = np.array([ranking.inverse for ranking, _ in canonical], np.int64)
+        positions.flags.writeable = False
+        object.__setattr__(self, "_positions", positions)
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Profile is immutable")
@@ -252,10 +253,7 @@ class PairCounts:
     def __init__(self, profile: Profile):
         m, groups = profile.m, profile.groups
         counts = np.array([count for _, count in groups], dtype=np.int64)
-        positions = profile._positions  # kept by profiles read or sampled as arrays
-        if positions is None:
-            inverses = itertools.chain.from_iterable(r.inverse for r, _ in groups)
-            positions = np.fromiter(inverses, np.int64, len(groups) * m).reshape(-1, m)
+        positions = profile._positions
         n = profile.n
         prefers, weights = self._prefers(positions, counts, n)
         above = weights @ prefers.reshape(len(counts), m * m)

@@ -398,9 +398,9 @@ def _plan(nloc: int):
 def _blocks(nloc: int, low: int) -> tuple:
     """Per layer of the low and high parts' plans (:func:`_layered_min`):
     predecessor ranks, own and other terms of cost indices, states in place.
-    Low member l of H | L costs at ``(H << (low - 1)) * nloc`` plus ``packed(L
-    - l) * nloc + l``, high member low + t at ``L * nloc`` plus ``(packed(H -
-    t) << low) * nloc + low + t``."""
+    In state H | L, low member l costs at own ``packed(L - l) * nloc + l``
+    plus other ``(H << (low - 1)) * nloc``; high member low + t at own
+    ``(packed(H - t) << low) * nloc + low + t`` plus other ``L * nloc``."""
     def part(bits, offset, shift):
         layers = [(None, *[np.zeros(1, np.intp)] * 3)]  # layer 0: the empty set
         for states, (previous, flat) in _plan(bits) if bits else ():
