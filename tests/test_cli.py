@@ -385,6 +385,24 @@ class TestSolveGolden:
         assert re.sub(r', "millis": [-+0-9.eE]+', "", out) == expected + "\n"
 
 
+# SHA-256 of a `bench --json` grid with the timing fields removed: every
+# mode's optimum and optimum count (`avg_consensus`) at m = 8 and 12.
+BENCH_GRID = ("bench --m-list 8,12 --k-list 2,3,m --phi-list 0.5,0.8,1.0 --n 50 "
+              "--instances 10 --modes dp,pre,pre-refined --json")
+BENCH_GRID_SHA256 = "e539e77c2ac7422f47f34fefce2b8a1d067f1eb0a63c2cc8ab14f248dabfa279"
+
+
+def test_bench_grid_is_pinned(capsys):
+    code, out, err = run(capsys, *BENCH_GRID.split())
+    assert (code, err) == (0, "")
+    payload = json.loads(out)
+    assert len(payload["cells"]) == 42
+    for cell in payload["cells"]:
+        for key in ("avg_ms", "max_ms", "min_ms"):
+            del cell[key]
+    assert hashlib.sha256(json.dumps(payload).encode()).hexdigest() == BENCH_GRID_SHA256
+
+
 class TestDigraph:
     def test_arc_listing(self, capsys, six_file):
         code, out, _ = run(capsys, "digraph", "--input", six_file, "--k", "3")
