@@ -20,8 +20,8 @@ the lowest bits of the superset-sum by expanding each group's entries).
 The min walks blocks of states H | L, L the lowest 10 bits, each part in
 colex order by a cached layer plan (predecessor ranks, cost indices;
 :func:`_layers`): a block (|H|, |L|) takes one row and one column gather of
-its two neighbours.  The walk keeps values only (a counted walk also takes
-the optimum count); readback derives argmin sets (:meth:`DpTable.choices`).
+its two neighbours.  The walk keeps values only: readback and the optimum
+count follow argmin sets (:meth:`DpTable.choices`) down from the full set.
 Cost tables and DP values are int32 when n * sum_{i=2..k} C(m, i), which
 bounds every entry and partial sum, is below 2^31, else int64.
 
@@ -79,7 +79,7 @@ class ConsensusResult:
     ``count`` is the number of optimal rankings the solver established in
     its search space (the number reported when optima are not counted, as
     by the plain DP; the exact total for enumeration, brute force and the
-    component-wise solver).
+    component-wise solver, which count each table's tight paths).
     ``rankings`` holds the ones actually built; ``truncated`` marks that
     the list is known to omit further optimal rankings.
     """
@@ -97,15 +97,14 @@ class DpTable:
 
     ``values[S]`` is the optimal restricted cost for the local submask ``S``
     (bit j of ``S`` stands for ``candidates[j]``), built from the cost rows
-    ``cost`` (see :func:`_other_bits`).  ``count`` is the number of optimal
-    orders, if counted.
+    ``cost`` (see :func:`_other_bits`).  Its optimal orders are read back
+    and counted through :meth:`choices`.
     """
 
     candidates: tuple[int, ...]
     context: Mask
     cost: np.ndarray
     values: np.ndarray
-    count: int | None = None
 
     @property
     def optimum(self) -> int:
@@ -115,11 +114,12 @@ class DpTable:
         """The bitmask of the members j of ``state`` with
         ``values[S - j] + cost[j, S - j] == values[S]``: those that can be
         placed first at no extra cost, in Python ints."""
-        best, chosen = int(self.values[state]), 0
+        value, cost = self.values.item, self.cost.item
+        best, chosen = value(state), 0
         for j in mask_members(state):
             rest = state ^ 1 << j  # packed: the bits above j move down one
-            cost = int(self.cost[j, rest & (1 << j) - 1 | rest >> j + 1 << j])
-            chosen |= (int(self.values[rest]) + cost == best) << j
+            paid = cost(j, rest & (1 << j) - 1 | rest >> j + 1 << j)
+            chosen |= (value(rest) + paid == best) << j
         return chosen
 
 
@@ -415,40 +415,24 @@ def _blocks(nloc: int, low: int) -> tuple:
     return part(low, 0, 0), part(nloc - low, low, low - 1)
 
 
-# Layer counts below this bound are held in fixed-width integers.
-_INT64_COUNTS = 1 << 63
-
-
-def _layered_min(
-    cost: np.ndarray, nloc: int, count_optima: bool = False
-) -> tuple[np.ndarray, int | None]:
-    """Values of the subset DP, one block at a time, and with
-    ``count_optima`` its optimum count.
+def _layered_min(cost: np.ndarray, nloc: int) -> np.ndarray:
+    """Values of the subset DP, one block at a time.
 
     A state is H | L, L its low b = min(nloc, ``_SMALL_PLAN``) bits; block
     (a, c), the states with |H| = a and |L| = c, is a (C(h, a), C(b, c))
     array (one row, dropped, at h = 0) scattered once into the table.
     Placing a low member first gathers columns of block (a, c - 1) by the
     low plan, a high one rows of block (a - 1, c) by the high plan; cost
-    indices are a broadcast add of two cached terms (:func:`_blocks`).  A
-    state's count sums its tying slots' predecessor counts; a level-L count
-    is at most L!, so counts are int32 while L! < 2^31, int64 while
-    L! < 2^63, else Python ints.
+    indices are a broadcast add of two cached terms (:func:`_blocks`).
     """
     low, wide = min(nloc, _SMALL_PLAN), nloc > _SMALL_PLAN  # wide: blocks have rows
     lows, highs = _blocks(nloc, low)
     values = np.empty(1 << nloc, dtype=cost.dtype)
     flat_cost = cost.T.reshape(-1)
     for a, (high_previous, high_own, high_other, high_states) in enumerate(highs):
-        row, row_counts = [], []
+        row = []
         for c, (low_previous, low_own, low_other, low_states) in enumerate(lows):
-            shape = (len(high_states), len(low_states))[not wide:]
-            block, counts = np.zeros(shape, cost.dtype), None
-            if count_optima:
-                most = math.factorial(a + c)
-                kind = (object if most >= _INT64_COUNTS
-                        else np.int32 if most < 1 << 31 else np.int64)
-                counts = np.empty(shape, kind)
+            block = np.zeros((len(high_states), len(low_states))[not wide:], cost.dtype)
             step = max(1, _LAYER_SLICE // len(low_states))
             for first in range(0, len(high_states), step):
                 rows = slice(first, first + step) if wide else ...
@@ -466,23 +450,10 @@ def _layered_min(
                         np.minimum(best, np.minimum.reduce(up, axis=0), out=best)
                     else:
                         np.minimum.reduce(up, axis=0, out=best)
-                if count_optima:
-                    tally = int(a + c == 0)  # the empty state: one order
-                    if c:
-                        done = row_counts[-1].astype(kind, copy=False)
-                        ways = (done[rows].take(low_previous, axis=1) if wide
-                                else done[low_previous])
-                        tally = np.add.reduce(ways * (left == best[..., None, :]), -2)
-                    if a:
-                        done = above_counts[c].astype(kind, copy=False)
-                        ways = done.take(high_previous[:, rows], axis=0)
-                        tally = tally + np.add.reduce(ways * (up == best), 0)
-                    counts[rows] = tally
             values[high_states[:, None] | low_states if wide else low_states] = block
             row.append(block)
-            row_counts.append(counts)
-        above, above_counts = row, row_counts
-    return values, counts.item() if count_optima else None
+        above = row
+    return values
 
 
 def _check_solvable(m: int, n: int, k: int, nloc: int) -> None:
@@ -502,10 +473,8 @@ def build_dp_table(
     k: int,
     subset: Mask | None = None,
     context: Mask = 0,
-    count_optima: bool = False,
 ) -> DpTable:
-    """Run the subset DP over ``subset`` (default: all candidates), and
-    count its optimal orders if ``count_optima`` is set.
+    """Run the subset DP over ``subset`` (default: all candidates).
 
     The placement costs depend on the ballots only through
     :class:`PairCounts` (shared with the caller through
@@ -529,29 +498,64 @@ def build_dp_table(
     costs = _moment_costs if k <= 3 else _subset_sum_costs
     dtype = _table_dtype(counts.n, m, k)
     cost = costs(counts, k, candidates, context, dtype)
-    return DpTable(candidates, context, cost, *_layered_min(cost, nloc, count_optima))
+    return DpTable(candidates, context, cost, _layered_min(cost, nloc))
 
 
-def count_table_optima(table: DpTable) -> int:
-    """Exact number of optimal orders, by a second walk of the layer plans
-    over the slots whose value plus cost meets the state's: the reference
-    for the count :func:`_layered_min` takes during the DP, as solves do."""
-    nloc, values = len(table.candidates), table.values
-    counts = np.ones(nloc, dtype=np.int64)  # layer 1: one order per state
-    layers = itertools.islice(_plan(nloc), 1, None)
-    for level, (states, (previous, flat)) in enumerate(layers, 2):
-        if math.factorial(level) >= _INT64_COUNTS:
-            counts = counts.astype(object)
-        rest = values[states ^ 1 << flat % nloc]
-        allowed = rest + table.cost.T.flat[flat] == values[states]
-        counts = np.where(allowed, counts[previous], 0).sum(axis=0)
-    return int(counts[0])
+# Tight states per candidate in one layer up to which the optimum count
+# walks them in Python, and the bound below which its tally uses int64.
+_TIGHT_BUDGET = 2
+_INT64_COUNTS = 1 << 63
 
 
-def enumerate_table_orders(table: DpTable, limit: int) -> list[tuple[int, ...]]:
-    """Up to ``limit`` optimal orders, in peel-lexicographic order."""
+def count_table_optima(table: DpTable, choices=None) -> int:
+    """Exact number of optimal orders: the paths of tight steps (placing a
+    member of ``choices(state)``) from the full set down to the empty set,
+    counted layer by layer from the top in Python ints: optimal orders pass
+    few states.  Past ``_TIGHT_BUDGET`` states per candidate in one layer
+    (many orders tie), one pass over the blocks of :func:`_layered_min`
+    tallies every state instead: the sum of the counts of the states one
+    member smaller whose value plus the member's cost meets its own.
+    """
+    choices, nloc = choices or table.choices, len(table.candidates)
+    layer = {(1 << nloc) - 1: 1}
+    while len(layer) <= _TIGHT_BUDGET * nloc:
+        if 0 in layer:
+            return layer[0]
+        below: dict[int, int] = {}
+        for state, paths in layer.items():
+            for j in mask_members(choices(state)):
+                below[state ^ 1 << j] = below.get(state ^ 1 << j, 0) + paths
+        layer = below
+    kind = object if math.factorial(nloc) >= _INT64_COUNTS else np.int64
+    counts, values = np.zeros(1 << nloc, kind), table.values
+    counts[0] = 1  # the empty state: one order
+    lows, highs = _blocks(nloc, min(nloc, _SMALL_PLAN))
+    flat_cost = table.cost.T.reshape(-1)
+    for a, (_, high_own, high_other, high_states) in enumerate(highs):
+        for c, (_, low_own, low_other, low_states) in enumerate(lows):
+            states = high_states[:, None] | low_states
+            step = max(1, _LAYER_SLICE // len(low_states))
+            for first in range(0, len(high_states), step) if a + c else ():
+                rows = slice(first, first + step)
+                sides = [(low_own[:, None, :], high_other[rows, None])] if c else []
+                if a:
+                    sides.append((high_own[:, rows, None], low_other))
+                tally, best = 0, values.take(states[rows])
+                for own, other in sides:  # slots on axis 0
+                    rest = states[rows] ^ 1 << own % nloc
+                    tight = values.take(rest) + flat_cost.take(own + other) == best
+                    tally = tally + np.add.reduce(counts.take(rest) * tight, axis=0)
+                counts[states[rows]] = tally
+    return int(counts[-1])
+
+
+def enumerate_table_orders(
+    table: DpTable, limit: int, choices=None
+) -> list[tuple[int, ...]]:
+    """Up to ``limit`` optimal orders, in peel-lexicographic order, through
+    ``choices`` (default: a cache of :meth:`DpTable.choices`)."""
     results: list[tuple[int, ...]] = []
-    choices_of = functools.cache(table.choices)
+    choices_of = choices or functools.cache(table.choices)
     full = len(table.values) - 1
     stack: list[tuple[int, tuple[int, ...]]] = [(full, ())]
     while stack and len(results) < limit:
@@ -559,14 +563,8 @@ def enumerate_table_orders(table: DpTable, limit: int) -> list[tuple[int, ...]]:
         if state == 0:
             results.append(prefix)
             continue
-        choices = choices_of(state)
-        branches = []
-        while choices:
-            low = choices & -choices
-            j = low.bit_length() - 1
-            branches.append((state ^ low, prefix + (table.candidates[j],)))
-            choices ^= low
-        stack.extend(reversed(branches))
+        stack.extend(reversed([(state ^ 1 << j, prefix + (table.candidates[j],))
+                               for j in mask_members(choices_of(state))]))
     return results
 
 
@@ -645,12 +643,13 @@ def solve_components(
                 states += 2
                 pieces.append([(component.bit_length() - 1,)])
                 continue
-            table = build_dp_table(profile, k, component, later, count_optima)
+            table = build_dp_table(profile, k, component, later)
             optimum += table.optimum
             states += len(table.values)
+            choices = functools.cache(table.choices)  # shared by count and readback
             if count_optima:
-                count *= table.count
-            pieces.append(enumerate_table_orders(table, limit or 1))
+                count *= count_table_optima(table, choices)
+            pieces.append(enumerate_table_orders(table, limit or 1, choices))
     rankings = tuple([
         Ranking([c for piece in combo for c in piece])
         for combo in itertools.islice(itertools.product(*pieces), limit or 1)

@@ -6,10 +6,13 @@ against them.  The others are array routes the library replaced, kept so
 that the routes replacing them can be checked for equal results.
 """
 
+import itertools
+import math
+
 import numpy as np
 
 from kwise_kemeny import BinomialPrefixTable, Profile, mask_members
-from kwise_kemeny.solver import _other_bits, _subset_weights
+from kwise_kemeny.solver import _other_bits, _plan, _subset_weights
 
 
 def _check_pair_in_subset(subset: int, winner: int, loser: int) -> None:
@@ -89,3 +92,20 @@ def prefers_by_positions(positions):
     """``PairCounts.prefers`` compared in the positions' own dtype:
     ``[g, c, x]`` is whether group g ranks c above x."""
     return positions[:, :, None] < positions[:, None, :]
+
+
+def second_walk_count(table):
+    """The optimum count of a ``DpTable`` by a second walk of the layer
+    plans, bottom-up over every state: a state's count sums those of its
+    slots whose value plus cost meets its own (the count the DP walk took
+    before counting moved to the tight states)."""
+    nloc, values = len(table.candidates), table.values
+    counts = np.ones(nloc, dtype=np.int64)  # layer 1: one order per state
+    layers = itertools.islice(_plan(nloc), 1, None)
+    for level, (states, (previous, flat)) in enumerate(layers, 2):
+        if math.factorial(level) >= 1 << 63:
+            counts = counts.astype(object)
+        rest = values[states ^ 1 << flat % nloc]
+        allowed = rest + table.cost.T.flat[flat] == values[states]
+        counts = np.where(allowed, counts[previous], 0).sum(axis=0)
+    return int(counts[0])

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
 
 import kwise_kemeny
@@ -83,6 +84,13 @@ DELETED = [
     ("majority", "Arc"),
     ("majority", "KwiseDigraph.arc_items"),
     ("solver", "DpTable.argmin"),
+    ("solver", "DpTable.count"),
+]
+
+# (module, function, parameter) triples removed from a signature
+DELETED_PARAMETERS = [
+    ("solver", "build_dp_table", "count_optima"),
+    ("solver", "_layered_min", "count_optima"),
 ]
 
 # (module, name) pairs kept in their module but no longer exported
@@ -107,6 +115,13 @@ def test_deleted_names_are_gone():
         else:
             assert not hasattr(kwise_kemeny, attribute), name
         assert not hasattr(place, attribute), f"{module}.{name}"
+
+
+def test_deleted_parameters_are_gone():
+    for module, function, parameter in DELETED_PARAMETERS:
+        place = importlib.import_module(f"kwise_kemeny.{module}")
+        signature = inspect.signature(getattr(place, function))
+        assert parameter not in signature.parameters, f"{module}.{function}"
 
 
 def test_unexported_names_stay_in_their_modules():

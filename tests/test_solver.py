@@ -1,5 +1,7 @@
+import gc
 import math
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from kwise_kemeny.solver import (
     solve_components,
 )
 from conftest import argmin_sets, mask_of, random_profile, restrict_profile
-from oracles import dense_subset_sum_costs
+from oracles import dense_subset_sum_costs, second_walk_count
 
 
 def placement_cost(subset, candidate, profile, k, table, context=0):
@@ -348,20 +350,20 @@ class TestDpTableInvariants:
         rng = np.random.default_rng(18)
         for m, k in ((9, 3), (11, 5)):
             profile = weighted_profile(rng, m, 6)
-            for counted in (False, True):
-                whole = build_dp_table(profile, k, count_optima=counted)
-                monkeypatch.setattr(solver, "_LAYER_SLICE", 7)
-                sliced = build_dp_table(profile, k, count_optima=counted)
-                monkeypatch.undo()
-                assert np.array_equal(sliced.values, whole.values)
-                assert argmin_sets(sliced) == argmin_sets(whole)
-                assert sliced.count == whole.count
+            whole = build_dp_table(profile, k)
+            monkeypatch.setattr(solver, "_LAYER_SLICE", 7)
+            sliced = build_dp_table(profile, k)
+            sliced_count = count_table_optima(sliced)
+            monkeypatch.undo()
+            assert np.array_equal(sliced.values, whole.values)
+            assert argmin_sets(sliced) == argmin_sets(whole)
+            assert sliced_count == count_table_optima(whole)
 
 
 class TestTableMemory:
     def test_build_peak_at_m16(self):
         # cost table and values, plus 1 MiB of slice temporaries: no plan
-        # buffers, no argmin table; a counted walk adds two int64 rows of
+        # buffers, no argmin table; counting is allowed two int64 rows of
         # the widest layer's counts
         m = 16
         profile = mallows_sample(MallowsParams(Ranking.identity(m), 1.0, 50, 1))
@@ -372,7 +374,9 @@ class TestTableMemory:
                 tracemalloc.start()
                 try:
                     base = tracemalloc.get_traced_memory()[0]
-                    table = build_dp_table(profile, k, count_optima=counted)
+                    table = build_dp_table(profile, k)
+                    if counted:
+                        count_table_optima(table)
                     peak = tracemalloc.get_traced_memory()[1] - base
                 finally:
                     tracemalloc.stop()
@@ -445,12 +449,10 @@ class TestBlockWalk:
         """Both walks over a cost table against the state loop."""
         values, argmin = table_held_karp(cost)
         expected = count_orders(argmin)
-        for counted in (False, True):
-            walked, count = _layered_min(cost, nloc, counted)
-            table = DpTable(tuple(range(nloc)), 0, cost, walked, count)
-            assert walked.tolist() == values
-            assert argmin_sets(table) == argmin
-            assert count == (expected if counted else None)
+        walked = _layered_min(cost, nloc)
+        table = DpTable(tuple(range(nloc)), 0, cost, walked)
+        assert walked.tolist() == values
+        assert argmin_sets(table) == argmin
         assert count_table_optima(table) == expected
 
     @pytest.mark.parametrize("nloc", [11, 12, 13])
@@ -461,11 +463,10 @@ class TestBlockWalk:
         for k in (2, 3, m):
             subset, context = self.piece(rng, m, nloc)
             values, argmin = held_karp(profile, k, subset, context)
-            for counted in (False, True):
-                table = build_dp_table(profile, k, subset, context, counted)
-                assert table.values.tolist() == values
-                assert argmin_sets(table) == argmin
-                assert table.count == (count_orders(argmin) if counted else None)
+            table = build_dp_table(profile, k, subset, context)
+            assert table.values.tolist() == values
+            assert argmin_sets(table) == argmin
+            assert count_table_optima(table) == count_orders(argmin)
 
     def test_matches_table_held_karp_at_14(self):
         rng = np.random.default_rng(74)
@@ -489,20 +490,22 @@ class TestBlockWalk:
         rng = np.random.default_rng(76)
         profile = weighted_profile(rng, 13, 4)
         for k in (3, 5):
-            whole = build_dp_table(profile, k, count_optima=True)
+            whole = build_dp_table(profile, k)
             monkeypatch.setattr(solver, "_LAYER_SLICE", 7)
-            sliced = build_dp_table(profile, k, count_optima=True)
+            sliced = build_dp_table(profile, k)
+            sliced_count = count_table_optima(sliced)
             monkeypatch.undo()
             assert np.array_equal(sliced.values, whole.values)
             assert argmin_sets(sliced) == argmin_sets(whole)
-            assert sliced.count == whole.count
+            assert sliced_count == count_table_optima(whole)
             self.check(whole.cost, 13)
 
 
 class TestCountInWalk:
-    """The count taken during the DP walk against the second-walk oracle
-    and the state loop, on tie-heavy profiles: cached plans (<= 10
-    candidates) and plans built per table."""
+    """The optimum count (over tight states, or by the tally pass where
+    layers fill up) against the second-walk oracle and the state loop, on
+    tie-heavy profiles: cached plans (<= 10 candidates) and blocks with
+    high bits."""
 
     @staticmethod
     def check(m, seed):
@@ -510,21 +513,16 @@ class TestCountInWalk:
         order = rng.permutation(m)
         profile = Profile(m, [(Ranking(order), 2), (Ranking(order[::-1]), 2)])
         for k in (2, 3, m):
-            counted = build_dp_table(profile, k, count_optima=True)
-            values, argmin = table_held_karp(counted.cost)
-            assert counted.values.tolist() == values
-            assert argmin_sets(counted) == argmin
+            table = build_dp_table(profile, k)
+            values, argmin = table_held_karp(table.cost)
+            assert table.values.tolist() == values
+            assert argmin_sets(table) == argmin
             expected = count_orders(argmin)
             if k == 2:  # every pair is split evenly: all m! orders are optimal
                 assert expected == math.factorial(m)
-            assert counted.count == expected
-            assert count_table_optima(counted) == expected
+            assert count_table_optima(table) == expected
+            assert second_walk_count(table) == expected
             assert enumerate_consensus(profile, k, 1).count == expected
-            plain = build_dp_table(profile, k)
-            assert plain.count is None
-            assert np.array_equal(plain.values, counted.values)
-            assert argmin_sets(plain) == argmin
-            assert count_table_optima(plain) == expected
 
     @pytest.mark.parametrize("m", [4, 7, 9, 11, 13, 14])
     def test_matches_oracle(self, m):
@@ -545,12 +543,9 @@ class TestCountOptima:
         nloc = cost.shape[0]
         values, argmin = table_held_karp(cost)
         expected = count_orders(argmin)
-        walked, count = _layered_min(cost, nloc, True)
-        counted = DpTable(tuple(range(nloc)), 0, cost, walked, count)
-        assert walked.tolist() == values and argmin_sets(counted) == argmin
-        assert count == expected
-        plain = DpTable(tuple(range(nloc)), 0, cost, *_layered_min(cost, nloc))
-        assert count_table_optima(plain) == expected
+        table = DpTable(tuple(range(nloc)), 0, cost, _layered_min(cost, nloc))
+        assert table.values.tolist() == values and argmin_sets(table) == argmin
+        assert count_table_optima(table) == expected
         return expected
 
     def test_matches_state_loop(self):
@@ -576,6 +571,80 @@ class TestCountOptima:
             self.check(random_cost_table(rng, nloc, 2))
 
 
+class TestCountParity:
+    """The optimum count over tight states and by the tally pass (the
+    budget patched to 0: every table tallies; to a huge value: none does)
+    against the second-walk oracle, and against brute force on whole
+    tables of at most 8 candidates."""
+
+    @staticmethod
+    def check(monkeypatch, table, brute=None):
+        expected = second_walk_count(table)
+        if brute is not None:
+            assert expected == brute
+        for budget in (0, 1 << 40):
+            monkeypatch.setattr(solver, "_TIGHT_BUDGET", budget)
+            assert count_table_optima(table) == expected
+        monkeypatch.undo()
+        return expected
+
+    @pytest.mark.parametrize("m", [5, 7, 12, 16])
+    def test_mallows(self, monkeypatch, m):
+        rng = np.random.default_rng(120 + m)
+        for phi in (0.5, 0.8, 1.0):
+            profile = mallows_sample(MallowsParams(Ranking.identity(m), phi, 15, m))
+            for k in sorted({2, 3, 4, m}):
+                brute = brute_force_consensus(profile, k).count if m <= 8 else None
+                self.check(monkeypatch, build_dp_table(profile, k), brute)
+                subset, context = TestBlockWalk.piece(rng, m, m - 2)
+                self.check(monkeypatch, build_dp_table(profile, k, subset, context))
+
+    @pytest.mark.parametrize("m", [8, 12, 14])
+    def test_reversed_ballots(self, monkeypatch, m):
+        # at k = 2 every order ties, so the layers fill up: the wide route
+        profile = Profile(m, [(Ranking(range(m)), 1), (Ranking(range(m)[::-1]), 1)])
+        for k in (2, 3):
+            brute = brute_force_consensus(profile, k).count if m <= 8 else None
+            table = build_dp_table(profile, k)
+            expected = self.check(monkeypatch, table, brute)
+            assert count_table_optima(table) == expected
+            if k == 2:
+                assert expected == math.factorial(m)
+                # the tally pass over blocks split into slices of one row
+                monkeypatch.setattr(solver, "_LAYER_SLICE", 7)
+                assert count_table_optima(table) == expected
+                monkeypatch.undo()
+
+    def test_solves_free_their_tables(self, monkeypatch):
+        # with the collector off, every table of a counted solve is freed
+        # when the solve returns: nothing on the count or readback path
+        # holds a table in a reference cycle
+        built = []
+
+        def build(*args):
+            table = build_dp_table(*args)
+            built.append(weakref.ref(table))
+            return table
+
+        monkeypatch.setattr(solver, "build_dp_table", build)
+        m = 12
+        profiles = [
+            mallows_sample(MallowsParams(Ranking.identity(m), 0.8, 50, 1)),
+            Profile(m, [(Ranking(range(m)), 1), (Ranking(range(m)[::-1]), 1)]),
+        ]
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            for profile in profiles:  # tight states, then the tally pass
+                for k in (2, 3):
+                    solve_components(profile, k, (full_mask(m),), 3, count_optima=True)
+            alive = [ref() is not None for ref in built]
+        finally:
+            if enabled:
+                gc.enable()
+        assert alive == [False] * 4
+
+
 class TestChoices:
     """``DpTable.choices`` against the Held-Karp oracle on every state, on
     tie-heavy profiles: plain and counted tables, with and without a
@@ -584,11 +653,9 @@ class TestChoices:
     @staticmethod
     def check(profile, k, subset, context):
         values, argmin = held_karp(profile, k, subset, context)
-        for counted in (False, True):
-            table = build_dp_table(profile, k, subset, context, counted)
-            assert (table.count is None) == (not counted)
-            assert table.values.tolist() == values
-            assert argmin_sets(table) == argmin
+        table = build_dp_table(profile, k, subset, context)
+        assert table.values.tolist() == values
+        assert argmin_sets(table) == argmin
         return table.values.dtype
 
     @pytest.mark.parametrize("m", [4, 7, 9])
@@ -782,14 +849,14 @@ class TestCostRows:
                 moment = _moment_costs(counts, k, local, context, np.int64)
                 transformed = _subset_sum_costs(counts, k, local, context, np.int32)
                 assert np.array_equal(moment, transformed)
-                values, count = _layered_min(moment, len(local), True)
+                values = _layered_min(moment, len(local))
                 table = build_dp_table(profile, k, subset, context)
                 assert np.array_equal(values, table.values)
                 assert table_held_karp(moment)[1] == argmin_sets(table)
-                assert count == count_table_optima(table)
-                other, uncounted = _layered_min(transformed, len(local))
+                moment_table = DpTable(local, context, moment, values)
+                assert count_table_optima(moment_table) == count_table_optima(table)
+                other = _layered_min(transformed, len(local))
                 assert np.array_equal(other, table.values)
-                assert uncounted is None and table.count is None
 
     def test_expanded_low_bits_match_dense_route(self, monkeypatch):
         # nloc 1-14 with the low bits the size rule picks (up to 5 here),
