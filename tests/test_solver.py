@@ -446,7 +446,8 @@ class TestBlockWalk:
 
     @staticmethod
     def check(cost, nloc):
-        """Both walks over a cost table against the state loop."""
+        """The walk and the optimum count over a cost table against the
+        state loop."""
         values, argmin = table_held_karp(cost)
         expected = count_orders(argmin)
         walked = _layered_min(cost, nloc)
@@ -535,8 +536,9 @@ class TestCountInWalk:
 
 
 class TestCountOptima:
-    """The count in the walk and the second walk over random tie-heavy cost
-    tables, both against the state loop over the table's argmin sets."""
+    """The optimum count over random tie-heavy cost tables (tight states,
+    or the tally pass where layers fill up) against the state loop over
+    the table's argmin sets."""
 
     @staticmethod
     def check(cost):
@@ -647,8 +649,8 @@ class TestCountParity:
 
 class TestChoices:
     """``DpTable.choices`` against the Held-Karp oracle on every state, on
-    tie-heavy profiles: plain and counted tables, with and without a
-    context, in int32 and in int64."""
+    tie-heavy profiles, with and without a context, in int32 and in
+    int64."""
 
     @staticmethod
     def check(profile, k, subset, context):
