@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import math
 import tracemalloc
 import weakref
@@ -35,6 +36,11 @@ from kwise_kemeny.solver import (
 )
 from conftest import argmin_sets, mask_of, random_profile, restrict_profile
 from oracles import dense_subset_sum_costs, second_walk_count
+
+
+# SHA-256 of the dtype, shape and bytes of every array of
+# _blocks(nloc, min(nloc, _SMALL_PLAN)) for nloc 1-22, in order
+BLOCKS_SHA256 = "6e7f7457a6dccd747fdbe0ed83020ce909ec92a244df89576727c2f5b30b88e6"
 
 
 def placement_cost(subset, candidate, profile, k, table, context=0):
@@ -484,6 +490,18 @@ class TestBlockWalk:
         rng = np.random.default_rng(75 + nloc)
         for levels in (2, 5):
             self.check(random_cost_table(rng, nloc, levels), nloc)
+
+    def test_blocks_pinned(self):
+        # every array of the block plans of nloc 1-22, byte for byte
+        digest = hashlib.sha256()
+        for nloc in range(1, 23):
+            for part in solver._blocks(nloc, min(nloc, solver._SMALL_PLAN)):
+                for layer in part:
+                    for array in layer:
+                        if array is not None:
+                            digest.update(f"{array.dtype.str} {array.shape}".encode())
+                            digest.update(array.tobytes())
+        assert digest.hexdigest() == BLOCKS_SHA256
 
     def test_sliced_blocks(self, monkeypatch):
         # three high bits: blocks of up to three rows, one row per slice
