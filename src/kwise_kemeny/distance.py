@@ -11,6 +11,7 @@ oppositely by the two rankings, the subsets the pair tops together.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Sequence
 
@@ -82,8 +83,6 @@ def kendall_tau(r: Ranking, r2: Ranking) -> int:
 
 def kwise_distance_naive(r: Ranking, r2: Ranking, k: int) -> int:
     """Reference oracle: enumerate every subset of size 2..k directly."""
-    import itertools
-
     m = _check_same_m(r, r2)
     validate_k(m, k)
     limit = _NAIVE_M_SMALL_K if k <= 5 else _NAIVE_M_LARGE_K

@@ -319,7 +319,7 @@ def _subset_sum_costs(
 _LAYER_SLICE = 1 << 12
 
 
-def _layers(nloc: int):
+def _layers(nloc: int) -> list:
     """The DP's popcount layers 1..nloc as plans over colex-ordered states.
 
     Per layer L: ``states``, the binary masks of its C(nloc, L) states, and
@@ -337,61 +337,31 @@ def _layers(nloc: int):
     into packed bit t - 1); the top slot's predecessor is the copied state
     itself (an ``arange``) and its cost index is ``state * nloc + t``.
 
-    Entries are int32 while the flat cost indices fit, else intp.  Plans
-    alternate between the two rows of one buffer allocated per call, so a
-    layer's plan stays valid until the layer after next is produced.
+    Every layer is built in fresh intp arrays, which numpy indexes without
+    a conversion; :func:`_blocks` keeps them.
     """
-    index = np.int32 if nloc << (nloc - 1) < 1 << 31 else np.intp
-    widest = max(level * math.comb(nloc, level) for level in range(1, nloc + 1))
-    buffers = np.empty((2, 2 * widest), index)
-    ramp = np.arange(math.comb(nloc - 1, (nloc - 1) // 2), dtype=index)
-    states = np.zeros(1, dtype=index)
-    plan = None
+    layers, states = [], np.zeros(1, np.intp)
+    plan = np.zeros((2, 0, 1), np.intp)  # layer 0: the empty set, no slots
     for level in range(1, nloc + 1):
-        size = math.comb(nloc, level)
-        new = buffers[level & 1][: 2 * level * size].reshape(2, level, size)
-        tops = np.arange(level - 1, nloc, dtype=index)
-        counts = [math.comb(top, level - 1) for top in range(level - 1, nloc)]
-        if level > 1:
-            shifts = np.zeros((2, len(counts), 1, 1), index)
-            shifts[0, :, 0, 0] = counts
-            shifts[1, :, 0, 0] = nloc << (tops - 1)
-            start = 0
-            for i, count in enumerate(counts):
-                block = new[:, :-1, start : start + count]
-                np.add(plan[:, :, :count], shifts[:, i], out=block)
-                start += count
+        tops = range(level - 1, nloc)
+        counts = [math.comb(top, level - 1) for top in tops]
+        # nloc << top >> 1 is nloc << (t - 1); at t = 0 there is no lower slot
+        lower = [plan[:, :, :count] + np.array([count, nloc << top >> 1])[:, None, None]
+                 for top, count in zip(tops, counts)]
         # the top slot: the copied states themselves, plus the top member
-        np.concatenate([ramp[:count] for count in counts], out=new[0, -1])
+        ranks = np.concatenate([np.arange(count) for count in counts])
         top = np.repeat(tops, counts)
-        copied = states[new[0, -1]]
-        np.add(copied * nloc, top, out=new[1, -1])
+        copied = states[ranks]
+        slot = np.stack((ranks, copied * nloc + top))[:, None]
+        plan = np.concatenate((np.concatenate(lower, axis=2), slot), axis=1)
         states = copied | 1 << top
-        plan = new
-        yield states, plan
-
-
-# Plans of up to this many bits are kept, as intp, which numpy indexes
-# without a conversion: small tables are solved by the thousand in
-# preprocessed solves, and larger ones walk blocks of two such plans.
-_SMALL_PLAN = 10
-
-
-@functools.lru_cache(maxsize=None)
-def _small_layers(nloc: int) -> tuple:
-    layers = tuple(
-        (states.astype(np.intp), tuple(plan.astype(np.intp)))
-        for states, plan in _layers(nloc)
-    )
-    for states, plan in layers:
-        for part in (states, *plan):
-            part.flags.writeable = False
+        layers.append((states, plan))
     return layers
 
 
-def _plan(nloc: int):
-    """The layer plans of an nloc-candidate table (see :func:`_layers`)."""
-    return _small_layers(nloc) if nloc <= _SMALL_PLAN else _layers(nloc)
+# The width of the walk's low part: a table of up to this many candidates
+# is one row of blocks, a wider one adds rows over its higher bits.
+_SMALL_PLAN = 10
 
 
 @functools.lru_cache(maxsize=None)
@@ -403,11 +373,9 @@ def _blocks(nloc: int, low: int) -> tuple:
     ``(packed(H - t) << low) * nloc + low + t`` plus other ``L * nloc``."""
     def part(bits, offset, shift):
         layers = [(None, *[np.zeros(1, np.intp)] * 3)]  # layer 0: the empty set
-        for states, (previous, flat) in _plan(bits) if bits else ():
-            states, flat = states.astype(np.intp), flat.astype(np.intp)
+        for states, (previous, flat) in _layers(bits):
             own = (flat // bits << offset) * nloc + offset + flat % bits
-            layers.append((previous.astype(np.intp), own,
-                           (states << shift) * nloc, states << offset))
+            layers.append((previous, own, (states << shift) * nloc, states << offset))
         for array in itertools.chain(*(layer[1:] for layer in layers)):
             array.flags.writeable = False
         return layers

@@ -6,13 +6,12 @@ against them.  The others are array routes the library replaced, kept so
 that the routes replacing them can be checked for equal results.
 """
 
-import itertools
 import math
 
 import numpy as np
 
 from kwise_kemeny import BinomialPrefixTable, Profile, mask_members
-from kwise_kemeny.solver import _other_bits, _plan, _subset_weights
+from kwise_kemeny.solver import _layers, _other_bits, _subset_weights
 
 
 def _check_pair_in_subset(subset: int, winner: int, loser: int) -> None:
@@ -101,8 +100,7 @@ def second_walk_count(table):
     before counting moved to the tight states)."""
     nloc, values = len(table.candidates), table.values
     counts = np.ones(nloc, dtype=np.int64)  # layer 1: one order per state
-    layers = itertools.islice(_plan(nloc), 1, None)
-    for level, (states, (previous, flat)) in enumerate(layers, 2):
+    for level, (states, (previous, flat)) in enumerate(_layers(nloc)[1:], 2):
         if math.factorial(level) >= 1 << 63:
             counts = counts.astype(object)
         rest = values[states ^ 1 << flat % nloc]

@@ -29,7 +29,6 @@ from kwise_kemeny.solver import (
     _layered_min,
     _layers,
     _moment_costs,
-    _plan,
     _subset_sum_costs,
     count_table_optima,
     solve_components,
@@ -398,18 +397,16 @@ class TestColexWalk:
             layers = [[s for s in colex if s.bit_count() == level]
                       for level in range(nloc + 1)]
             rank = [{s: r for r, s in enumerate(layer)} for layer in layers]
-            plans = [_layers(nloc)] + [_plan(nloc)] * (nloc <= solver._SMALL_PLAN)
-            for plan in plans:
-                for level, (states, rows) in enumerate(plan, 1):
-                    assert states.tolist() == layers[level]
-                    assert len(rows) == 2  # no member-bit row: flat % nloc
-                    previous, flat = rows
-                    assert previous.shape == flat.shape == (level, len(states))
-                    for i, state in enumerate(layers[level]):
-                        for slot, j in enumerate(mask_members(state)):
-                            rest = state ^ 1 << j
-                            assert previous[slot, i] == rank[level - 1][rest]
-                            assert flat[slot, i] == packed(rest, j) * nloc + j
+            for level, (states, rows) in enumerate(_layers(nloc), 1):
+                assert states.tolist() == layers[level]
+                assert len(rows) == 2  # no member-bit row: flat % nloc
+                previous, flat = rows
+                assert previous.shape == flat.shape == (level, len(states))
+                for i, state in enumerate(layers[level]):
+                    for slot, j in enumerate(mask_members(state)):
+                        rest = state ^ 1 << j
+                        assert previous[slot, i] == rank[level - 1][rest]
+                        assert flat[slot, i] == packed(rest, j) * nloc + j
 
     def test_matches_held_karp(self):
         rng = np.random.default_rng(51)
@@ -440,9 +437,9 @@ class TestColexWalk:
 
 
 class TestBlockWalk:
-    """Tables wider than the cached 10-bit plans, whose blocks have rows
+    """Tables wider than the walk's 10-bit low part, whose blocks have rows
     (high bits), against the state loops: tie-heavy pieces with contexts,
-    generated high plans and blocks split into slices."""
+    high parts wider than the low part and blocks split into slices."""
 
     @staticmethod
     def piece(rng, m, nloc):
@@ -485,7 +482,8 @@ class TestBlockWalk:
 
     @pytest.mark.parametrize("nloc", [7, 9, 12])
     def test_generated_high_plans(self, monkeypatch, nloc):
-        # production generates high plans only past 2 * _SMALL_PLAN bits
+        # production tables have a high part wider than the low part only
+        # past 2 * _SMALL_PLAN bits
         monkeypatch.setattr(solver, "_SMALL_PLAN", 3)
         rng = np.random.default_rng(75 + nloc)
         for levels in (2, 5):
@@ -523,8 +521,8 @@ class TestBlockWalk:
 class TestCountInWalk:
     """The optimum count (over tight states, or by the tally pass where
     layers fill up) against the second-walk oracle and the state loop, on
-    tie-heavy profiles: cached plans (<= 10 candidates) and blocks with
-    high bits."""
+    tie-heavy profiles: tables of one block row (<= 10 candidates) and
+    blocks with high bits."""
 
     @staticmethod
     def check(m, seed):
