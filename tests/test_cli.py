@@ -10,6 +10,7 @@ import pytest
 
 from kwise_kemeny import (
     MallowsParams,
+    Profile,
     Ranking,
     cli,
     impartial_culture,
@@ -383,6 +384,105 @@ class TestSolveGolden:
         )
         assert (code, err) == (0, "")
         assert re.sub(r', "millis": [-+0-9.eE]+', "", out) == expected + "\n"
+
+
+def _scaled(profile, shift):
+    """``profile`` with every group count times 2^shift: the same optima
+    and ties, and totals past the int32 bound."""
+    return Profile(profile.m, [(ranking, count << shift) for ranking, count in profile.groups])
+
+
+# Tables of 11 and 12 candidates (one and two bits above the walk's 10-bit
+# low part), the 18-candidate benchmark size, and int64 tables.
+DP_TEXTS = {
+    "m11": serialize_profile(mallows_sample(MallowsParams(Ranking.identity(11), 1.0, 6, 11))),
+    "m12": serialize_profile(mallows_sample(MallowsParams(Ranking.identity(12), 1.0, 6, 12))),
+    "m18": serialize_profile(mallows_sample(MallowsParams(Ranking.identity(18), 1.0, 50, 1))),
+    "wide12": serialize_profile(_scaled(
+        mallows_sample(MallowsParams(Ranking.identity(12), 1.0, 6, 12)), 23)),
+}
+
+# SHA-256 of `solve --mode dp` stdout with `stats.millis` removed, per flag
+# set: plain, `--json` and `--all --limit 25`.
+DP_FLAGS = ("", "--json", "--all --limit 25")
+GOLDEN_DP_DIGESTS = {
+    ("m11", 2): (
+        "54552c9c2655bc8618a72af0366a48f2ac35c48423c302c66158dbf38e654b13",
+        "54552c9c2655bc8618a72af0366a48f2ac35c48423c302c66158dbf38e654b13",
+        "574ea3abfe5d0c65e405aa806fee77c13d96027551e80d56a798daec29121d38",
+    ),
+    ("m11", 3): (
+        "3f2cfabc811faf051042e6b47795dbe887ba31327869897482d2767a6b773953",
+        "3f2cfabc811faf051042e6b47795dbe887ba31327869897482d2767a6b773953",
+        "9448abf4e6d551f270b68fdaaafa3f21798cbb82c44038dc34b913cbbb3f36c4",
+    ),
+    ("m11", 11): (
+        "5969b638e1d8ed7f0c3c09cab364939a745889b7e58472aa37a97bc0b9531a2e",
+        "5969b638e1d8ed7f0c3c09cab364939a745889b7e58472aa37a97bc0b9531a2e",
+        "6bea4b4f92edec57ac8e4d1219aa92bfd93bc7b23acad3967f35b0956d053898",
+    ),
+    ("m12", 2): (
+        "ce36fa250633e01ad933f02698c700057eb764d0868e0b26894d78731f2c8b77",
+        "ce36fa250633e01ad933f02698c700057eb764d0868e0b26894d78731f2c8b77",
+        "928ee463edd91aae0e3b69e424ada72cf6749dac3434c8ce498a36d8d54f4e09",
+    ),
+    ("m12", 3): (
+        "851a583829a255fc8099ec5cee3e4fb3b547cd2b6cd0664379d20754d86a1301",
+        "851a583829a255fc8099ec5cee3e4fb3b547cd2b6cd0664379d20754d86a1301",
+        "c7eb31208150f9cfac7103f3662dde05aa60075e7537622346c831c33cb8bded",
+    ),
+    ("m12", 12): (
+        "c7c3c80f708f80e77a7f41dc1fea7a2ad8563cd1014ac1fa3417eb34812fc9d4",
+        "c7c3c80f708f80e77a7f41dc1fea7a2ad8563cd1014ac1fa3417eb34812fc9d4",
+        "b5b076b451dc278613dd21b10da6afb2925cf5a1d7168370996be35743c30ef2",
+    ),
+    ("m18", 2): (
+        "7ef371187d461ff36422a2d0bf159cd97329da60049c6cd3f3638e035d7c82bf",
+        "7ef371187d461ff36422a2d0bf159cd97329da60049c6cd3f3638e035d7c82bf",
+        "fa2d69f5d0b98adb26cc257e07c3474e932bbcc607c86269e1849beed9153c2a",
+    ),
+    ("m18", 3): (
+        "9b10b91c14920d63725f9829970111307409d66218b18b3763d10f8629321ac9",
+        "9b10b91c14920d63725f9829970111307409d66218b18b3763d10f8629321ac9",
+        "9b10b91c14920d63725f9829970111307409d66218b18b3763d10f8629321ac9",
+    ),
+    ("m18", 18): (
+        "d42596ac70bcbc8a2f788c9ab4090075317752885dca07eb6d1011e8b74bd3f3",
+        "d42596ac70bcbc8a2f788c9ab4090075317752885dca07eb6d1011e8b74bd3f3",
+        "d42596ac70bcbc8a2f788c9ab4090075317752885dca07eb6d1011e8b74bd3f3",
+    ),
+    ("wide12", 2): (
+        "7965b6740c04d93714852b713b82e39187ecc5d09883228a84d4f30138697c05",
+        "7965b6740c04d93714852b713b82e39187ecc5d09883228a84d4f30138697c05",
+        "8ef04df8a5e622e1ad0016936c45bd9d0fc433699f7cf368a4cb373906b779a3",
+    ),
+    ("wide12", 3): (
+        "ee6db586bbfb0388dcae2fd5398be7a0611fea25c8a6db6180a866b2c4d14fc8",
+        "ee6db586bbfb0388dcae2fd5398be7a0611fea25c8a6db6180a866b2c4d14fc8",
+        "ea827ee45bef7ef19275fe10ccf2e9c002bed589b57e7e9fa69d5434779f827c",
+    ),
+    ("wide12", 12): (
+        "539d341680ee499f934dbc9cdeba44df339be5cd84d5ebeea4c2d67cfc86942f",
+        "539d341680ee499f934dbc9cdeba44df339be5cd84d5ebeea4c2d67cfc86942f",
+        "642df15d691c9609f0bf8531f361e5298db0e9d4506ecfa7fe52313286d1a552",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, k", list(GOLDEN_DP_DIGESTS))
+def test_dp_bytes_are_pinned(capsys, tmp_path, name, k):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(DP_TEXTS[name])
+    digests = []
+    for flags in DP_FLAGS:
+        code, out, err = run(
+            capsys, "solve", "--input", str(path), "--k", str(k), "--mode", "dp",
+            *flags.split(),
+        )
+        assert (code, err) == (0, "")
+        out = re.sub(r', "millis": [-+0-9.eE]+', "", out)
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == GOLDEN_DP_DIGESTS[name, k]
 
 
 # SHA-256 of a `bench --json` grid with the timing fields removed: every
