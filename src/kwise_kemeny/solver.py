@@ -96,9 +96,11 @@ class DpTable:
     """Subset table of the consensus dynamic program.
 
     ``values[S]`` is the optimal restricted cost for the local submask ``S``
-    (bit j of ``S`` stands for ``candidates[j]``), built from the cost rows
-    ``cost`` (see :func:`_other_bits`).  Its optimal orders are read back
-    and counted through :meth:`choices`.
+    (bit j of ``S`` stands for ``candidates[j]``), built from ``cost``, the
+    cost of placing each member j of each state S first, above S - j: one
+    entry per (state, member) pair, ``nloc * 2^(nloc - 1)`` in all, kept in
+    the walk's block order (:func:`_cost_regions`).  Its optimal orders are
+    read back and counted through :meth:`choices`.
     """
 
     candidates: tuple[int, ...]
@@ -112,14 +114,30 @@ class DpTable:
 
     def choices(self, state: int) -> int:
         """The bitmask of the members j of ``state`` with
-        ``values[S - j] + cost[j, S - j] == values[S]``: those that can be
+        ``values[S - j] + cost_j(S - j) == values[S]``: those that can be
         placed first at no extra cost, in Python ints."""
+        nloc = len(self.candidates)
+        low = min(nloc, _SMALL_PLAN)
+        lows, highs = mask_members(state & (1 << low) - 1), mask_members(state >> low)
+        c = len(lows)
+        columns = math.comb(low, c)
+        rank = sum(math.comb(x, i) for i, x in enumerate(lows, 1))  # colex, in layer c
+        row_starts, run_starts = _segments(low)
+        # low member l at slot s: row H, layer c, run s; high member low + t:
+        # run (rest, t), layer c (chunks of nloc << low entries)
+        width, chunk = low << low >> 1, nloc << low
+        high = state >> low
+        first = (high >> 1) * chunk + (high & 1) * width + row_starts[c] + rank
+        placed = [(j, first + slot * columns) for slot, j in enumerate(lows)]
+        for t in highs:
+            rest = high ^ 1 << t
+            rest = rest & (1 << t) - 1 | rest >> t + 1 << t
+            at = rest * chunk + 2 * width + (t << low) + run_starts[c] + rank
+            placed.append((low + t, at))
         value, cost = self.values.item, self.cost.item
         best, chosen = value(state), 0
-        for j in mask_members(state):
-            rest = state ^ 1 << j  # packed: the bits above j move down one
-            paid = cost(j, rest & (1 << j) - 1 | rest >> j + 1 << j)
-            chosen |= (value(rest) + paid == best) << j
+        for j, at in placed:
+            chosen |= (value(state ^ 1 << j) + cost(at) == best) << j
         return chosen
 
 
@@ -181,6 +199,38 @@ def _other_bits(nloc: int) -> np.ndarray:
     return others
 
 
+def _doubled(base: np.ndarray, linear: np.ndarray, pairs, dtype: type) -> np.ndarray:
+    """``table[j, T]`` = base[j] + sum_{i in T} linear[j, i], plus
+    sum_{i < i' in T} pairs[j, i, i'] unless ``pairs`` is None, over the
+    subsets T of linear's columns, by subset-sum doubling: the entries with
+    bit i are those without it, plus linear[j, i] and the pairs of i with
+    the lower bits (themselves doubled)."""
+    rows, bits = linear.shape
+    table = np.empty((rows, 1 << bits), dtype)
+    table[:, 0] = base
+    for i in range(bits):
+        low, block = table[:, : 1 << i], table[:, 1 << i : 2 << i]
+        if pairs is not None and i:
+            block[:, 0] = 0
+            for bit in range(i):
+                np.add(block[:, : 1 << bit], pairs[:, i, bit : bit + 1],
+                       out=block[:, 1 << bit : 2 << bit])
+            block += low
+        else:
+            block[:] = low
+        block += linear[:, i : i + 1]
+    return table
+
+
+def _double_rows(rows: np.ndarray, steps: np.ndarray) -> None:
+    """Fill the rows of a chunk view (:func:`_cost_regions`) from row 0 by
+    doubling on whole rows: row H | 2^s is row H plus ``steps[s]``, for the
+    rows H below 2^s.  Row H sits at ``rows[H >> 1, H & 1]``."""
+    np.add(rows[0, 0], steps[0], out=rows[0, 1])
+    for s in range(1, len(steps)):
+        np.add(rows[: 1 << s - 1], steps[s], out=rows[1 << s - 1 : 1 << s])
+
+
 def _moment_costs(
     counts: PairCounts,
     k: int,
@@ -188,7 +238,7 @@ def _moment_costs(
     context: Mask,
     dtype: type,
 ) -> np.ndarray:
-    """Cost rows for k <= 3 from the pair statistics alone.
+    """Cost runs for k <= 3 from the pair statistics alone.
 
     With P the pool above which candidate j is placed (the rest of the
     subset plus the context), a voter with q pool members above j pays q at
@@ -198,7 +248,11 @@ def _moment_costs(
 
     with a[x] the voters preferring x to j and u[x, y] = n - joint[j, x, y]
     the voters preferring x or y to j.  Context terms fold into a constant
-    and a linear term; the rest is filled in by subset-sum doubling.
+    and a linear term.  The table (:func:`_cost_regions`) is filled by
+    doubling on whole rows: the low members' row for H | t is the row for H
+    plus one run (and, at k = 3, the pairs of t with H); a high member's
+    runs double over the packed rest of the high part in the same way.
+    Both start from small tables over the low bits (:func:`_doubled`).
     """
     nloc = len(candidates)
     cand = np.array(candidates, dtype=np.intp)
@@ -206,39 +260,65 @@ def _moment_costs(
     a = counts.above.T[cand[:, None], pool]  # a[j, x]: voters preferring x to j
     base = a[:, nloc:].sum(axis=1)
     linear = a[:, :nloc]
+    pairs = None
     if k == 3:
         union = counts.n - counts.joint[cand][:, pool][:, :, pool]
         to_ctx = union[:, :, nloc:].sum(axis=2)
         # sum_{x<y in C} u = (sum_{x,y in C} u - sum_{x in C} a[x]) / 2
         base += (to_ctx[:, nloc:].sum(axis=1) - base) // 2
         linear = linear + to_ctx[:, :nloc]
-    cost = np.empty((nloc, 1 << (nloc - 1)), dtype=dtype, order="F")
-    cost[:, 0] = base
-    if nloc == 1:
+        pairs = union[:, :nloc, :nloc].astype(dtype)
+    linear = linear.astype(dtype)
+    low = min(nloc, _SMALL_PLAN)
+    high = nloc - low
+    lows = _blocks(nloc, low)[0]
+    own = np.concatenate([layer[1].ravel() for layer in lows[1:]])
+    member, packed = own % nloc, own // nloc  # per column of a low row
+    order = np.concatenate([layer[3] for layer in lows])  # low states per run
+    cost = np.empty(nloc << (nloc - 1), dtype)
+    rows, runs = _cost_regions(cost, nloc)
+
+    # the low members' rows: the empty high part, then one high bit at a time
+    j, others = np.arange(low)[:, None], _other_bits(low)
+    inner = None if pairs is None else pairs[j[:, :, None], others[:, :, None], others[:, None, :]]
+    rows[0, 0] = _doubled(base[:low], linear[j, others], inner, dtype)[member, packed]
+    if not high:
         return cost
-    rows = np.arange(nloc)[:, None]
-    others = _other_bits(nloc)
-    linear = linear[rows, others].astype(dtype)
-    if k == 3:
-        # unions[j, i, b]: u[x_i, x_b] over the members other than j
-        unions = union[rows[:, :, None], others[:, :, None], others[:, None, :]]
-        unions = unions.astype(dtype)
-    for i in range(nloc - 1):
-        low, block = cost[:, : 1 << i], cost[:, 1 << i : 2 << i]
-        if k == 3 and i:
-            # block[T] = sum_{y in T} u[x_i, y] over T within the lower bits
-            block[:, 0] = 0
-            weights = unions[:, i, :i]
-            for bit in range(i):
-                np.add(
-                    block[:, : 1 << bit],
-                    weights[:, bit : bit + 1],
-                    out=block[:, 1 << bit : 2 << bit],
-                )
-            block += low
-        else:
-            block[:] = low
-        block += linear[:, i : i + 1]
+    tops = low + np.arange(high)
+    if pairs is None:
+        steps = linear[member][:, low:].T
+    else:  # placing high t also pays the pairs of t with the low part
+        inner = pairs[j[:, :, None], tops[None, :, None], others[:, None, :]]
+        steps = _doubled(linear[:low, low:].ravel(), inner.reshape(low * high, low - 1),
+                         None, dtype).reshape(low, high, -1)[member, :, packed].T
+    if pairs is None:
+        _double_rows(rows, steps)
+    else:  # the row for H | t pays the pairs of t with H: doubled within the block
+        np.add(rows[0, 0], steps[0], out=rows[0, 1])
+        for t in range(1, high):
+            block = rows[1 << t - 1 : 1 << t]
+            block[0, 0] = steps[t]
+            _double_rows(block, pairs[member, low + t, low : low + t].T)
+            block += rows[: 1 << t - 1]
+
+    # the high members' runs: the empty packed rest, then one bit at a time
+    inner = None if pairs is None else pairs[low:, :low, :low]
+    runs[0] = _doubled(base[low:], linear[low:, :low], inner, dtype)[:, order]
+    others = low + _other_bits(high)  # the high member of packed bit i of t's rest
+    t = np.arange(high)[:, None]
+    if pairs is None:
+        steps = linear[tops[:, None], others][:, :, None]
+    else:  # adding x also pays the pairs of x with the low part
+        steps = _doubled(linear[tops[:, None], others].ravel(),
+                         pairs[tops[:, None], others, :low].reshape(-1, low),
+                         None, dtype)[:, order].reshape(high, high - 1, 1 << low)
+    for i in range(high - 1):
+        block = runs[1 << i : 2 << i]
+        np.add(runs[: 1 << i], steps[:, i], out=block)
+        if pairs is not None and i:  # the pairs of x with the packed rest
+            paid = _doubled(np.zeros(high, dtype),
+                            pairs[tops[:, None], others[:, i : i + 1], others[:, :i]], None, dtype)
+            block += paid.T[:, :, None]
     return cost
 
 
@@ -261,20 +341,15 @@ def _expanded_bits(groups: int, bits: int) -> int:
     return min(_LOW_BITS, max(0, bits - 4 - groups.bit_length()))
 
 
-def _subset_sum_costs(
+def _subset_sum_totals(
     counts: PairCounts,
     k: int,
     candidates: tuple[int, ...],
     context: Mask,
     dtype: type,
 ) -> np.ndarray:
-    """Cost rows for any k by subset-sum transforms, reading no ballot.
-
-    With B_g the local members that voter group g ranks below j and beta_g
-    its context members below j (:func:`_subset_weights`),
-
-        cost_j(T) = n H[|T| + b] - sum_{V subset of T} W_j(V),
-        W_j(V) = sum_g count_g h(|V|, beta_g) [V subset of B_g].
+    """``total[T, j]``, state-major and flat: sum_{V subset of T} W_j(V),
+    T packed as in :func:`_other_bits` (see :func:`_subset_sum_costs`).
 
     Per distinct beta, each group adds its count at B_hi | V for every V
     within its low bits B_lo (:func:`_expanded_bits`), dense doubling passes
@@ -296,8 +371,9 @@ def _subset_sum_costs(
     index = (masks.ravel()[entry] >> low << low | found % (1 << low)) * nloc + entry % nloc
     weights = np.repeat(counts.counts.astype(dtype), nloc)[entry]
     size = np.bitwise_count(np.arange(1 << (nloc - 1)))
-    # state-major: total[T, j]; the betas after the first share one buffer
-    total = part = np.zeros((len(size), nloc), dtype=dtype)
+    # the betas after the first share one buffer
+    flat = np.zeros(nloc << (nloc - 1), dtype)
+    total = part = flat.reshape(len(size), nloc)
     for i, value in enumerate(set(beta.tolist())):
         if i == 1:
             part = np.zeros_like(total)
@@ -310,8 +386,52 @@ def _subset_sum_costs(
         if i:
             total += part
     _subset_sums(total)
-    np.subtract(counts.n * h[0, size + context.bit_count(), None], total, out=total)
-    return total.T
+    return flat
+
+
+def _subset_sum_costs(
+    counts: PairCounts,
+    k: int,
+    candidates: tuple[int, ...],
+    context: Mask,
+    dtype: type,
+) -> np.ndarray:
+    """Cost runs for any k by subset-sum transforms, reading no ballot.
+
+    With B_g the local members that voter group g ranks below j and beta_g
+    its context members below j (:func:`_subset_weights`),
+
+        cost_j(T) = n H[|T| + b] - sum_{V subset of T} W_j(V),
+        W_j(V) = sum_g count_g h(|V|, beta_g) [V subset of B_g].
+
+    The sums come state-major (:func:`_subset_sum_totals`), in the table's
+    own memory.  Each chunk of ``nloc << low`` entries holds just the
+    entries of one chunk of the block order (:func:`_cost_regions`), so the
+    final pass moves them in place, chunk by chunk, and subtracts them from
+    n H[|T| + b] on the way.
+    """
+    nloc = len(candidates)
+    cost = _subset_sum_totals(counts, k, candidates, context, dtype)
+    low = min(nloc, _SMALL_PLAN)
+    lows = _blocks(nloc, low)[0]
+    own = np.concatenate([layer[1].ravel() for layer in lows[1:]])
+    order = np.concatenate([layer[3] for layer in lows])
+    # per entry of a chunk, where it comes from in the chunk: rows 2A and
+    # 2A + 1, then the runs of rest A
+    rows = [own + (parity << low - 1) * nloc for parity in range(1 + (nloc > low))]
+    perm = np.concatenate(rows + [(order * nloc + np.arange(low, nloc)[:, None]).ravel()])
+    # |T| is |A| plus the size of the state within the chunk
+    grown = np.bitwise_count(perm // nloc) + context.bit_count()
+    paid = counts.n * _subset_weights(counts.m, k)[0].astype(dtype)
+    chunks = cost.reshape(-1, len(perm))
+    rests = np.bitwise_count(np.arange(len(chunks)))
+    moved = np.empty(len(perm), dtype)
+    for size in range(max(1, nloc - low)):  # rests have at most h - 1 bits
+        owed = paid[grown + size]
+        for rest in np.flatnonzero(rests == size):
+            np.take(chunks[rest], perm, out=moved, mode="clip")
+            np.subtract(owed, moved, out=chunks[rest])
+    return cost
 
 
 # States per slice of a DP block, in whole rows: the walk's temporaries stay
@@ -383,6 +503,48 @@ def _blocks(nloc: int, low: int) -> tuple:
     return part(low, 0, 0), part(nloc - low, low, low - 1)
 
 
+@functools.lru_cache(maxsize=None)
+def _segments(low: int) -> tuple:
+    """Where low layer c = 0..low begins, and the last one ends, in a row of
+    :func:`_cost_regions` (c runs of C(low, c) entries per layer) and in
+    a run (C(low, c) entries per layer)."""
+    sizes = [math.comb(low, c) for c in range(low + 1)]
+    rows = itertools.accumulate((c * size for c, size in enumerate(sizes)), initial=0)
+    return tuple(rows), tuple(itertools.accumulate(sizes, initial=0))
+
+
+def _cost_regions(cost: np.ndarray, nloc: int) -> tuple:
+    """The rows and runs of a cost table in block order, with b =
+    min(nloc, ``_SMALL_PLAN``) low bits and h high ones.
+
+    ``rows[H >> 1, H & 1]``, for each subset H of the high bits: the costs
+    of placing a low member first in the states H | L, low layer by low
+    layer; in layer c, one run over the layer's states per slot, in the
+    order of the low plan's own indices (:func:`_blocks`).
+    ``runs[rest, t]``: the costs of placing high member b + t first over
+    the states L | rest, ``rest`` the other high bits packed
+    (:func:`_other_bits`), in colex order layer by layer
+    (:func:`_segments`).  The table is 2^(h - 1) chunks, chunk A holding
+    rows 2A and 2A + 1 and the runs of rest A: the entries that the chunk
+    of 2^b states A << b holds in a state-major table.  The walk reads a
+    block's costs as rows and runs by index, each sliced to the block's
+    layer.
+    """
+    low = min(nloc, _SMALL_PLAN)
+    width = low << low >> 1
+    if nloc == low:
+        return cost.reshape(1, 1, width), cost[:0].reshape(0, 0, 1 << low)
+    chunks = cost.reshape(-1, nloc << low)
+    return (chunks[:, : 2 * width].reshape(-1, 2, width),
+            chunks[:, 2 * width :].reshape(-1, nloc - low, 1 << low))
+
+
+def _run_index(own: np.ndarray, nloc: int, low: int) -> tuple:
+    """The runs of :func:`_cost_regions` that a high plan's own cost
+    indices (:func:`_blocks`) point into: ``(rest, t)``."""
+    return own // nloc >> low, own % nloc - low
+
+
 def _layered_min(cost: np.ndarray, nloc: int) -> np.ndarray:
     """Values of the subset DP, one block at a time.
 
@@ -390,16 +552,22 @@ def _layered_min(cost: np.ndarray, nloc: int) -> np.ndarray:
     (a, c), the states with |H| = a and |L| = c, is a (C(h, a), C(b, c))
     array (one row, dropped, at h = 0) scattered once into the table.
     Placing a low member first gathers columns of block (a, c - 1) by the
-    low plan, a high one rows of block (a - 1, c) by the high plan; cost
-    indices are a broadcast add of two cached terms (:func:`_blocks`).
+    low plan, a high one rows of block (a - 1, c) by the high plan; the
+    costs are whole rows and runs of the table (:func:`_cost_regions`),
+    sliced to layer c.
     """
     low, wide = min(nloc, _SMALL_PLAN), nloc > _SMALL_PLAN  # wide: blocks have rows
     lows, highs = _blocks(nloc, low)
+    cost_rows, cost_runs = _cost_regions(cost, nloc)
+    row_starts, run_starts = _segments(low)
     values = np.empty(1 << nloc, dtype=cost.dtype)
-    flat_cost = cost.T.reshape(-1)
-    for a, (high_previous, high_own, high_other, high_states) in enumerate(highs):
+    for a, (high_previous, high_own, _, high_states) in enumerate(highs):
+        owners = high_states >> low + 1, high_states >> low & 1  # cost rows
+        rests, tops = _run_index(high_own, nloc, low)
         row = []
-        for c, (low_previous, low_own, low_other, low_states) in enumerate(lows):
+        for c, (low_previous, _, _, low_states) in enumerate(lows):
+            in_row = slice(row_starts[c], row_starts[c + 1])
+            in_run = slice(run_starts[c], run_starts[c + 1])
             block = np.zeros((len(high_states), len(low_states))[not wide:], cost.dtype)
             step = max(1, _LAYER_SLICE // len(low_states))
             for first in range(0, len(high_states), step):
@@ -408,12 +576,12 @@ def _layered_min(cost: np.ndarray, nloc: int) -> np.ndarray:
                 if c:  # a low member placed first
                     left = (row[-1][rows].take(low_previous, axis=1) if wide
                             else row[-1][low_previous])
-                    left += (flat_cost.take(high_other[rows, None, None] + low_own)
-                             if a else flat_cost[low_own])
+                    paid = cost_rows[owners[0][rows], owners[1][rows], in_row]
+                    left += paid.reshape(left.shape)
                     np.minimum.reduce(left, axis=-2, out=best)
                 if a:  # a high member placed first
                     up = above[c].take(high_previous[:, rows], axis=0)
-                    up += flat_cost.take(high_own[:, rows, None] + low_other)
+                    up += cost_runs[rests[:, rows], tops[:, rows], in_run]
                     if c:
                         np.minimum(best, np.minimum.reduce(up, axis=0), out=best)
                     else:
@@ -497,21 +665,32 @@ def count_table_optima(table: DpTable, choices=None) -> int:
     kind = object if math.factorial(nloc) >= _INT64_COUNTS else np.int64
     counts, values = np.zeros(1 << nloc, kind), table.values
     counts[0] = 1  # the empty state: one order
-    lows, highs = _blocks(nloc, min(nloc, _SMALL_PLAN))
-    flat_cost = table.cost.T.reshape(-1)
-    for a, (_, high_own, high_other, high_states) in enumerate(highs):
-        for c, (_, low_own, low_other, low_states) in enumerate(lows):
+    low = min(nloc, _SMALL_PLAN)
+    lows, highs = _blocks(nloc, low)
+    cost_rows, cost_runs = _cost_regions(table.cost, nloc)
+    row_starts, run_starts = _segments(low)
+    for a, (_, high_own, _, high_states) in enumerate(highs):
+        owners = high_states >> low + 1, high_states >> low & 1
+        rests, tops = _run_index(high_own, nloc, low)
+        for c, (_, low_own, _, low_states) in enumerate(lows):
+            in_row = slice(row_starts[c], row_starts[c + 1])
+            in_run = slice(run_starts[c], run_starts[c + 1])
             states = high_states[:, None] | low_states
             step = max(1, _LAYER_SLICE // len(low_states))
             for first in range(0, len(high_states), step) if a + c else ():
                 rows = slice(first, first + step)
-                sides = [(low_own[:, None, :], high_other[rows, None])] if c else []
+                sides = []  # (placed members, their costs), slots on axis 0
+                if c:
+                    paid = cost_rows[owners[0][rows], owners[1][rows], in_row]
+                    paid = paid.reshape(-1, *low_own.shape)
+                    sides.append((low_own[:, None, :] % nloc, paid.transpose(1, 0, 2)))
                 if a:
-                    sides.append((high_own[:, rows, None], low_other))
+                    paid = cost_runs[rests[:, rows], tops[:, rows], in_run]
+                    sides.append((high_own[:, rows, None] % nloc, paid))
                 tally, best = 0, values.take(states[rows])
-                for own, other in sides:  # slots on axis 0
-                    rest = states[rows] ^ 1 << own % nloc
-                    tight = values.take(rest) + flat_cost.take(own + other) == best
+                for member, paid in sides:
+                    rest = states[rows] ^ 1 << member
+                    tight = values.take(rest) + paid == best
                     tally = tally + np.add.reduce(counts.take(rest) * tight, axis=0)
                 counts[states[rows]] = tally
     return int(counts[-1])

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 
-from kwise_kemeny import BinomialPrefixTable, Profile, mask_members
+from kwise_kemeny import BinomialPrefixTable, Profile, mask_members, solver
 from kwise_kemeny.solver import _layers, _other_bits, _subset_weights
 
 
@@ -57,6 +57,97 @@ def setwise_advantage(profile: Profile, subset: int, c: int, d: int, k: int) -> 
     )
 
 
+def binary_moment_costs(counts, k, candidates, context, dtype):
+    """The cost rows of ``solver._moment_costs`` in binary order: row j over
+    the subsets of the other members, packed as in ``_other_bits``, filled
+    by subset-sum doubling over all of them at once."""
+    nloc = len(candidates)
+    cand = np.array(candidates, dtype=np.intp)
+    pool = np.concatenate((cand, np.array(mask_members(context), dtype=np.intp)))
+    a = counts.above.T[cand[:, None], pool]  # a[j, x]: voters preferring x to j
+    base = a[:, nloc:].sum(axis=1)
+    linear = a[:, :nloc]
+    if k == 3:
+        union = counts.n - counts.joint[cand][:, pool][:, :, pool]
+        to_ctx = union[:, :, nloc:].sum(axis=2)
+        # sum_{x<y in C} u = (sum_{x,y in C} u - sum_{x in C} a[x]) / 2
+        base += (to_ctx[:, nloc:].sum(axis=1) - base) // 2
+        linear = linear + to_ctx[:, :nloc]
+    cost = np.empty((nloc, 1 << (nloc - 1)), dtype=dtype, order="F")
+    cost[:, 0] = base
+    if nloc == 1:
+        return cost
+    rows = np.arange(nloc)[:, None]
+    others = _other_bits(nloc)
+    linear = linear[rows, others].astype(dtype)
+    if k == 3:
+        # unions[j, i, b]: u[x_i, x_b] over the members other than j
+        unions = union[rows[:, :, None], others[:, :, None], others[:, None, :]]
+        unions = unions.astype(dtype)
+    for i in range(nloc - 1):
+        low, block = cost[:, : 1 << i], cost[:, 1 << i : 2 << i]
+        if k == 3 and i:
+            # block[T] = sum_{y in T} u[x_i, y] over T within the lower bits
+            block[:, 0] = 0
+            weights = unions[:, i, :i]
+            for bit in range(i):
+                np.add(
+                    block[:, : 1 << bit],
+                    weights[:, bit : bit + 1],
+                    out=block[:, 1 << bit : 2 << bit],
+                )
+            block += low
+        else:
+            block[:] = low
+        block += linear[:, i : i + 1]
+    return cost
+
+
+def block_index(nloc):
+    """Per entry of a cost table in block order, its flat index in the
+    state-major binary table (``binary.T.flat``), read off the own and
+    other cost indices of the plans ``solver._blocks``: chunk A holds the
+    low members' rows of the high parts 2A and 2A + 1 (other terms
+    ``(H << (low - 1)) * nloc``, then the low plan's own indices layer by
+    layer), then the runs of high members low + t over rest A (own term
+    ``(A << low) * nloc + low + t``, then the low plan's other terms)."""
+    low = min(nloc, solver._SMALL_PLAN)
+    lows = solver._blocks(nloc, low)[0]
+    own = np.concatenate([layer[1].ravel() for layer in lows[1:]])
+    other = np.concatenate([layer[2] for layer in lows])
+    if nloc == low:
+        return own
+    rows = (np.arange(1 << (nloc - low))[:, None] << (low - 1)) * nloc + own
+    rests = np.arange(1 << (nloc - low - 1))[:, None, None]
+    runs = (rests << low) * nloc + low + np.arange(nloc - low)[:, None] + other
+    chunks = (rows.reshape(len(rests), -1), runs.reshape(len(rests), -1))
+    return np.concatenate(chunks, axis=1).ravel()
+
+
+def _members(size):
+    """The nloc of a cost table of ``size`` entries, nloc * 2^(nloc - 1)."""
+    nloc = 1
+    while nloc << (nloc - 1) < size:
+        nloc += 1
+    return nloc
+
+
+def binary_costs(table):
+    """The costs of a ``DpTable`` (or of a cost table in block order) as
+    binary rows: ``[j, packed]``, the cost of placing member j first above
+    the other members in ``packed`` (``_other_bits``)."""
+    cost = getattr(table, "cost", table)
+    nloc = _members(len(cost))
+    binary = np.empty_like(cost)
+    binary[block_index(nloc)] = cost
+    return binary.reshape(-1, nloc).T
+
+
+def block_costs(binary):
+    """Binary cost rows ``[j, packed]`` as a cost table in block order."""
+    return np.ascontiguousarray(binary.T).reshape(-1)[block_index(binary.shape[0])]
+
+
 def dense_subset_sum_costs(counts, k, candidates, context, dtype):
     """The cost rows of ``solver._subset_sum_costs`` with every bit of the
     superset-sum done by dense doubling passes: per distinct beta, a
@@ -99,11 +190,12 @@ def second_walk_count(table):
     slots whose value plus cost meets its own (the count the DP walk took
     before counting moved to the tight states)."""
     nloc, values = len(table.candidates), table.values
+    cost = binary_costs(table).T.reshape(-1)
     counts = np.ones(nloc, dtype=np.int64)  # layer 1: one order per state
     for level, (states, (previous, flat)) in enumerate(_layers(nloc)[1:], 2):
         if math.factorial(level) >= 1 << 63:
             counts = counts.astype(object)
         rest = values[states ^ 1 << flat % nloc]
-        allowed = rest + table.cost.T.flat[flat] == values[states]
+        allowed = rest + cost[flat] == values[states]
         counts = np.where(allowed, counts[previous], 0).sum(axis=0)
     return int(counts[0])

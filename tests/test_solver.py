@@ -34,7 +34,13 @@ from kwise_kemeny.solver import (
     solve_components,
 )
 from conftest import argmin_sets, mask_of, random_profile, restrict_profile
-from oracles import dense_subset_sum_costs, second_walk_count
+from oracles import (
+    binary_costs,
+    binary_moment_costs,
+    block_costs,
+    dense_subset_sum_costs,
+    second_walk_count,
+)
 
 
 # SHA-256 of the dtype, shape and bytes of every array of
@@ -449,12 +455,12 @@ class TestBlockWalk:
 
     @staticmethod
     def check(cost, nloc):
-        """The walk and the optimum count over a cost table against the
+        """The walk and the optimum count over binary cost rows against the
         state loop."""
         values, argmin = table_held_karp(cost)
         expected = count_orders(argmin)
-        walked = _layered_min(cost, nloc)
-        table = DpTable(tuple(range(nloc)), 0, cost, walked)
+        walked = _layered_min(block_costs(cost), nloc)
+        table = DpTable(tuple(range(nloc)), 0, block_costs(cost), walked)
         assert walked.tolist() == values
         assert argmin_sets(table) == argmin
         assert count_table_optima(table) == expected
@@ -478,7 +484,7 @@ class TestBlockWalk:
         profile = Profile(16, [(Ranking(order), 2), (Ranking(order[::-1]), 3)])
         for k in (2, 3):
             subset, context = self.piece(rng, 16, 14)
-            self.check(build_dp_table(profile, k, subset, context).cost, 14)
+            self.check(binary_costs(build_dp_table(profile, k, subset, context)), 14)
 
     @pytest.mark.parametrize("nloc", [7, 9, 12])
     def test_generated_high_plans(self, monkeypatch, nloc):
@@ -515,7 +521,7 @@ class TestBlockWalk:
             assert np.array_equal(sliced.values, whole.values)
             assert argmin_sets(sliced) == argmin_sets(whole)
             assert sliced_count == count_table_optima(whole)
-            self.check(whole.cost, 13)
+            self.check(binary_costs(whole), 13)
 
 
 class TestCountInWalk:
@@ -531,7 +537,7 @@ class TestCountInWalk:
         profile = Profile(m, [(Ranking(order), 2), (Ranking(order[::-1]), 2)])
         for k in (2, 3, m):
             table = build_dp_table(profile, k)
-            values, argmin = table_held_karp(table.cost)
+            values, argmin = table_held_karp(binary_costs(table))
             assert table.values.tolist() == values
             assert argmin_sets(table) == argmin
             expected = count_orders(argmin)
@@ -561,7 +567,8 @@ class TestCountOptima:
         nloc = cost.shape[0]
         values, argmin = table_held_karp(cost)
         expected = count_orders(argmin)
-        table = DpTable(tuple(range(nloc)), 0, cost, _layered_min(cost, nloc))
+        block = block_costs(cost)
+        table = DpTable(tuple(range(nloc)), 0, block, _layered_min(block, nloc))
         assert table.values.tolist() == values and argmin_sets(table) == argmin
         assert count_table_optima(table) == expected
         return expected
@@ -852,7 +859,30 @@ class TestCostRows:
                     for dtype in (np.int32, np.int64):
                         rows = route(counts, k, local, context, dtype)
                         assert rows.dtype == dtype
-                        assert np.array_equal(rows, expected)
+                        assert np.array_equal(binary_costs(rows), expected)
+
+    def test_block_order_matches_binary_oracles(self, monkeypatch):
+        # every entry of both builders' tables against the binary oracles,
+        # mapped through the plans of _blocks: nloc 1-14 with random
+        # contexts, both dtypes, with the walk's low part at 10 bits and at
+        # 3 (high parts wider than the low part)
+        rng = np.random.default_rng(45)
+        for small in (solver._SMALL_PLAN, 3):
+            monkeypatch.setattr(solver, "_SMALL_PLAN", small)
+            for nloc in range(1, 15):
+                m = nloc + 3
+                counts = PairCounts(weighted_profile(rng, m, 5))
+                local = tuple(sorted(rng.choice(m, nloc, replace=False).tolist()))
+                context = int(rng.integers(0, 1 << m)) & ~mask_of(local)
+                for k in sorted({2, 3, 4, max(2, nloc)}):
+                    routes = [_subset_sum_costs] + [_moment_costs] * (k <= 3)
+                    oracle = binary_moment_costs if k <= 3 else dense_subset_sum_costs
+                    for dtype in (np.int32, np.int64):
+                        expected = block_costs(oracle(counts, k, local, context, dtype))
+                        for route in routes:
+                            block = route(counts, k, local, context, dtype)
+                            assert block.dtype == dtype
+                            assert np.array_equal(block, expected)
 
     def test_moment_and_subset_sum_tables_identical(self):
         rng = np.random.default_rng(42)
@@ -870,7 +900,7 @@ class TestCostRows:
                 values = _layered_min(moment, len(local))
                 table = build_dp_table(profile, k, subset, context)
                 assert np.array_equal(values, table.values)
-                assert table_held_karp(moment)[1] == argmin_sets(table)
+                assert table_held_karp(binary_costs(moment))[1] == argmin_sets(table)
                 moment_table = DpTable(local, context, moment, values)
                 assert count_table_optima(moment_table) == count_table_optima(table)
                 other = _layered_min(transformed, len(local))
@@ -901,7 +931,7 @@ class TestCostRows:
                     for dtype in (np.int32, np.int64):
                         rows = _subset_sum_costs(counts, k, local, context, dtype)
                         assert rows.dtype == dtype
-                        assert np.array_equal(rows, dense_subset_sum_costs(
+                        assert np.array_equal(binary_costs(rows), dense_subset_sum_costs(
                             counts, k, local, context, dtype))
                 for k in (2, 3):
                     assert np.array_equal(
