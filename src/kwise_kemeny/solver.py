@@ -719,25 +719,34 @@ def _elapsed_ms(started: float) -> float:
     return (time.perf_counter() - started) * 1000.0
 
 
-def _singleton_costs(
+def _small_costs(
     counts: PairCounts, k: int, components: tuple[Mask, ...]
-) -> np.ndarray:
-    """``cost[c]``: the optimum of every one-candidate component {c}.
+) -> tuple[list, dict]:
+    """Closed forms for the components of one or two candidates.
 
-    It is the cost of placing c above the later components: a voter group
-    ranking t of their b members below c pays ``H[b] - H[t]``.
+    ``alone[c]`` is the cost of placing c above the later components: a
+    voter group ranking t of their b members below c pays ``H[b] - H[t]``.
+    ``over[c]``, for c in a component of two, is the cost of placing c
+    above its partner as well (one more member in the pool).
     """
-    rank = [0] * counts.m
+    rank, partner = [0] * counts.m, list(range(counts.m))
     for i, mask in enumerate(components):
-        for c in mask_members(mask):
+        members = mask_members(mask)
+        for c in members:
             rank[c] = i
+        if len(members) == 2:
+            partner[members[0]], partner[members[1]] = members[::-1]
     later = np.less.outer(rank, rank)  # later[c, x]: x in a later component
     # below[c, g]: members of later components that group g ranks below c
     prefers = counts.prefers.transpose(1, 0, 2)
-    below = np.matmul(prefers, later[:, :, None].astype(prefers.dtype))
+    below = np.matmul(prefers, later[:, :, None].astype(prefers.dtype))[:, :, 0]
     H = _subset_weights(counts.m, k)[0]
-    paid = H[below[:, :, 0].astype(np.intp)] @ counts.counts
-    return counts.n * H[later.sum(axis=1)] - paid
+    size = later.sum(axis=1)
+    alone = counts.n * H[size] - H[below.astype(np.intp)] @ counts.counts
+    paired = np.flatnonzero(np.array(partner) != np.arange(counts.m))
+    below = below[paired] + prefers[paired, :, np.array(partner)[paired]]
+    over = counts.n * H[size[paired] + 1] - H[below.astype(np.intp)] @ counts.counts
+    return alone.tolist(), dict(zip(paired.tolist(), over.tolist()))
 
 
 def solve_components(
@@ -781,14 +790,23 @@ def solve_components(
     pieces: list[list[tuple[int, ...]]] = []
     later = union  # candidates of the components not yet solved
     with PairCounts.shared(profile) as counts:
-        if any(mask & (mask - 1) == 0 for mask in components):
-            alone = _singleton_costs(counts, k, components).tolist()
+        if any(mask.bit_count() <= 2 for mask in components):
+            alone, over = _small_costs(counts, k, components)
         for component in components:
             later ^= component
-            if component & (component - 1) == 0:  # one candidate, one order
-                optimum += alone[component.bit_length() - 1]
-                states += 2
-                pieces.append([(component.bit_length() - 1,)])
+            if component.bit_count() <= 2:  # one or two orders, in closed form
+                members = mask_members(component)
+                if len(members) == 1:
+                    paid = {tuple(members): alone[members[0]]}
+                else:  # peel-lexicographic: the lower id first
+                    x, y = members
+                    paid = {(x, y): over[x] + alone[y], (y, x): over[y] + alone[x]}
+                best = min(paid.values())
+                orders = [order for order, total in paid.items() if total == best]
+                optimum += best
+                states += 1 << len(members)
+                count *= len(orders)
+                pieces.append(orders[: limit or 1])
                 continue
             table = build_dp_table(profile, k, component, later)
             optimum += table.optimum

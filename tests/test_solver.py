@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import itertools
 import math
 import tracemalloc
 import weakref
@@ -31,6 +32,7 @@ from kwise_kemeny.solver import (
     _moment_costs,
     _subset_sum_costs,
     count_table_optima,
+    enumerate_table_orders,
     solve_components,
 )
 from conftest import argmin_sets, mask_of, random_profile, restrict_profile
@@ -816,6 +818,50 @@ class TestSolveComponents:
     def test_limit_validation(self, six_profile):
         with pytest.raises(ValueError, match="limit"):
             solve_components(six_profile, 3, (full_mask(6),), limit=0)
+
+    @staticmethod
+    def table_pieces(profile, k, pieces, limit, count_optima):
+        """``solve_components`` with a DP table for every piece: optimum,
+        rankings, count, truncation and states."""
+        optimum = states = 0
+        count, orders, later = 1, [], full_mask(profile.m)
+        for piece in pieces:
+            later ^= piece
+            table = build_dp_table(profile, k, piece, later)
+            optimum += table.optimum
+            states += len(table.values)
+            count *= count_table_optima(table)
+            orders.append(enumerate_table_orders(table, limit or 1))
+        rankings = tuple(
+            Ranking([c for order in combo for c in order])
+            for combo in itertools.islice(itertools.product(*orders), limit or 1)
+        )
+        if not count_optima:
+            count = len(rankings)
+        return optimum, rankings, count, count > len(rankings), states
+
+    def test_small_components_match_tables(self):
+        # components of one and two candidates, solved in closed form,
+        # against their DP tables; reversed ballots tie many pairs
+        rng = np.random.default_rng(34)
+        for trial in range(30):
+            m = int(rng.integers(2, 9))
+            order = rng.permutation(m)
+            profile = (Profile(m, [(Ranking(order), 2), (Ranking(order[::-1]), 2)])
+                       if trial % 3 == 0 else weighted_profile(rng, m, int(rng.integers(1, 6))))
+            k = int(rng.integers(2, m + 1))
+            members, pieces = rng.permutation(m).tolist(), []
+            while members:
+                size = int(rng.integers(1, 4))
+                pieces.append(mask_of(members[:size]))
+                members = members[size:]
+            for limit in (None, 1, 3, 50):
+                for count_optima in (False, True):
+                    result = solve_components(profile, k, tuple(pieces), limit, count_optima)
+                    assert (
+                        result.optimum, result.rankings, result.count,
+                        result.truncated, result.stats.states,
+                    ) == self.table_pieces(profile, k, pieces, limit, count_optima)
 
 
 class TestCostRows:
