@@ -20,8 +20,15 @@ the lowest bits of the superset-sum by expanding each group's entries).
 The min walks blocks of states H | L, L the lowest 10 bits, each part in
 colex order by a cached layer plan (predecessor ranks, cost indices;
 :func:`_layers`): a block (|H|, |L|) takes one row and one column gather of
-its two neighbours.  The walk keeps values only: readback and the optimum
-count follow argmin sets (:meth:`DpTable.choices`) down from the full set.
+its two neighbours.  The cost table is kept in that block order
+(:func:`_cost_regions`): per high part H, one row of the low members'
+placement costs, and per high member and rest of the high part, one run
+over the low states, each low layer a contiguous slice of them.  The walk
+reads whole rows and runs by index; at k <= 3 they are built by doubling on
+whole rows, at k >= 4 a last in-place pass moves each chunk of the
+state-major transforms into them.  The walk keeps values only: readback
+and the optimum count follow argmin sets (:meth:`DpTable.choices`) down
+from the full set.
 Cost tables and DP values are int32 when n * sum_{i=2..k} C(m, i), which
 bounds every entry and partial sum, is below 2^31, else int64.
 
@@ -119,25 +126,22 @@ class DpTable:
         nloc = len(self.candidates)
         low = min(nloc, _SMALL_PLAN)
         lows, highs = mask_members(state & (1 << low) - 1), mask_members(state >> low)
-        c = len(lows)
-        columns = math.comb(low, c)
+        columns = math.comb(low, len(lows))
         rank = sum(math.comb(x, i) for i, x in enumerate(lows, 1))  # colex, in layer c
-        row_starts, run_starts = _segments(low)
-        # low member l at slot s: row H, layer c, run s; high member low + t:
-        # run (rest, t), layer c (chunks of nloc << low entries)
-        width, chunk = low << low >> 1, nloc << low
-        high = state >> low
-        first = (high >> 1) * chunk + (high & 1) * width + row_starts[c] + rank
-        placed = [(j, first + slot * columns) for slot, j in enumerate(lows)]
+        row_start, run_start = (starts[len(lows)] + rank for starts in _segments(low))
+        rows, runs = _cost_regions(self.cost, nloc)
+        value, high = self.values.item, state >> low
+        # low member j at slot s: run s of layer c in row H; high member
+        # low + t: layer c of the run of t over its packed rest
+        paid = [(j, rows.item(high >> 1, high & 1, row_start + slot * columns))
+                for slot, j in enumerate(lows)]
         for t in highs:
             rest = high ^ 1 << t
             rest = rest & (1 << t) - 1 | rest >> t + 1 << t
-            at = rest * chunk + 2 * width + (t << low) + run_starts[c] + rank
-            placed.append((low + t, at))
-        value, cost = self.values.item, self.cost.item
+            paid.append((low + t, runs.item(rest, t, run_start)))
         best, chosen = value(state), 0
-        for j, at in placed:
-            chosen |= (value(state ^ 1 << j) + cost(at) == best) << j
+        for j, cost in paid:
+            chosen |= (value(state ^ 1 << j) + cost == best) << j
         return chosen
 
 
@@ -187,11 +191,13 @@ def _table_dtype(n: int, m: int, k: int) -> type:
 
 @functools.lru_cache(maxsize=None)
 def _other_bits(nloc: int) -> np.ndarray:
-    """``others[j, i]``: local index of bit i of row j's half-size index.
+    """``others[j, i]``: local index of bit i of member j's packed index.
 
-    Row j of a cost table is indexed by the subset T of the other local
-    candidates, packed into nloc - 1 bits: bit i stands for local i below j
-    and for local i + 1 from j on.
+    The costs of placing member j first are indexed by the subset T of the
+    other members, packed into nloc - 1 bits: bit i stands for member i
+    below j and for member i + 1 from j on (the state-major order of the
+    k >= 4 transforms; within the high part, the rests of
+    :func:`_cost_regions`).
     """
     i = np.arange(nloc - 1)
     others = i[None, :] + (i[None, :] >= np.arange(nloc)[:, None])
@@ -271,10 +277,8 @@ def _moment_costs(
     linear = linear.astype(dtype)
     low = min(nloc, _SMALL_PLAN)
     high = nloc - low
-    lows = _blocks(nloc, low)[0]
-    own = np.concatenate([layer[1].ravel() for layer in lows[1:]])
+    own, order = _run_order(nloc, low)
     member, packed = own % nloc, own // nloc  # per column of a low row
-    order = np.concatenate([layer[3] for layer in lows])  # low states per run
     cost = np.empty(nloc << (nloc - 1), dtype)
     rows, runs = _cost_regions(cost, nloc)
 
@@ -286,26 +290,25 @@ def _moment_costs(
         return cost
     tops = low + np.arange(high)
     if pairs is None:
-        steps = linear[member][:, low:].T
-    else:  # placing high t also pays the pairs of t with the low part
+        _double_rows(rows, linear[member, low:].T)
+    else:
+        # placing high t pays the pairs of t with the low part, and with H:
+        # the latter doubled within the block of rows H | t
         inner = pairs[j[:, :, None], tops[None, :, None], others[:, None, :]]
         steps = _doubled(linear[:low, low:].ravel(), inner.reshape(low * high, low - 1),
                          None, dtype).reshape(low, high, -1)[member, :, packed].T
-    if pairs is None:
-        _double_rows(rows, steps)
-    else:  # the row for H | t pays the pairs of t with H: doubled within the block
         np.add(rows[0, 0], steps[0], out=rows[0, 1])
+        chunks = rows.reshape(len(rows), -1)  # added as 2-d rows, numpy copies no operand
         for t in range(1, high):
             block = rows[1 << t - 1 : 1 << t]
             block[0, 0] = steps[t]
             _double_rows(block, pairs[member, low + t, low : low + t].T)
-            block += rows[: 1 << t - 1]
+            chunks[1 << t - 1 : 1 << t] += chunks[: 1 << t - 1]
 
     # the high members' runs: the empty packed rest, then one bit at a time
     inner = None if pairs is None else pairs[low:, :low, :low]
     runs[0] = _doubled(base[low:], linear[low:, :low], inner, dtype)[:, order]
     others = low + _other_bits(high)  # the high member of packed bit i of t's rest
-    t = np.arange(high)[:, None]
     if pairs is None:
         steps = linear[tops[:, None], others][:, :, None]
     else:  # adding x also pays the pairs of x with the low part
@@ -413,9 +416,7 @@ def _subset_sum_costs(
     nloc = len(candidates)
     cost = _subset_sum_totals(counts, k, candidates, context, dtype)
     low = min(nloc, _SMALL_PLAN)
-    lows = _blocks(nloc, low)[0]
-    own = np.concatenate([layer[1].ravel() for layer in lows[1:]])
-    order = np.concatenate([layer[3] for layer in lows])
+    own, order = _run_order(nloc, low)
     # per entry of a chunk, where it comes from in the chunk: rows 2A and
     # 2A + 1, then the runs of rest A
     rows = [own + (parity << low - 1) * nloc for parity in range(1 + (nloc > low))]
@@ -488,9 +489,12 @@ _SMALL_PLAN = 10
 def _blocks(nloc: int, low: int) -> tuple:
     """Per layer of the low and high parts' plans (:func:`_layered_min`):
     predecessor ranks, own and other terms of cost indices, states in place.
-    In state H | L, low member l costs at own ``packed(L - l) * nloc + l``
-    plus other ``(H << (low - 1)) * nloc``; high member low + t at own
-    ``(packed(H - t) << low) * nloc + low + t`` plus other ``L * nloc``."""
+    In a state-major cost table (the order of the k >= 4 transforms), the
+    cost of low member l in state H | L is at own ``packed(L - l) * nloc +
+    l`` plus other ``(H << (low - 1)) * nloc``; of high member low + t at
+    own ``(packed(H - t) << low) * nloc + low + t`` plus other ``L * nloc``.
+    The own indices of the low plan and the states order the runs of
+    :func:`_cost_regions`."""
     def part(bits, offset, shift):
         layers = [(None, *[np.zeros(1, np.intp)] * 3)]  # layer 0: the empty set
         for states, (previous, flat) in _layers(bits):
@@ -537,6 +541,15 @@ def _cost_regions(cost: np.ndarray, nloc: int) -> tuple:
     chunks = cost.reshape(-1, nloc << low)
     return (chunks[:, : 2 * width].reshape(-1, 2, width),
             chunks[:, 2 * width :].reshape(-1, nloc - low, 1 << low))
+
+
+def _run_order(nloc: int, low: int) -> tuple:
+    """The low plan's own cost indices and its states, layer after layer:
+    the order of a row's runs and of a run's entries in
+    :func:`_cost_regions`."""
+    lows = _blocks(nloc, low)[0]
+    return (np.concatenate([layer[1].ravel() for layer in lows[1:]]),
+            np.concatenate([layer[3] for layer in lows]))
 
 
 def _run_index(own: np.ndarray, nloc: int, low: int) -> tuple:
@@ -650,7 +663,8 @@ def count_table_optima(table: DpTable, choices=None) -> int:
     few states.  Past ``_TIGHT_BUDGET`` states per candidate in one layer
     (many orders tie), one pass over the blocks of :func:`_layered_min`
     tallies every state instead: the sum of the counts of the states one
-    member smaller whose value plus the member's cost meets its own.
+    member smaller whose value plus the member's cost meets its own, the
+    costs read as the walk reads them.
     """
     choices, nloc = choices or table.choices, len(table.candidates)
     layer = {(1 << nloc) - 1: 1}
