@@ -344,21 +344,21 @@ def _expanded_bits(groups: int, bits: int) -> int:
     return min(_LOW_BITS, max(0, bits - 4 - groups.bit_length()))
 
 
-def _subset_sum_totals(
+def _subset_sum_terms(
     counts: PairCounts,
     k: int,
     candidates: tuple[int, ...],
     context: Mask,
     dtype: type,
 ) -> np.ndarray:
-    """``total[T, j]``, state-major and flat: sum_{V subset of T} W_j(V),
-    T packed as in :func:`_other_bits` (see :func:`_subset_sum_costs`).
+    """The terms ``n h(|V|, b) - W_j(V)`` of :func:`_subset_sum_costs`,
+    state-major and flat: ``[V, j]``, V packed as in :func:`_other_bits`.
 
     Per distinct beta, each group adds its count at B_hi | V for every V
     within its low bits B_lo (:func:`_expanded_bits`), dense doubling passes
-    over the high bits finish the superset-sum, it is scaled by h, and the
-    total goes through a subset-sum.  Every term is nonnegative, so the
-    accumulation guard bounds each partial sum.
+    over the high bits finish the superset-sum, and it is scaled by h.
+    Every term is nonnegative (h(u, beta) grows with beta <= b), so the
+    accumulation guard bounds each partial sum of their subset-sum.
     """
     nloc = len(candidates)
     low = _expanded_bits(len(counts.counts), nloc - 1)
@@ -388,7 +388,7 @@ def _subset_sum_totals(
         part *= h[size, value, None]
         if i:
             total += part
-    _subset_sums(total)
+    np.subtract(counts.n * h[size, context.bit_count(), None], total, out=total)
     return flat
 
 
@@ -404,34 +404,38 @@ def _subset_sum_costs(
     With B_g the local members that voter group g ranks below j and beta_g
     its context members below j (:func:`_subset_weights`),
 
-        cost_j(T) = n H[|T| + b] - sum_{V subset of T} W_j(V),
-        W_j(V) = sum_g count_g h(|V|, beta_g) [V subset of B_g].
+        cost_j(T) = n H[|T| + b] - sum_{V subset of T} W_j(V)
+                  = sum_{V subset of T} (n h(|V|, b) - W_j(V)),
+        W_j(V) = sum_g count_g h(|V|, beta_g) [V subset of B_g],
 
-    The sums come state-major (:func:`_subset_sum_totals`), in the table's
-    own memory.  Each chunk of ``nloc << low`` entries holds just the
-    entries of one chunk of the block order (:func:`_cost_regions`), so the
-    final pass moves them in place, chunk by chunk, and subtracts them from
-    n H[|T| + b] on the way.
+    by Vandermonde.  The terms (:func:`_subset_sum_terms`) fill the table's
+    own memory, state-major, and the subset-sum runs over its high bits in
+    place.  Each chunk of 2^low states then holds just the entries of one
+    chunk of the block order (:func:`_cost_regions`).  A few chunks at a
+    time go to a buffer, state-major across them, where the subset-sum
+    over the chunks' own bits runs on long rows; the last pass moves each
+    chunk's entries back into its rows and runs.
     """
     nloc = len(candidates)
-    cost = _subset_sum_totals(counts, k, candidates, context, dtype)
+    cost = _subset_sum_terms(counts, k, candidates, context, dtype)
     low = min(nloc, _SMALL_PLAN)
+    bits = min(low, nloc - 1)  # of a state within its chunk
+    _subset_sums(cost.reshape(-1, nloc), first=bits)
     own, order = _run_order(nloc, low)
     # per entry of a chunk, where it comes from in the chunk: rows 2A and
     # 2A + 1, then the runs of rest A
     rows = [own + (parity << low - 1) * nloc for parity in range(1 + (nloc > low))]
-    perm = np.concatenate(rows + [(order * nloc + np.arange(low, nloc)[:, None]).ravel()])
-    # |T| is |A| plus the size of the state within the chunk
-    grown = np.bitwise_count(perm // nloc) + context.bit_count()
-    paid = counts.n * _subset_weights(counts.m, k)[0].astype(dtype)
-    chunks = cost.reshape(-1, len(perm))
-    rests = np.bitwise_count(np.arange(len(chunks)))
-    moved = np.empty(len(perm), dtype)
-    for size in range(max(1, nloc - low)):  # rests have at most h - 1 bits
-        owed = paid[grown + size]
-        for rest in np.flatnonzero(rests == size):
-            np.take(chunks[rest], perm, out=moved, mode="clip")
-            np.subtract(owed, moved, out=chunks[rest])
+    source = np.concatenate(rows + [(order * nloc + np.arange(low, nloc)[:, None]).ravel()])
+    chunks = cost.reshape(-1, len(source))
+    group = max(1, (1 << 19) // chunks[0].nbytes)  # chunks per buffer of 512 KiB
+    source += source // nloc * (group - 1) * nloc  # the same entries in the buffer
+    buffer = np.empty((1 << bits, group, nloc), dtype)
+    for first in range(0, len(chunks), group):
+        part = chunks[first : first + group]
+        buffer[:, : len(part)] = part.reshape(len(part), 1 << bits, nloc).transpose(1, 0, 2)
+        _subset_sums(buffer.reshape(1 << bits, -1))
+        for i, chunk in enumerate(part):
+            np.take(buffer.reshape(-1)[i * nloc :], source, out=chunk, mode="clip")
     return cost
 
 
