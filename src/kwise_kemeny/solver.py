@@ -125,23 +125,21 @@ class DpTable:
         placed first at no extra cost, in Python ints."""
         nloc = len(self.candidates)
         low = min(nloc, _SMALL_PLAN)
-        lows, highs = mask_members(state & (1 << low) - 1), mask_members(state >> low)
-        columns = math.comb(low, len(lows))
-        rank = sum(math.comb(x, i) for i, x in enumerate(lows, 1))  # colex, in layer c
-        row_start, run_start = (starts[len(lows)] + rank for starts in _segments(low))
-        rows, runs = _cost_regions(self.cost, nloc)
-        value, high = self.values.item, state >> low
-        # low member j at slot s: run s of layer c in row H; high member
-        # low + t: layer c of the run of t over its packed rest
-        paid = [(j, rows.item(high >> 1, high & 1, row_start + slot * columns))
-                for slot, j in enumerate(lows)]
-        for t in highs:
-            rest = high ^ 1 << t
-            rest = rest & (1 << t) - 1 | rest >> t + 1 << t
-            paid.append((low + t, runs.item(rest, t, run_start)))
+        lows, columns, at, first = _low_state(low, state & (1 << low) - 1)
+        # chunks of nloc << low entries (:func:`_cost_regions`): chunk A
+        # holds rows 2A and 2A + 1, each run s of layer c there the low
+        # member at slot s, then the runs of rest A over the low states
+        width, chunk, high = low << low >> 1, nloc << low, state >> low
+        value, cost = self.values.item, self.cost.item
         best, chosen = value(state), 0
-        for j, cost in paid:
-            chosen |= (value(state ^ 1 << j) + cost == best) << j
+        at += (high >> 1) * chunk + (high & 1) * width
+        for j in lows:
+            chosen |= (value(state ^ 1 << j) + cost(at) == best) << j
+            at += columns
+        for t in mask_members(high):
+            rest = high ^ 1 << t
+            at = (rest & (1 << t) - 1 | rest >> t + 1 << t) * chunk + 2 * width + (t << low)
+            chosen |= (value(state ^ 1 << low + t) + cost(at + first) == best) << low + t
         return chosen
 
 
@@ -212,19 +210,18 @@ def _doubled(base: np.ndarray, linear: np.ndarray, pairs, dtype: type) -> np.nda
     bit i are those without it, plus linear[j, i] and the pairs of i with
     the lower bits (themselves doubled)."""
     rows, bits = linear.shape
-    table = np.empty((rows, 1 << bits), dtype)
+    table = np.empty((rows, 1 << bits), dtype, order="F")  # state-major blocks
     table[:, 0] = base
     for i in range(bits):
         low, block = table[:, : 1 << i], table[:, 1 << i : 2 << i]
         if pairs is not None and i:
-            block[:, 0] = 0
+            block[:, 0] = linear[:, i]
             for bit in range(i):
                 np.add(block[:, : 1 << bit], pairs[:, i, bit : bit + 1],
                        out=block[:, 1 << bit : 2 << bit])
             block += low
         else:
-            block[:] = low
-        block += linear[:, i : i + 1]
+            np.add(low, linear[:, i : i + 1], out=block)
     return table
 
 
@@ -277,50 +274,47 @@ def _moment_costs(
     linear = linear.astype(dtype)
     low = min(nloc, _SMALL_PLAN)
     high = nloc - low
-    own, order = _run_order(nloc, low)
-    member, packed = own % nloc, own // nloc  # per column of a low row
+    _, unpacked, member, order = _run_order(nloc, low)
     cost = np.empty(nloc << (nloc - 1), dtype)
     rows, runs = _cost_regions(cost, nloc)
 
-    # the low members' rows: the empty high part, then one high bit at a time
-    j, others = np.arange(low)[:, None], _other_bits(low)
-    inner = None if pairs is None else pairs[j[:, :, None], others[:, :, None], others[:, None, :]]
-    rows[0, 0] = _doubled(base[:low], linear[j, others], inner, dtype)[member, packed]
+    # every member's costs over the subsets of the low bits
+    alone = _doubled(base, linear[:, :low], None if pairs is None else pairs[:, :low, :low], dtype)
+    rows[0, 0] = alone.T.reshape(-1).take(unpacked)
     if not high:
         return cost
-    tops = low + np.arange(high)
+    runs[0] = alone[low:].take(order, axis=1)
+    tops, others = np.arange(high), _other_bits(high)  # others: in t's packed rest
     if pairs is None:
-        _double_rows(rows, linear[member, low:].T)
+        _double_rows(rows, np.ascontiguousarray(linear[:, low:].T).take(member, axis=1))
+        steps = linear[low + tops[:, None], low + others][:, :, None]
     else:
-        # placing high t pays the pairs of t with the low part, and with H:
-        # the latter doubled within the block of rows H | t
-        inner = pairs[j[:, :, None], tops[None, :, None], others[:, None, :]]
-        steps = _doubled(linear[:low, low:].ravel(), inner.reshape(low * high, low - 1),
-                         None, dtype).reshape(low, high, -1)[member, :, packed].T
+        # what placing j above the high member x as well adds, over the
+        # subsets of the low bits: row j * h + x
+        adds = _doubled(linear[:, low:].ravel(), pairs[:, low:, :low].reshape(-1, low),
+                        None, dtype)
+        # the row for H | t also pays the pairs of t with H: doubled within
+        # the block of rows H | t, then added as 2-d rows (numpy copies no
+        # operand)
+        steps = adds.T.reshape(-1)[unpacked * high + tops[:, None]]
         np.add(rows[0, 0], steps[0], out=rows[0, 1])
-        chunks = rows.reshape(len(rows), -1)  # added as 2-d rows, numpy copies no operand
+        chunks = rows.reshape(len(rows), -1)
         for t in range(1, high):
             block = rows[1 << t - 1 : 1 << t]
             block[0, 0] = steps[t]
-            _double_rows(block, pairs[member, low + t, low : low + t].T)
+            _double_rows(block, np.ascontiguousarray(pairs[:, low + t, low : low + t].T)
+                         .take(member, axis=1))
             chunks[1 << t - 1 : 1 << t] += chunks[: 1 << t - 1]
+        steps = adds[((low + tops) * high)[:, None, None] + others[:, :, None], order]
 
-    # the high members' runs: the empty packed rest, then one bit at a time
-    inner = None if pairs is None else pairs[low:, :low, :low]
-    runs[0] = _doubled(base[low:], linear[low:, :low], inner, dtype)[:, order]
-    others = low + _other_bits(high)  # the high member of packed bit i of t's rest
-    if pairs is None:
-        steps = linear[tops[:, None], others][:, :, None]
-    else:  # adding x also pays the pairs of x with the low part
-        steps = _doubled(linear[tops[:, None], others].ravel(),
-                         pairs[tops[:, None], others, :low].reshape(-1, low),
-                         None, dtype)[:, order].reshape(high, high - 1, 1 << low)
+    # a high member's runs double over its packed rest
     for i in range(high - 1):
         block = runs[1 << i : 2 << i]
         np.add(runs[: 1 << i], steps[:, i], out=block)
         if pairs is not None and i:  # the pairs of x with the packed rest
-            paid = _doubled(np.zeros(high, dtype),
-                            pairs[tops[:, None], others[:, i : i + 1], others[:, :i]], None, dtype)
+            x = low + others
+            paid = _doubled(np.zeros(high, dtype), pairs[low + tops[:, None], x[:, i : i + 1], x[:, :i]],
+                            None, dtype)
             block += paid.T[:, :, None]
     return cost
 
@@ -419,21 +413,24 @@ def _subset_sum_costs(
     nloc = len(candidates)
     cost = _subset_sum_terms(counts, k, candidates, context, dtype)
     low = min(nloc, _SMALL_PLAN)
-    bits = min(low, nloc - 1)  # of a state within its chunk
-    _subset_sums(cost.reshape(-1, nloc), first=bits)
-    own, order = _run_order(nloc, low)
+    own, _, _, order = _run_order(nloc, low)
+    if nloc == low:  # one row, one chunk
+        _subset_sums(cost.reshape(-1, nloc))
+        cost[:] = cost.take(own)
+        return cost
+    _subset_sums(cost.reshape(-1, nloc), first=low)
     # per entry of a chunk, where it comes from in the chunk: rows 2A and
     # 2A + 1, then the runs of rest A
-    rows = [own + (parity << low - 1) * nloc for parity in range(1 + (nloc > low))]
-    source = np.concatenate(rows + [(order * nloc + np.arange(low, nloc)[:, None]).ravel()])
+    runs = (order * nloc + np.arange(low, nloc)[:, None]).ravel()
+    source = np.concatenate((own, own + (nloc << low - 1), runs))
     chunks = cost.reshape(-1, len(source))
-    group = max(1, (1 << 19) // chunks[0].nbytes)  # chunks per buffer of 512 KiB
+    group = max(1, min(len(chunks), (1 << 19) // chunks[0].nbytes))  # a buffer of 512 KiB
     source += source // nloc * (group - 1) * nloc  # the same entries in the buffer
-    buffer = np.empty((1 << bits, group, nloc), dtype)
+    buffer = np.empty((1 << low, group, nloc), dtype)
     for first in range(0, len(chunks), group):
         part = chunks[first : first + group]
-        buffer[:, : len(part)] = part.reshape(len(part), 1 << bits, nloc).transpose(1, 0, 2)
-        _subset_sums(buffer.reshape(1 << bits, -1))
+        buffer[:, : len(part)] = part.reshape(len(part), 1 << low, nloc).transpose(1, 0, 2)
+        _subset_sums(buffer.reshape(1 << low, -1))
         for i, chunk in enumerate(part):
             np.take(buffer.reshape(-1)[i * nloc :], source, out=chunk, mode="clip")
     return cost
@@ -521,6 +518,16 @@ def _segments(low: int) -> tuple:
     return tuple(rows), tuple(itertools.accumulate(sizes, initial=0))
 
 
+@functools.lru_cache(maxsize=None)
+def _low_state(low: int, state: int) -> tuple:
+    """Low state L's members, the size C(low, |L|) of its layer, and where
+    the layer holds L in a row and in a run of :func:`_cost_regions`."""
+    members = mask_members(state)
+    rank = sum(math.comb(x, i) for i, x in enumerate(members, 1))  # colex
+    starts = [starts[len(members)] + rank for starts in _segments(low)]
+    return members, math.comb(low, len(members)), *starts
+
+
 def _cost_regions(cost: np.ndarray, nloc: int) -> tuple:
     """The rows and runs of a cost table in block order, with b =
     min(nloc, ``_SMALL_PLAN``) low bits and h high ones.
@@ -547,13 +554,20 @@ def _cost_regions(cost: np.ndarray, nloc: int) -> tuple:
             chunks[:, 2 * width :].reshape(-1, nloc - low, 1 << low))
 
 
+@functools.lru_cache(maxsize=None)
 def _run_order(nloc: int, low: int) -> tuple:
-    """The low plan's own cost indices and its states, layer after layer:
-    the order of a row's runs and of a run's entries in
-    :func:`_cost_regions`."""
+    """The order of :func:`_cost_regions`, kept with :func:`_blocks`.  Per
+    entry of a row: the low plan's own cost index, layer after layer; the
+    same as ``T * nloc + j``, T the other low members unpacked; and the
+    member j.  Per entry of a run: the low state, layer after layer."""
     lows = _blocks(nloc, low)[0]
-    return (np.concatenate([layer[1].ravel() for layer in lows[1:]]),
-            np.concatenate([layer[3] for layer in lows]))
+    own = np.concatenate([layer[1].ravel() for layer in lows[1:]])
+    packed, member = np.divmod(own, nloc)
+    order = (own, own + (packed >> member << member) * nloc, member,
+             np.concatenate([layer[3] for layer in lows]))
+    for array in order:
+        array.flags.writeable = False
+    return order
 
 
 def _run_index(own: np.ndarray, nloc: int, low: int) -> tuple:
@@ -575,16 +589,16 @@ def _layered_min(cost: np.ndarray, nloc: int) -> np.ndarray:
     """
     low, wide = min(nloc, _SMALL_PLAN), nloc > _SMALL_PLAN  # wide: blocks have rows
     lows, highs = _blocks(nloc, low)
-    cost_rows, cost_runs = _cost_regions(cost, nloc)
+    cost_rows, cost_runs = _cost_regions(cost, nloc) if wide else (None, None)
     row_starts, run_starts = _segments(low)
     values = np.empty(1 << nloc, dtype=cost.dtype)
     for a, (high_previous, high_own, _, high_states) in enumerate(highs):
-        owners = high_states >> low + 1, high_states >> low & 1  # cost rows
-        rests, tops = _run_index(high_own, nloc, low)
+        if wide:
+            owners = high_states >> low + 1, high_states >> low & 1  # cost rows
+            rests, tops = _run_index(high_own, nloc, low)
         row = []
         for c, (low_previous, _, _, low_states) in enumerate(lows):
             in_row = slice(row_starts[c], row_starts[c + 1])
-            in_run = slice(run_starts[c], run_starts[c + 1])
             block = np.zeros((len(high_states), len(low_states))[not wide:], cost.dtype)
             step = max(1, _LAYER_SLICE // len(low_states))
             for first in range(0, len(high_states), step):
@@ -593,12 +607,14 @@ def _layered_min(cost: np.ndarray, nloc: int) -> np.ndarray:
                 if c:  # a low member placed first
                     left = (row[-1][rows].take(low_previous, axis=1) if wide
                             else row[-1][low_previous])
-                    paid = cost_rows[owners[0][rows], owners[1][rows], in_row]
+                    paid = (cost_rows[owners[0][rows], owners[1][rows], in_row] if wide
+                            else cost[in_row])  # one row: the whole table
                     left += paid.reshape(left.shape)
                     np.minimum.reduce(left, axis=-2, out=best)
                 if a:  # a high member placed first
                     up = above[c].take(high_previous[:, rows], axis=0)
-                    up += cost_runs[rests[:, rows], tops[:, rows], in_run]
+                    up += cost_runs[rests[:, rows], tops[:, rows],
+                                    run_starts[c] : run_starts[c + 1]]
                     if c:
                         np.minimum(best, np.minimum.reduce(up, axis=0), out=best)
                     else:

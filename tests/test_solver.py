@@ -461,8 +461,9 @@ class TestBlockWalk:
         state loop."""
         values, argmin = table_held_karp(cost)
         expected = count_orders(argmin)
-        walked = _layered_min(block_costs(cost), nloc)
-        table = DpTable(tuple(range(nloc)), 0, block_costs(cost), walked)
+        block = block_costs(cost)
+        walked = _layered_min(block, nloc)
+        table = DpTable(tuple(range(nloc)), 0, block, walked)
         assert walked.tolist() == values
         assert argmin_sets(table) == argmin
         assert count_table_optima(table) == expected
