@@ -296,7 +296,7 @@ def _moment_costs(
         # the row for H | t also pays the pairs of t with H: doubled within
         # the block of rows H | t, then added as 2-d rows (numpy copies no
         # operand)
-        steps = adds.T.reshape(-1)[unpacked * high + tops[:, None]]
+        steps = adds.T.reshape(-1, high).take(unpacked, axis=0).T
         np.add(rows[0, 0], steps[0], out=rows[0, 1])
         chunks = rows.reshape(len(rows), -1)
         for t in range(1, high):
@@ -305,7 +305,8 @@ def _moment_costs(
             _double_rows(block, np.ascontiguousarray(pairs[:, low + t, low : low + t].T)
                          .take(member, axis=1))
             chunks[1 << t - 1 : 1 << t] += chunks[: 1 << t - 1]
-        steps = adds[((low + tops) * high)[:, None, None] + others[:, :, None], order]
+        steps = adds[low * high :].take(order, axis=1).reshape(high, high, -1)
+        steps = steps[tops[:, None], others]
 
     # a high member's runs double over its packed rest
     for i in range(high - 1):
@@ -763,7 +764,7 @@ def _small_costs(
     ``over[c]``, for c in a component of two, is the cost of placing c
     above its partner as well (one more member in the pool).
     """
-    rank, partner = [0] * counts.m, list(range(counts.m))
+    rank, partner = [0] * counts.m, {}
     for i, mask in enumerate(components):
         members = mask_members(mask)
         for c in members:
@@ -777,10 +778,13 @@ def _small_costs(
     H = _subset_weights(counts.m, k)[0]
     size = later.sum(axis=1)
     alone = counts.n * H[size] - H[below.astype(np.intp)] @ counts.counts
-    paired = np.flatnonzero(np.array(partner) != np.arange(counts.m))
-    below = below[paired] + prefers[paired, :, np.array(partner)[paired]]
-    over = counts.n * H[size[paired] + 1] - H[below.astype(np.intp)] @ counts.counts
-    return alone.tolist(), dict(zip(paired.tolist(), over.tolist()))
+    over = {}
+    if partner:
+        paired = np.array(list(partner))
+        below = below[paired] + prefers[paired, :, list(partner.values())]
+        paid = counts.n * H[size[paired] + 1] - H[below.astype(np.intp)] @ counts.counts
+        over = dict(zip(partner, paid.tolist()))
+    return alone.tolist(), over
 
 
 def solve_components(
@@ -829,16 +833,15 @@ def solve_components(
         for component in components:
             later ^= component
             if component.bit_count() <= 2:  # one or two orders, in closed form
-                members = mask_members(component)
-                if len(members) == 1:
-                    paid = {tuple(members): alone[members[0]]}
+                x, y = (component & -component).bit_length() - 1, component.bit_length() - 1
+                if x == y:
+                    best, orders = alone[x], [(x,)]
                 else:  # peel-lexicographic: the lower id first
-                    x, y = members
-                    paid = {(x, y): over[x] + alone[y], (y, x): over[y] + alone[x]}
-                best = min(paid.values())
-                orders = [order for order, total in paid.items() if total == best]
+                    first, second = over[x] + alone[y], over[y] + alone[x]
+                    best = min(first, second)
+                    orders = [(x, y)] * (first == best) + [(y, x)] * (second == best)
                 optimum += best
-                states += 1 << len(members)
+                states += 1 << component.bit_count()
                 count *= len(orders)
                 pieces.append(orders[: limit or 1])
                 continue
