@@ -36,8 +36,8 @@ bounds every entry and partial sum, is below 2^31, else int64.
 ranked below every candidate of S; placement costs are then charged against
 the restriction to S plus the context.  `solve_components` is the one loop
 that runs the DP: it solves an ordered partition of the candidates piece by
-piece, each with the later pieces as context, and concatenates the pieces'
-optimal orders.  `dp_consensus` and `enumerate_consensus` call it with the
+piece, each with the later pieces as context (pieces of one or two
+candidates in closed form), and concatenates the pieces' optimal orders.  `dp_consensus` and `enumerate_consensus` call it with the
 whole candidate set as a single piece; the component-wise solver in
 :mod:`kwise_kemeny.majority` calls it with the strongly connected components.
 """
@@ -289,14 +289,15 @@ def _moment_costs(
         _double_rows(rows, np.ascontiguousarray(linear[:, low:].T).take(member, axis=1))
         steps = linear[low + tops[:, None], low + others][:, :, None]
     else:
-        # what placing j above the high member x as well adds, over the
-        # subsets of the low bits: row j * h + x
-        adds = _doubled(linear[:, low:].ravel(), pairs[:, low:, :low].reshape(-1, low),
+        # what placing low member j above the high member x as well adds,
+        # over the subsets of the low bits: row j * h + x; the row for
+        # H | t also pays the pairs of t with H, doubled within the block of
+        # rows H | t, then added as 2-d rows (numpy copies no operand)
+        adds = _doubled(linear[:low, low:].ravel(), pairs[:low, low:, :low].reshape(-1, low),
                         None, dtype)
-        # the row for H | t also pays the pairs of t with H: doubled within
-        # the block of rows H | t, then added as 2-d rows (numpy copies no
-        # operand)
-        steps = adds.T.reshape(-1, high).take(unpacked, axis=0).T
+        index = unpacked - unpacked // nloc * high  # T * low + j
+        steps = adds.T.reshape(-1, high).take(index, axis=0).T
+        del adds, index
         np.add(rows[0, 0], steps[0], out=rows[0, 1])
         chunks = rows.reshape(len(rows), -1)
         for t in range(1, high):
@@ -305,8 +306,11 @@ def _moment_costs(
             _double_rows(block, np.ascontiguousarray(pairs[:, low + t, low : low + t].T)
                          .take(member, axis=1))
             chunks[1 << t - 1 : 1 << t] += chunks[: 1 << t - 1]
-        steps = adds[low * high :].take(order, axis=1).reshape(high, high, -1)
-        steps = steps[tops[:, None], others]
+        # the same for the high members, each kept as a whole temporary
+        # less than the table: the allocator keeps the heap between solves
+        adds = _doubled(linear[low:, low:].ravel(), pairs[low:, low:, :low].reshape(-1, low),
+                        None, dtype)
+        steps = adds.take(order, axis=1).reshape(high, high, -1)[tops[:, None], others]
 
     # a high member's runs double over its packed rest
     for i in range(high - 1):
@@ -425,7 +429,10 @@ def _subset_sum_costs(
     runs = (order * nloc + np.arange(low, nloc)[:, None]).ravel()
     source = np.concatenate((own, own + (nloc << low - 1), runs))
     chunks = cost.reshape(-1, len(source))
-    group = max(1, min(len(chunks), (1 << 19) // chunks[0].nbytes))  # a buffer of 512 KiB
+    # a buffer of at most 512 KiB and a quarter of the table: a larger one,
+    # freed with the table, lets the allocator return the heap to the system
+    # between solves, and the next table page-faults in again
+    group = max(1, min(len(chunks) >> 2, (1 << 19) // chunks[0].nbytes))
     source += source // nloc * (group - 1) * nloc  # the same entries in the buffer
     buffer = np.empty((1 << low, group, nloc), dtype)
     for first in range(0, len(chunks), group):
@@ -525,8 +532,8 @@ def _low_state(low: int, state: int) -> tuple:
     the layer holds L in a row and in a run of :func:`_cost_regions`."""
     members = mask_members(state)
     rank = sum(math.comb(x, i) for i, x in enumerate(members, 1))  # colex
-    starts = [starts[len(members)] + rank for starts in _segments(low)]
-    return members, math.comb(low, len(members)), *starts
+    row, run = (starts[len(members)] + rank for starts in _segments(low))
+    return members, math.comb(low, len(members)), row, run
 
 
 def _cost_regions(cost: np.ndarray, nloc: int) -> tuple:
