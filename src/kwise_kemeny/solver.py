@@ -37,8 +37,9 @@ ranked below every candidate of S; placement costs are then charged against
 the restriction to S plus the context.  `solve_components` is the one loop
 that runs the DP: it solves an ordered partition of the candidates piece by
 piece, each with the later pieces as context (pieces of one or two
-candidates in closed form), and concatenates the pieces' optimal orders.  `dp_consensus` and `enumerate_consensus` call it with the
-whole candidate set as a single piece; the component-wise solver in
+candidates in closed form), and concatenates the pieces' optimal orders.
+`dp_consensus` and `enumerate_consensus` call it with the whole candidate
+set as a single piece; the component-wise solver in
 :mod:`kwise_kemeny.majority` calls it with the strongly connected components.
 """
 
@@ -306,8 +307,8 @@ def _moment_costs(
             _double_rows(block, np.ascontiguousarray(pairs[:, low + t, low : low + t].T)
                          .take(member, axis=1))
             chunks[1 << t - 1 : 1 << t] += chunks[: 1 << t - 1]
-        # the same for the high members, each kept as a whole temporary
-        # less than the table: the allocator keeps the heap between solves
+        # the same for the high members, built apart: two small temporaries,
+        # not one of half the table (see _subset_sum_costs' buffer)
         adds = _doubled(linear[low:, low:].ravel(), pairs[low:, low:, :low].reshape(-1, low),
                         None, dtype)
         steps = adds.take(order, axis=1).reshape(high, high, -1)[tops[:, None], others]
@@ -318,9 +319,8 @@ def _moment_costs(
         np.add(runs[: 1 << i], steps[:, i], out=block)
         if pairs is not None and i:  # the pairs of x with the packed rest
             x = low + others
-            paid = _doubled(np.zeros(high, dtype), pairs[low + tops[:, None], x[:, i : i + 1], x[:, :i]],
-                            None, dtype)
-            block += paid.T[:, :, None]
+            paid = pairs[low + tops[:, None], x[:, i : i + 1], x[:, :i]]
+            block += _doubled(np.zeros(high, dtype), paid, None, dtype).T[:, :, None]
     return cost
 
 
