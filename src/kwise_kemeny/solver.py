@@ -290,14 +290,16 @@ def _moment_costs(
         _double_rows(rows, np.ascontiguousarray(linear[:, low:].T).take(member, axis=1))
         steps = linear[low + tops[:, None], low + others][:, :, None]
     else:
-        # what placing low member j above the high member x as well adds,
-        # over the subsets of the low bits: row j * h + x; the row for
-        # H | t also pays the pairs of t with H, doubled within the block of
-        # rows H | t, then added as 2-d rows (numpy copies no operand)
-        adds = _doubled(linear[:low, low:].ravel(), pairs[:low, low:, :low].reshape(-1, low),
-                        None, dtype)
+        # what placing low member j above high member t as well adds, over
+        # the subsets of the low bits, one t at a time (small temporaries:
+        # see _subset_sum_costs' buffer); the row for H | t also pays the
+        # pairs of t with H, doubled within the block of rows H | t, then
+        # added as 2-d rows (numpy copies no operand)
         index = unpacked - unpacked // nloc * high  # T * low + j
-        steps = adds.T.reshape(-1, high).take(index, axis=0).T
+        steps = np.empty((high, len(index)), dtype)
+        for t in range(high):
+            adds = _doubled(linear[:low, low + t], pairs[:low, low + t, :low], None, dtype)
+            np.take(adds.T.reshape(-1), index, out=steps[t])
         del adds, index
         np.add(rows[0, 0], steps[0], out=rows[0, 1])
         chunks = rows.reshape(len(rows), -1)
@@ -307,8 +309,7 @@ def _moment_costs(
             _double_rows(block, np.ascontiguousarray(pairs[:, low + t, low : low + t].T)
                          .take(member, axis=1))
             chunks[1 << t - 1 : 1 << t] += chunks[: 1 << t - 1]
-        # the same for the high members, built apart: two small temporaries,
-        # not one of half the table (see _subset_sum_costs' buffer)
+        # the same for the high members
         adds = _doubled(linear[low:, low:].ravel(), pairs[low:, low:, :low].reshape(-1, low),
                         None, dtype)
         steps = adds.take(order, axis=1).reshape(high, high, -1)[tops[:, None], others]
