@@ -120,27 +120,26 @@ class DpTable:
     def optimum(self) -> int:
         return int(self.values[-1])
 
+    @functools.cached_property
+    def _regions(self) -> tuple:
+        return _cost_regions(self.cost, len(self.candidates))
+
     def choices(self, state: int) -> int:
         """The bitmask of the members j of ``state`` with
         ``values[S - j] + cost_j(S - j) == values[S]``: those that can be
         placed first at no extra cost, in Python ints."""
-        nloc = len(self.candidates)
-        low = min(nloc, _SMALL_PLAN)
+        low = min(len(self.candidates), _SMALL_PLAN)
         lows, columns, at, first = _low_state(low, state & (1 << low) - 1)
-        # chunks of nloc << low entries (:func:`_cost_regions`): chunk A
-        # holds rows 2A and 2A + 1, each run s of layer c there the low
-        # member at slot s, then the runs of rest A over the low states
-        width, chunk, high = low << low >> 1, nloc << low, state >> low
-        value, cost = self.values.item, self.cost.item
-        best, chosen = value(state), 0
-        at += (high >> 1) * chunk + (high & 1) * width
-        for j in lows:
-            chosen |= (value(state ^ 1 << j) + cost(at) == best) << j
+        rows, runs = self._regions
+        high, value = state >> low, self.values.item
+        best, chosen, paid = value(state), 0, rows[high >> 1, high & 1].item
+        for j in lows:  # slot s of the layer: run s of the row
+            chosen |= (value(state ^ 1 << j) + paid(at) == best) << j
             at += columns
         for t in mask_members(high):
             rest = high ^ 1 << t
-            at = (rest & (1 << t) - 1 | rest >> t + 1 << t) * chunk + 2 * width + (t << low)
-            chosen |= (value(state ^ 1 << low + t) + cost(at + first) == best) << low + t
+            packed = rest & (1 << t) - 1 | rest >> t + 1 << t
+            chosen |= (value(state ^ 1 << low + t) + runs.item(packed, t, first) == best) << low + t
         return chosen
 
 
@@ -291,10 +290,10 @@ def _moment_costs(
         steps = linear[low + tops[:, None], low + others][:, :, None]
     else:
         # what placing low member j above high member t as well adds, over
-        # the subsets of the low bits, one t at a time (small temporaries:
-        # see _subset_sum_costs' buffer); the row for H | t also pays the
-        # pairs of t with H, doubled within the block of rows H | t, then
-        # added as 2-d rows (numpy copies no operand)
+        # the subsets of the low bits, one t at a time (temporaries below
+        # _BUFFER_BYTES); the row for H | t also pays the pairs of t with H,
+        # doubled within the block of rows H | t, then added as 2-d rows
+        # (numpy copies no operand)
         index = unpacked - unpacked // nloc * high  # T * low + j
         steps = np.empty((high, len(index)), dtype)
         for t in range(high):
@@ -392,6 +391,13 @@ def _subset_sum_terms(
     return flat
 
 
+# The size of _subset_sum_costs' buffer.  A larger buffer, freed with the
+# table, lets the C allocator return the heap to the system between solves,
+# and the next table page-faults in again (the k = 3 builder keeps its
+# temporaries below it too).
+_BUFFER_BYTES = 1 << 19
+
+
 def _subset_sum_costs(
     counts: PairCounts,
     k: int,
@@ -430,10 +436,10 @@ def _subset_sum_costs(
     runs = (order * nloc + np.arange(low, nloc)[:, None]).ravel()
     source = np.concatenate((own, own + (nloc << low - 1), runs))
     chunks = cost.reshape(-1, len(source))
-    # a buffer of at most 512 KiB and a quarter of the table: a larger one,
-    # freed with the table, lets the allocator return the heap to the system
-    # between solves, and the next table page-faults in again
-    group = max(1, min(len(chunks) >> 2, (1 << 19) // chunks[0].nbytes))
+    # whole chunks within _BUFFER_BYTES and a quarter of the table, a power
+    # of two (as len(chunks) is), so that every pass fills the buffer
+    group = max(1, min(len(chunks) >> 2, _BUFFER_BYTES // chunks[0].nbytes))
+    group = 1 << group.bit_length() - 1
     source += source // nloc * (group - 1) * nloc  # the same entries in the buffer
     buffer = np.empty((1 << low, group, nloc), dtype)
     for first in range(0, len(chunks), group):
