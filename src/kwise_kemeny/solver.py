@@ -431,10 +431,13 @@ def _subset_sum_costs(
         cost[:] = cost.take(own)
         return cost
     _subset_sums(cost.reshape(-1, nloc), first=low)
-    # per entry of a chunk, where it comes from in the chunk: rows 2A and
-    # 2A + 1, then the runs of rest A
-    runs = (order * nloc + np.arange(low, nloc)[:, None]).ravel()
-    source = np.concatenate((own, own + (nloc << low - 1), runs))
+    # per entry of a chunk, where it comes from in the chunk's state-major
+    # entries: the low members' costs over its two high parts, each high
+    # member's over the low states
+    source = np.empty(nloc << low, np.intp)
+    rows, runs = _cost_regions(source, nloc)
+    rows[0] = own, own + (nloc << low - 1)
+    runs[0] = order * nloc + np.arange(low, nloc)[:, None]
     chunks = cost.reshape(-1, len(source))
     # whole chunks within _BUFFER_BYTES and a quarter of the table, a power
     # of two (as len(chunks) is), so that every pass fills the buffer
