@@ -393,8 +393,7 @@ def _subset_sum_terms(
 
 # The size of _subset_sum_costs' buffer.  A larger buffer, freed with the
 # table, lets the C allocator return the heap to the system between solves,
-# and the next table page-faults in again (the k = 3 builder keeps its
-# temporaries below it too).
+# and the next table page-faults in again.
 _BUFFER_BYTES = 1 << 19
 
 
