@@ -18,15 +18,17 @@ give every row in O(m^2 2^(m-1)) additions, whatever n is (on large tables,
 the lowest bits of the superset-sum by expanding each group's entries).
 
 The min walks blocks of states H | L, L the lowest 10 bits, each part in
-colex order by a cached layer plan (predecessor ranks, cost indices;
+colex order by a cached layer plan (predecessor ranks, members;
 :func:`_layers`): a block (|H|, |L|) takes one row and one column gather of
 its two neighbours.  The cost table is kept in that block order
 (:func:`_cost_regions`): per high part H, one row of the low members'
 placement costs, and per high member and rest of the high part, one run
 over the low states, each low layer a contiguous slice of them.  The walk
-reads whole rows and runs by index; at k <= 3 they are built by doubling on
-whole rows, at k >= 4 a last in-place pass moves each chunk of the
-state-major transforms into them.  The walk keeps values only: readback
+reads whole rows and runs by index.  The table is built chunk by chunk,
+each chunk holding the entries of 2^10 consecutive states of a state-major
+table: at k <= 3 chunk 0 is gathered and the others follow by doubling on
+whole chunks, at k >= 4 a last in-place pass moves each chunk of the
+state-major transforms into place.  The walk keeps values only: readback
 and the optimum count follow argmin sets (:meth:`DpTable.choices`) down
 from the full set.
 Cost tables and DP values are int32 when n * sum_{i=2..k} C(m, i), which
@@ -203,35 +205,20 @@ def _other_bits(nloc: int) -> np.ndarray:
     return others
 
 
-def _doubled(base: np.ndarray, linear: np.ndarray, pairs, dtype: type) -> np.ndarray:
-    """``table[j, T]`` = base[j] + sum_{i in T} linear[j, i], plus
-    sum_{i < i' in T} pairs[j, i, i'] unless ``pairs`` is None, over the
-    subsets T of linear's columns, by subset-sum doubling: the entries with
-    bit i are those without it, plus linear[j, i] and the pairs of i with
-    the lower bits (themselves doubled)."""
-    rows, bits = linear.shape
-    table = np.empty((rows, 1 << bits), dtype, order="F")  # state-major blocks
-    table[:, 0] = base
-    for i in range(bits):
-        low, block = table[:, : 1 << i], table[:, 1 << i : 2 << i]
-        if pairs is not None and i:
-            block[:, 0] = linear[:, i]
-            for bit in range(i):
-                np.add(block[:, : 1 << bit], pairs[:, i, bit : bit + 1],
-                       out=block[:, 1 << bit : 2 << bit])
+def _doubled(table: np.ndarray, steps, pair=None) -> None:
+    """Subset-sum doubling in place over the state-major rows of ``table``,
+    from row 0: row T | 2^i becomes row T plus ``steps[i]`` and, unless
+    ``pair`` is None, plus ``pair(i, b)`` for each bit b of T, for the rows
+    T below 2^i (``steps`` may be an iterator)."""
+    for i, step in enumerate(steps):
+        low, block = table[: 1 << i], table[1 << i : 2 << i]
+        if pair is not None and i:
+            block[0] = step
+            for b in range(i):
+                np.add(block[: 1 << b], pair(i, b), out=block[1 << b : 2 << b])
             block += low
         else:
-            np.add(low, linear[:, i : i + 1], out=block)
-    return table
-
-
-def _double_rows(rows: np.ndarray, steps: np.ndarray) -> None:
-    """Fill the rows of a chunk view (:func:`_cost_regions`) from row 0 by
-    doubling on whole rows: row H | 2^s is row H plus ``steps[s]``, for the
-    rows H below 2^s.  Row H sits at ``rows[H >> 1, H & 1]``."""
-    np.add(rows[0, 0], steps[0], out=rows[0, 1])
-    for s in range(1, len(steps)):
-        np.add(rows[: 1 << s - 1], steps[s], out=rows[1 << s - 1 : 1 << s])
+            np.add(low, step, out=block)
 
 
 def _moment_costs(
@@ -251,11 +238,15 @@ def _moment_costs(
 
     with a[x] the voters preferring x to j and u[x, y] = n - joint[j, x, y]
     the voters preferring x or y to j.  Context terms fold into a constant
-    and a linear term.  The table (:func:`_cost_regions`) is filled by
-    doubling on whole rows: the low members' row for H | t is the row for H
-    plus one run (and, at k = 3, the pairs of t with H); a high member's
-    runs double over the packed rest of the high part in the same way.
-    Both start from small tables over the low bits (:func:`_doubled`).
+    and a linear term.  The table is built by whole chunks
+    (:func:`_cost_regions`).  Chunk 0 is gathered from every member's costs
+    over the subsets of the low bits and high member 0 (:func:`_run_order`).
+    Bit s of a chunk's index adds one high member to each pool: high member
+    s + 1 for the rows, the member of packed bit s of the rest for a high
+    member's runs.  So chunk A | 2^s, for A below 2^s, is chunk A plus what
+    that member adds to chunk 0's pools (gathered the same way; at k = 2 a
+    constant per member), and at k = 3 plus its pairs with A's members: one
+    doubling (:func:`_doubled`).
     """
     nloc = len(candidates)
     cand = np.array(candidates, dtype=np.intp)
@@ -270,57 +261,46 @@ def _moment_costs(
         # sum_{x<y in C} u = (sum_{x,y in C} u - sum_{x in C} a[x]) / 2
         base += (to_ctx[:, nloc:].sum(axis=1) - base) // 2
         linear = linear + to_ctx[:, :nloc]
-        pairs = union[:, :nloc, :nloc].astype(dtype)
+        pairs = np.ascontiguousarray(union[:, :nloc, :nloc].transpose(1, 2, 0), dtype)  # [x, y, j]
     linear = linear.astype(dtype)
     low = min(nloc, _SMALL_PLAN)
     high = nloc - low
-    _, unpacked, member, order = _run_order(nloc, low)
+    _, _, index, member = _run_order(nloc, low)
+    # [T, j]: member j's costs over the subsets T of the low bits and high
+    # member 0; below, what one chunk bit adds over them
+    bits = min(nloc, low + 1)
+    table = np.empty((1 << bits, nloc), dtype)
+    table[0] = base
+    _doubled(table, linear[:, :bits].T.copy(), None if pairs is None else lambda i, b: pairs[i, b])
     cost = np.empty(nloc << (nloc - 1), dtype)
-    rows, runs = _cost_regions(cost, nloc)
-
-    # every member's costs over the subsets of the low bits
-    alone = _doubled(base, linear[:, :low], None if pairs is None else pairs[:, :low, :low], dtype)
-    rows[0, 0] = alone.T.reshape(-1).take(unpacked)
-    if not high:
+    chunks = cost.reshape(-1, len(index))
+    np.take(table, index, out=chunks[0], mode="clip")
+    if high < 2:
         return cost
-    runs[0] = alone[low:].take(order, axis=1)
-    tops, others = np.arange(high), _other_bits(high)  # others: in t's packed rest
-    if pairs is None:
-        _double_rows(rows, np.ascontiguousarray(linear[:, low:].T).take(member, axis=1))
-        steps = linear[low + tops[:, None], low + others][:, :, None]
-    else:
-        # what placing low member j above high member t as well adds, over
-        # the subsets of the low bits, one t at a time (temporaries below
-        # _BUFFER_BYTES); the row for H | t also pays the pairs of t with H,
-        # doubled within the block of rows H | t, then added as 2-d rows
-        # (numpy copies no operand)
-        index = unpacked - unpacked // nloc * high  # T * low + j
-        steps = np.empty((high, len(index)), dtype)
-        for t in range(high):
-            adds = _doubled(linear[:low, low + t], pairs[:low, low + t, :low], None, dtype)
-            np.take(adds.T.reshape(-1), index, out=steps[t])
-        del adds, index
-        np.add(rows[0, 0], steps[0], out=rows[0, 1])
-        chunks = rows.reshape(len(rows), -1)
-        for t in range(1, high):
-            block = rows[1 << t - 1 : 1 << t]
-            block[0, 0] = steps[t]
-            _double_rows(block, np.ascontiguousarray(pairs[:, low + t, low : low + t].T)
-                         .take(member, axis=1))
-            chunks[1 << t - 1 : 1 << t] += chunks[: 1 << t - 1]
-        # the same for the high members
-        adds = _doubled(linear[low:, low:].ravel(), pairs[low:, low:, :low].reshape(-1, low),
-                        None, dtype)
-        steps = adds.take(order, axis=1).reshape(high, high, -1)[tops[:, None], others]
+    # adding[j, s]: the member that chunk bit s, packed bit low + s of the
+    # other members, adds to member j's pool
+    rows, adding = np.arange(nloc), _other_bits(nloc)[:, low:]
+    buffer = np.empty(len(index), dtype)
+    buffer_rows, buffer_runs = _cost_regions(buffer, nloc)
 
-    # a high member's runs double over its packed rest
-    for i in range(high - 1):
-        block = runs[1 << i : 2 << i]
-        np.add(runs[: 1 << i], steps[:, i], out=block)
-        if pairs is not None and i:  # the pairs of x with the packed rest
-            x = low + others
-            paid = pairs[low + tops[:, None], x[:, i : i + 1], x[:, :i]]
-            block += _doubled(np.zeros(high, dtype), paid, None, dtype).T[:, :, None]
+    def spread(value):  # a constant per member, in a chunk's layout
+        buffer_rows[0] = value[:low].take(member)
+        buffer_runs[0] = value[low:, None]
+        return buffer
+
+    if pairs is None:
+        _doubled(chunks, map(spread, linear[rows[:, None], adding].T))
+        return cost
+
+    def steps():
+        step = np.empty_like(buffer)
+        for y in adding.T:
+            table[0] = linear[rows, y]
+            _doubled(table, pairs[np.arange(bits)[:, None], y, rows])
+            yield np.take(table, index, out=step, mode="clip")
+
+    crossed = pairs[adding[:, :, None], adding[:, None, :], rows[:, None, None]]
+    _doubled(chunks, steps(), lambda s, r: spread(crossed[:, s, r]))
     return cost
 
 
@@ -424,7 +404,7 @@ def _subset_sum_costs(
     nloc = len(candidates)
     cost = _subset_sum_terms(counts, k, candidates, context, dtype)
     low = min(nloc, _SMALL_PLAN)
-    own, _, _, order = _run_order(nloc, low)
+    own, order, _, _ = _run_order(nloc, low)
     if nloc == low:  # one row, one chunk
         _subset_sums(cost.reshape(-1, nloc))
         cost[:] = cost.take(own)
@@ -464,17 +444,13 @@ def _layers(nloc: int) -> list:
     Per layer L: ``states``, the binary masks of its C(nloc, L) states, and
     a plan of shape (2, L, C(nloc, L)) over each state's members in
     ascending slots: ``plan[0]``, the colex rank in layer L - 1 of the state
-    without that member; ``plan[1]``, the flat index of its cost entry in a
-    state-major cost table (the other members packed as in
-    :func:`_other_bits`, times nloc, plus the member, which is therefore
-    the index modulo nloc).
+    without that member; ``plan[1]``, the member.
 
     In colex order the states of layer L whose top member is t are the
     first C(t, L - 1) states of layer L - 1, plus t.  So each plan is block
     copies of the one before, one per top member: in the lower slots the
-    rank gains C(t, L - 1) and the cost index nloc << (t - 1) (t moves
-    into packed bit t - 1); the top slot's predecessor is the copied state
-    itself (an ``arange``) and its cost index is ``state * nloc + t``.
+    rank gains C(t, L - 1) and the member stays; the top slot's predecessor
+    is the copied state itself (an ``arange``) and its member is t.
 
     Every layer is built in fresh intp arrays, which numpy indexes without
     a conversion; :func:`_blocks` keeps them.
@@ -484,16 +460,14 @@ def _layers(nloc: int) -> list:
     for level in range(1, nloc + 1):
         tops = range(level - 1, nloc)
         counts = [math.comb(top, level - 1) for top in tops]
-        # nloc << top >> 1 is nloc << (t - 1); at t = 0 there is no lower slot
-        lower = [plan[:, :, :count] + np.array([count, nloc << top >> 1])[:, None, None]
-                 for top, count in zip(tops, counts)]
+        lower = [plan[:, :, :count] + np.array([count, 0])[:, None, None]
+                 for count in counts]
         # the top slot: the copied states themselves, plus the top member
         ranks = np.concatenate([np.arange(count) for count in counts])
         top = np.repeat(tops, counts)
-        copied = states[ranks]
-        slot = np.stack((ranks, copied * nloc + top))[:, None]
-        plan = np.concatenate((np.concatenate(lower, axis=2), slot), axis=1)
-        states = copied | 1 << top
+        plan = np.concatenate((np.concatenate(lower, axis=2), np.stack((ranks, top))[:, None]),
+                              axis=1)
+        states = states[ranks] | 1 << top
         layers.append((states, plan))
     return layers
 
@@ -506,23 +480,23 @@ _SMALL_PLAN = 10
 @functools.lru_cache(maxsize=None)
 def _blocks(nloc: int, low: int) -> tuple:
     """Per layer of the low and high parts' plans (:func:`_layered_min`):
-    predecessor ranks, own and other terms of cost indices, states in place.
-    In a state-major cost table (the order of the k >= 4 transforms), the
-    cost of low member l in state H | L is at own ``packed(L - l) * nloc +
-    l`` plus other ``(H << (low - 1)) * nloc``; of high member low + t at
-    own ``(packed(H - t) << low) * nloc + low + t`` plus other ``L * nloc``.
-    The own indices of the low plan and the states order the runs of
-    :func:`_cost_regions`."""
-    def part(bits, offset, shift):
-        layers = [(None, *[np.zeros(1, np.intp)] * 3)]  # layer 0: the empty set
-        for states, (previous, flat) in _layers(bits):
-            own = (flat // bits << offset) * nloc + offset + flat % bits
-            layers.append((previous, own, (states << shift) * nloc, states << offset))
+    predecessor ranks, members and the rests of the part's members packed
+    below them (:func:`_other_bits`), numbered within the part, and the
+    states in place.  High member t's costs in the states L | H are run
+    ``[packed(H - t), t]`` of :func:`_cost_regions`; the low plan orders
+    its rows and runs (:func:`_run_order`)."""
+    def part(bits, offset):
+        empty = np.zeros((0, 1), np.intp)
+        layers = [(None, empty, empty, np.zeros(1, np.intp))]  # layer 0: the empty set
+        for states, (previous, member) in _layers(bits):
+            rest = states ^ 1 << member
+            packed = rest & (1 << member) - 1 | rest >> 1 & -(1 << member)
+            layers.append((previous, member, packed, states << offset))
         for array in itertools.chain(*(layer[1:] for layer in layers)):
             array.flags.writeable = False
         return layers
 
-    return part(low, 0, 0), part(nloc - low, low, low - 1)
+    return part(low, 0), part(nloc - low, low)
 
 
 @functools.lru_cache(maxsize=None)
@@ -573,24 +547,23 @@ def _cost_regions(cost: np.ndarray, nloc: int) -> tuple:
 
 @functools.lru_cache(maxsize=None)
 def _run_order(nloc: int, low: int) -> tuple:
-    """The order of :func:`_cost_regions`, kept with :func:`_blocks`.  Per
-    entry of a row: the low plan's own cost index, layer after layer; the
-    same as ``T * nloc + j``, T the other low members unpacked; and the
-    member j.  Per entry of a run: the low state, layer after layer."""
-    lows = _blocks(nloc, low)[0]
-    own = np.concatenate([layer[1].ravel() for layer in lows[1:]])
-    packed, member = np.divmod(own, nloc)
-    order = (own, own + (packed >> member << member) * nloc, member,
-             np.concatenate([layer[3] for layer in lows]))
-    for array in order:
-        array.flags.writeable = False
-    return order
-
-
-def _run_index(own: np.ndarray, nloc: int, low: int) -> tuple:
-    """The runs of :func:`_cost_regions` that a high plan's own cost
-    indices (:func:`_blocks`) point into: ``(rest, t)``."""
-    return own // nloc >> low, own % nloc - low
+    """The order of :func:`_cost_regions`, read off the low plan of
+    :func:`_blocks` layer after layer: per entry of a row, ``packed * nloc
+    + j`` (j the member placed, ``packed`` the other low members of the
+    state: the state-major order of the k >= 4 transforms); per entry of a
+    run, the low state; per entry of a chunk, ``T * nloc + j``, T the
+    members of j's pool among the low bits and high member 0 (in row
+    2A + 1); per entry of a row, the member j."""
+    lows = _blocks(nloc, low)[0]  # layer 0 has no slots
+    member = np.concatenate([layer[1].ravel() for layer in lows])
+    packed = np.concatenate([layer[2].ravel() for layer in lows])
+    rest = np.concatenate([(layer[3] ^ 1 << layer[1]).ravel() for layer in lows])
+    order = np.concatenate([layer[3] for layer in lows])
+    index = rest * nloc + member
+    if nloc > low:
+        tops = np.arange(low, nloc)[:, None]
+        index = np.concatenate((index, index + (nloc << low), (order * nloc + tops).ravel()))
+    return packed * nloc + member, order, index, member  # writeable: take copies read-only indices
 
 
 def _layered_min(cost: np.ndarray, nloc: int) -> np.ndarray:
@@ -609,10 +582,8 @@ def _layered_min(cost: np.ndarray, nloc: int) -> np.ndarray:
     cost_rows, cost_runs = _cost_regions(cost, nloc) if wide else (None, None)
     row_starts, run_starts = _segments(low)
     values = np.empty(1 << nloc, dtype=cost.dtype)
-    for a, (high_previous, high_own, _, high_states) in enumerate(highs):
-        if wide:
-            owners = high_states >> low + 1, high_states >> low & 1  # cost rows
-            rests, tops = _run_index(high_own, nloc, low)
+    for a, (high_previous, tops, rests, high_states) in enumerate(highs):
+        owners = high_states >> low + 1, high_states >> low & 1  # cost rows
         row = []
         for c, (low_previous, _, _, low_states) in enumerate(lows):
             in_row = slice(row_starts[c], row_starts[c + 1])
@@ -720,10 +691,9 @@ def count_table_optima(table: DpTable, choices=None) -> int:
     lows, highs = _blocks(nloc, low)
     cost_rows, cost_runs = _cost_regions(table.cost, nloc)
     row_starts, run_starts = _segments(low)
-    for a, (_, high_own, _, high_states) in enumerate(highs):
+    for a, (_, tops, rests, high_states) in enumerate(highs):
         owners = high_states >> low + 1, high_states >> low & 1
-        rests, tops = _run_index(high_own, nloc, low)
-        for c, (_, low_own, _, low_states) in enumerate(lows):
+        for c, (_, members, _, low_states) in enumerate(lows):
             in_row = slice(row_starts[c], row_starts[c + 1])
             in_run = slice(run_starts[c], run_starts[c + 1])
             states = high_states[:, None] | low_states
@@ -733,11 +703,11 @@ def count_table_optima(table: DpTable, choices=None) -> int:
                 sides = []  # (placed members, their costs), slots on axis 0
                 if c:
                     paid = cost_rows[owners[0][rows], owners[1][rows], in_row]
-                    paid = paid.reshape(-1, *low_own.shape)
-                    sides.append((low_own[:, None, :] % nloc, paid.transpose(1, 0, 2)))
+                    paid = paid.reshape(-1, *members.shape)
+                    sides.append((members[:, None, :], paid.transpose(1, 0, 2)))
                 if a:
                     paid = cost_runs[rests[:, rows], tops[:, rows], in_run]
-                    sides.append((high_own[:, rows, None] % nloc, paid))
+                    sides.append((low + tops[:, rows, None], paid))
                 tally, best = 0, values.take(states[rows])
                 for member, paid in sides:
                     rest = states[rows] ^ 1 << member

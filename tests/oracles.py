@@ -105,23 +105,23 @@ def binary_moment_costs(counts, k, candidates, context, dtype):
 
 def block_index(nloc):
     """Per entry of a cost table in block order, its flat index in the
-    state-major binary table (``binary.T.flat``), read off the own and
-    other cost indices of the plans ``solver._blocks``: chunk A holds the
-    low members' rows of the high parts 2A and 2A + 1 (other terms
-    ``(H << (low - 1)) * nloc``, then the low plan's own indices layer by
-    layer), then the runs of high members low + t over rest A (own term
-    ``(A << low) * nloc + low + t``, then the low plan's other terms)."""
+    state-major binary table (``binary.T.flat``), built through the views
+    of ``solver._cost_regions`` as ``_subset_sum_costs`` builds its chunk
+    permutation: chunk A holds the low members' rows of the high parts 2A
+    and 2A + 1 (the low plan's own indices, the second row a high bit
+    further), then the runs of the high members over rest A (the low
+    states), at A times the chunk's size."""
     low = min(nloc, solver._SMALL_PLAN)
-    lows = solver._blocks(nloc, low)[0]
-    own = np.concatenate([layer[1].ravel() for layer in lows[1:]])
-    other = np.concatenate([layer[2] for layer in lows])
+    own, order, _, _ = solver._run_order(nloc, low)
     if nloc == low:
         return own
-    rows = (np.arange(1 << (nloc - low))[:, None] << (low - 1)) * nloc + own
-    rests = np.arange(1 << (nloc - low - 1))[:, None, None]
-    runs = (rests << low) * nloc + low + np.arange(nloc - low)[:, None] + other
-    chunks = (rows.reshape(len(rests), -1), runs.reshape(len(rests), -1))
-    return np.concatenate(chunks, axis=1).ravel()
+    index = np.empty(nloc << (nloc - 1), np.intp)
+    rows, runs = solver._cost_regions(index, nloc)
+    rows[:] = own, own + (nloc << low - 1)
+    runs[:] = order * nloc + np.arange(low, nloc)[:, None]
+    chunks = index.reshape(len(rows), -1)
+    chunks += np.arange(len(rows))[:, None] * chunks.shape[1]
+    return index
 
 
 def _members(size):
@@ -192,10 +192,11 @@ def second_walk_count(table):
     nloc, values = len(table.candidates), table.values
     cost = binary_costs(table).T.reshape(-1)
     counts = np.ones(nloc, dtype=np.int64)  # layer 1: one order per state
-    for level, (states, (previous, flat)) in enumerate(_layers(nloc)[1:], 2):
+    for level, (states, (previous, member)) in enumerate(_layers(nloc)[1:], 2):
         if math.factorial(level) >= 1 << 63:
             counts = counts.astype(object)
-        rest = values[states ^ 1 << flat % nloc]
-        allowed = rest + cost[flat] == values[states]
+        rest = states ^ 1 << member
+        packed = rest & (1 << member) - 1 | rest >> 1 & -(1 << member)
+        allowed = values[rest] + cost[packed * nloc + member] == values[states]
         counts = np.where(allowed, counts[previous], 0).sum(axis=0)
     return int(counts[0])

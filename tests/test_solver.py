@@ -408,14 +408,14 @@ class TestColexWalk:
             rank = [{s: r for r, s in enumerate(layer)} for layer in layers]
             for level, (states, rows) in enumerate(_layers(nloc), 1):
                 assert states.tolist() == layers[level]
-                assert len(rows) == 2  # no member-bit row: flat % nloc
-                previous, flat = rows
-                assert previous.shape == flat.shape == (level, len(states))
+                assert len(rows) == 2
+                previous, member = rows
+                assert previous.shape == member.shape == (level, len(states))
                 for i, state in enumerate(layers[level]):
                     for slot, j in enumerate(mask_members(state)):
                         rest = state ^ 1 << j
                         assert previous[slot, i] == rank[level - 1][rest]
-                        assert flat[slot, i] == packed(rest, j) * nloc + j
+                        assert member[slot, i] == j
 
     def test_matches_held_karp(self):
         rng = np.random.default_rng(51)
