@@ -60,6 +60,7 @@ from .distance import BinomialPrefixTable
 from .solver import (
     ConsensusResult,
     SolveStats,
+    _check_accumulation,
     brute_force_consensus,
     dp_consensus,
     enumerate_consensus,
@@ -228,6 +229,7 @@ def kwise_digraph(
     """
     m = profile.m
     validate_k(m, k)
+    _check_accumulation(profile.n, m, k)  # arc weights are int64 sums
     if k > 3 and not allow_exponential:
         raise GuardError(
             f"constructing the {k}-wise majority digraph requires an "
@@ -379,6 +381,7 @@ def refine_digraph(
     arc at a time.  The result carries its component order.
     """
     m, k = graph.m, graph.k
+    _check_accumulation(profile.n, m, k)
     counts = PairCounts.of(profile)
     if order is None:
         order = _components(m, graph.arcs)
@@ -494,6 +497,8 @@ def solve(
             return dp_consensus(profile, k)
         return enumerate_consensus(profile, k, limit)
     started = time.perf_counter()
+    validate_k(profile.m, k)  # and the totals' guard, before the shared counts
+    _check_accumulation(profile.n, profile.m, k)
     with PairCounts.shared(profile):
         _, order = preprocess(profile, k, mode == "pre-refined", allow_exponential)
         result = partitioned_dp(profile, k, order, limit)

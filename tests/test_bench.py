@@ -48,6 +48,12 @@ class TestConfig:
         config = ExperimentConfig(ms=(5,), ks=(7, 2), phis=(0.5,))
         assert config.resolve_ks(5) == [2]
 
+    def test_rejects_k_below_two(self):
+        # no m has such a k, so every cell would be dropped
+        for ks in ((1,), (0, -3), (2, 1), ("m", 1)):
+            with pytest.raises(ValueError, match="every k must be at least 2"):
+                ExperimentConfig(ms=(4,), ks=ks, phis=(0.5,))
+
     def test_rejects_empty_lists(self):
         with pytest.raises(ValueError):
             ExperimentConfig(ms=(), ks=(2,), phis=(0.5,))

@@ -548,6 +548,25 @@ class TestDigraph:
         assert code == 0
         assert json.loads(out)["k"] == 4
 
+    @pytest.mark.parametrize("text", [
+        # 2^63 voters: more than int64 holds
+        "4 9223372036854775808\n9223372036854775808: 1,2,3,4\n",
+        # the weight of arc 1 -> 2 at k = 3, 3 * 2^62 - 1, wraps in int64
+        "4 4611686018427387905\n4611686018427387904: 1,2,3,4\n1: 4,3,2,1\n",
+    ])
+    @pytest.mark.parametrize("argv", [
+        ("digraph", "--k", "3"),
+        ("digraph", "--k", "2", "--refine"),
+        ("solve", "--mode", "pre", "--k", "3"),
+        ("solve", "--mode", "pre-refined", "--k", "2"),
+    ])
+    def test_accumulation_guarded(self, capsys, tmp_path, text, argv):
+        path = tmp_path / "heavy.txt"
+        path.write_text(text)
+        code, out, err = run(capsys, *argv, "--input", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("refused: disagreement totals for n=")
+
 
 # SHA-256 of `digraph` stdout, JSON and DOT, on the six-candidate fixture and
 # on one sampled 12-candidate profile (Mallows, phi 0.8, 50 voters, seed 12).
@@ -710,6 +729,15 @@ class TestBench:
             )
             assert (code, out) == (2, "")
             assert err.startswith(f"error: unknown solver mode '{mode}'")
+
+    @pytest.mark.parametrize("ks", ["1", "0,-3"])
+    def test_k_below_two_is_input_error(self, capsys, ks):
+        code, out, err = run(
+            capsys, "bench", "--m-list", "4", "--k-list", ks, "--phi-list",
+            "0.9", "--n", "4", "--instances", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: every k must be at least 2")
 
     @pytest.mark.parametrize("timeout", ["-1", "nan"])
     def test_meaningless_timeout_is_input_error(self, capsys, timeout):

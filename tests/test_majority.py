@@ -607,6 +607,14 @@ class TestRefine:
         graph = kwise_digraph(profile, 3)
         assert arc_view(refine_digraph(graph, profile)) == arc_view(graph)
 
+    def test_accumulation_guarded(self):
+        # a digraph of the same candidates, refined against a profile whose
+        # totals could overflow int64
+        graph = kwise_digraph(Profile(4, [(Ranking([0, 1, 2, 3]), 5)]), 3)
+        heavy = Profile(4, [(Ranking([0, 1, 2, 3]), 1 << 62), (Ranking([3, 2, 1, 0]), 1)])
+        with pytest.raises(GuardError, match="64-bit accumulation"):
+            refine_digraph(graph, heavy)
+
     def test_refined_solve_keeps_optimum(self):
         rng = np.random.default_rng(60)
         for _ in range(15):
