@@ -87,6 +87,8 @@ DELETED = [
     ("solver", "DpTable.count"),
     ("solver", "_plan"),
     ("solver", "_small_layers"),
+    ("solver", "_double_rows"),
+    ("solver", "_run_index"),
 ]
 
 # (module, function, parameter) triples removed from a signature
@@ -177,6 +179,52 @@ def test_unused_import_check_sees_one():
         "shape: 'np.ndarray' = np.zeros(1)\n"
     )
     assert _imports_unused(tree) == ["NamedTuple (line 2)", "itertools (line 1)"]
+
+
+def _private_unused(modules: dict[str, ast.Module]) -> list[str]:
+    """The top-level private names of ``modules`` that no module reads
+    outside their own definition."""
+    defined, used = {}, set()
+    for module, tree in modules.items():
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names, own = [node.name], set(map(id, ast.walk(node)))
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names, own = [t.id for t in targets if isinstance(t, ast.Name)], set()
+            else:
+                continue
+            for name in names:
+                if name.startswith("_") and not name.startswith("__"):
+                    defined[name] = (module, own)
+    for module, tree in modules.items():
+        for node in ast.walk(tree):
+            name = node.id if isinstance(node, ast.Name) else getattr(node, "attr", None)
+            if name in defined and id(node) not in defined[name][1]:
+                used.add(name)
+    return sorted(f"{module}.{name}" for name, (module, _) in defined.items()
+                  if name not in used)
+
+
+def test_private_helpers_have_callers():
+    # no dead helpers: every private module-level name of the package is
+    # read somewhere in it besides its own body
+    folder = Path(kwise_kemeny.__file__).parent
+    modules = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+               for path in sorted(folder.glob("*.py"))}
+    assert _private_unused(modules) == []
+
+
+def test_private_helper_check_sees_one():
+    tree = ast.parse(
+        "_LIMIT = 3\n"
+        "def _walk(n):\n"
+        "    return _walk(n - 1) if n else _LIMIT\n"
+        "def _used():\n"
+        "    return 1\n"
+        "VALUE = _used()\n"
+    )
+    assert _private_unused({"mod": tree}) == ["mod._walk"]
 
 
 def _load_tracing():

@@ -398,6 +398,25 @@ class TestTableMemory:
                 counts = 2 * 8 * math.comb(m, m // 2) if counted else 0
                 assert peak <= 4 * entries + counts + (1 << 20)
 
+    @pytest.mark.parametrize("m", [14, 18])
+    def test_builder_temporaries(self, m):
+        # the k <= 3 builder's temporaries stay within the k >= 4 builder's
+        # buffer, well below the table: a table-sized temporary makes the
+        # heap page-fault in again between solves
+        profile = mallows_sample(MallowsParams(Ranking.identity(m), 1.0, 50, 1))
+        counts = PairCounts(profile)
+        for k in (2, 3):
+            args = (counts, k, tuple(range(m)), 0, np.int32)
+            _moment_costs(*args)  # caches filled outside the measure
+            tracemalloc.start()
+            try:
+                base = tracemalloc.get_traced_memory()[0]
+                table = _moment_costs(*args)
+                peak = tracemalloc.get_traced_memory()[1] - base
+            finally:
+                tracemalloc.stop()
+            assert peak - table.nbytes <= solver._BUFFER_BYTES
+
 
 class TestColexWalk:
     def test_plans_follow_definitions(self):
