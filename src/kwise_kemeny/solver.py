@@ -525,8 +525,8 @@ def _cost_regions(cost: np.ndarray, nloc: int) -> tuple:
 
     ``rows[H >> 1, H & 1]``, for each subset H of the high bits: the costs
     of placing a low member first in the states H | L, low layer by low
-    layer; in layer c, one run over the layer's states per slot, in the
-    order of the low plan's own indices (:func:`_blocks`).
+    layer; in layer c, one run over the layer's states per slot of the low
+    plan (:func:`_blocks`, :func:`_run_order`).
     ``runs[rest, t]``: the costs of placing high member b + t first over
     the states L | rest, ``rest`` the other high bits packed
     (:func:`_other_bits`), in colex order layer by layer

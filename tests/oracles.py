@@ -108,9 +108,9 @@ def block_index(nloc):
     state-major binary table (``binary.T.flat``), built through the views
     of ``solver._cost_regions`` as ``_subset_sum_costs`` builds its chunk
     permutation: chunk A holds the low members' rows of the high parts 2A
-    and 2A + 1 (the low plan's own indices, the second row a high bit
-    further), then the runs of the high members over rest A (the low
-    states), at A times the chunk's size."""
+    and 2A + 1 (the low plan's ``packed * nloc + j`` of ``_run_order``, the
+    second row a high bit further), then the runs of the high members over
+    rest A (the low states), at A times the chunk's size."""
     low = min(nloc, solver._SMALL_PLAN)
     own, order, _, _ = solver._run_order(nloc, low)
     if nloc == low:
