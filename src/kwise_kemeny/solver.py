@@ -274,7 +274,7 @@ def _moment_costs(
     _doubled(table, linear[:, :bits].T.copy(), None if pairs is None else lambda i, b: pairs[i, b])
     cost = np.empty(nloc << (nloc - 1), dtype)
     chunks = cost.reshape(-1, len(index))
-    np.take(table, index, out=chunks[0], mode="clip")
+    table.take(index, out=chunks[0], mode="clip")
     if high < 2:
         return cost
     # adding[j, s]: the member that chunk bit s, packed bit low + s of the
@@ -297,7 +297,7 @@ def _moment_costs(
         for y in adding.T:
             table[0] = linear[rows, y]
             _doubled(table, pairs[np.arange(bits)[:, None], y, rows])
-            yield np.take(table, index, out=step, mode="clip")
+            yield table.take(index, out=step, mode="clip")
 
     crossed = pairs[adding[:, :, None], adding[:, None, :], rows[:, None, None]]
     _doubled(chunks, steps(), lambda s, r: spread(crossed[:, s, r]))
@@ -583,7 +583,8 @@ def _layered_min(cost: np.ndarray, nloc: int) -> np.ndarray:
     row_starts, run_starts = _segments(low)
     values = np.empty(1 << nloc, dtype=cost.dtype)
     for a, (high_previous, tops, rests, high_states) in enumerate(highs):
-        owners = high_states >> low + 1, high_states >> low & 1  # cost rows
+        if wide:
+            owners = high_states >> low + 1, high_states >> low & 1  # cost rows
         row = []
         for c, (low_previous, _, _, low_states) in enumerate(lows):
             in_row = slice(row_starts[c], row_starts[c + 1])
