@@ -497,7 +497,8 @@ def solve(
             return dp_consensus(profile, k)
         return enumerate_consensus(profile, k, limit)
     started = time.perf_counter()
-    validate_k(profile.m, k)  # and the totals' guard, before the shared counts
+    # k and the totals' bound first: the shared counts are int64
+    validate_k(profile.m, k)
     _check_accumulation(profile.n, profile.m, k)
     with PairCounts.shared(profile):
         _, order = preprocess(profile, k, mode == "pre-refined", allow_exponential)
