@@ -587,16 +587,44 @@ GOLDEN_DIGRAPHS = [
      "626e59b32745a90d0acdc8e55ab228c33baa44cc1949952c9041e7c607c633ca"),
     ("m12", "--k 4 --force-exponential",
      "67e79d448ac94f2dbff468829acdf6ec5cde1ff06ce22c5759608448ae3a3f99"),
+    ("m8", "--k 4 --force-exponential --refine",
+     "99312c005e4e9395293e47b3692a385b74389b7fc76aca9d3c73dafef33a0cbc"),
+    ("m8", "--k 5 --force-exponential --refine",
+     "9ea1915700119e8ea662ddcce7535c923ba1a5e1a9080d0abae5faf6d1d9f151"),
+    ("m9", "--k 4 --force-exponential --refine",
+     "27b6afd589012630614bbf7919ceab2bf648bcf265f55dc83d461f6087791939"),
+    ("m9", "--k 5 --force-exponential --refine",
+     "73b0e365b7748cf17156a5173f4002f93af6766d7a101548666dbe1f30df256a"),
+    ("m10", "--k 4 --force-exponential --refine",
+     "940f6830cbc82b4b8ceb82db1cc6bf2da390d2ec40fd789c3fa27747a6c009b5"),
+    ("m10", "--k 5 --force-exponential --refine",
+     "0ce2621b51ba8827d91fde31717f5d960a1136966efd359ccfce9e25edb233a9"),
+    ("dominated", "--k 4 --force-exponential --refine",
+     "ed7272161e681f0daf8cbf63f8b59dc78390548b7b7bf3de664980662452548e"),
 ]
+
+
+# Mallows profiles of the digraph pins: (m, phi, n, seed)
+DIGRAPH_SAMPLES = {
+    "m12": (12, 0.8, 50, 12),
+    "m8": (8, 0.9, 50, 10),
+    "m9": (9, 0.9, 50, 10),
+    "m10": (10, 0.9, 50, 11),
+}
+# At k = 4 the arc (c1, c5) lies in the component {c1, c4, c5}, and every
+# voter ranks c4 above c5: refinement must leave c4 out of its witnesses.
+DOMINATED_TEXT = "5 2\n1: 2,4,5,3,1\n1: 3,1,4,5,2\n"
 
 
 @pytest.mark.parametrize("name, flags, digest", GOLDEN_DIGRAPHS)
 def test_digraph_bytes_are_pinned(capsys, tmp_path, name, flags, digest):
     if name == "six":
         text = SIX_TEXT
+    elif name == "dominated":
+        text = DOMINATED_TEXT
     else:
-        params = MallowsParams(Ranking.identity(12), 0.8, 50, 12)
-        text = serialize_profile(mallows_sample(params))
+        m, phi, n, seed = DIGRAPH_SAMPLES[name]
+        text = serialize_profile(mallows_sample(MallowsParams(Ranking.identity(m), phi, n, seed)))
     path = tmp_path / f"{name}.txt"
     path.write_text(text)
     code, out, err = run(capsys, "digraph", "--input", str(path), *flags.split())
