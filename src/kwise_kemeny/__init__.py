@@ -43,7 +43,6 @@ from .majority import (
     KwiseDigraph,
     PairCounts,
     SccOrder,
-    best_advantage_exhaustive,
     kwise_digraph,
     partitioned_dp,
     preprocess,
@@ -94,7 +93,6 @@ __all__ = [
     "KwiseDigraph",
     "PairCounts",
     "SccOrder",
-    "best_advantage_exhaustive",
     "kwise_digraph",
     "partitioned_dp",
     "preprocess",

@@ -45,8 +45,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not self.ms or not self.ks or not self.phis:
             raise ValueError("m, k and phi lists must be non-empty")
+        if any(m < 1 for m in self.ms):
+            raise ValueError(f"every m must be at least 1, got {list(self.ms)}")
         if any(k != "m" and int(k) < 2 for k in self.ks):
             raise ValueError(f"every k must be at least 2 (or m), got {list(self.ks)}")
+        if not all(0 < phi <= 1 for phi in self.phis):  # MallowsParams' rule
+            raise ValueError(f"phi must lie in (0, 1], got {list(self.phis)}")
         if self.n < 1 or self.instances < 1:
             raise ValueError("n and instances must be positive")
         if self.timeout_s is not None and not self.timeout_s >= 0:
@@ -61,7 +65,7 @@ class ExperimentConfig:
         out: list[int] = []
         for k in self.ks:
             value = m if k == "m" else int(k)
-            if value <= m and value not in out:
+            if 2 <= value <= m and value not in out:
                 out.append(value)
         return out
 

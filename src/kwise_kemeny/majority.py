@@ -11,8 +11,11 @@ At k = 3 every candidate outside the pair contributes to the advantage
 independently, so the maximizing set is found greedily in polynomial time;
 `kwise_digraph` applies that rule to all pairs in one array pass, and
 `best_triple_advantage`, the rule for one pair, is the tests' scalar
-reference.  For k >= 4 the maximization is intractable and only a guarded
-exhaustive search is offered (`best_advantage_exhaustive`).
+reference.  For k >= 4 the maximization is NP-hard, and every set is tried
+on the subset DP's placement costs (`_placement_costs`): with cost_j(T) the
+cost of placing j above T plus a context C, the advantage of c over d on
+R + {c, d} + C is cost_d(R + c) - cost_d(R) - cost_c(R + d) + cost_c(R).
+At k <= 3 these increments are additive in R, which is the greedy rule.
 
 A topological order of the digraph's strongly connected components splits
 the aggregation problem: some consensus ranking orders the components that
@@ -30,8 +33,7 @@ with the pair, form the arc's witness.  Both steps read only these arrays.
 predecessor bitmask per vertex.  A refinement pass is one array expression
 over the intra-component arcs: at k = 3 it reads the gains tensor
 ``joint[c, d, x] - joint[d, c, x]`` that `kwise_digraph` also uses, at k = 2
-only the margins, and for k >= 4 it passes the same constraint rows to the
-exhaustive search arc by arc.
+only the margins, and for k >= 4 one table of placement costs per component.
 
 `solve` is the single entry point that dispatches on the solve mode
 (`brute`, `dp`, `pre`, `pre-refined`); the CLI and the bench harness both
@@ -40,6 +42,7 @@ call it.
 
 from __future__ import annotations
 
+import functools
 import heapq
 import time
 from dataclasses import dataclass, field
@@ -56,11 +59,13 @@ from .core import (
     mask_members,
     validate_k,
 )
-from .distance import BinomialPrefixTable
 from .solver import (
     ConsensusResult,
     SolveStats,
     _check_accumulation,
+    _subset_sum_terms,
+    _subset_sums,
+    _table_dtype,
     brute_force_consensus,
     dp_consensus,
     enumerate_consensus,
@@ -145,56 +150,41 @@ def best_triple_advantage(
     return weight, witness
 
 
-def best_advantage_exhaustive(
-    profile: Profile,
-    c: int,
-    d: int,
-    k: int,
-    forced_in: Mask = 0,
-    forced_out: Mask = 0,
-) -> tuple[int, Mask]:
-    """Maximal k-wise advantage by enumerating every admissible contest set.
-
-    Deciding whether the maximum is positive is NP-hard for k >= 4, so the
-    number of free candidates is guarded; the search is exact within the
-    bound.  Ties resolve to the smallest witness in subset-mask order.
-    """
-    m = profile.m
-    if c == d:
-        raise ValueError("candidates must be distinct")
-    _check_forced(c, d, forced_in, forced_out)
-    if m - forced_in.bit_count() - forced_out.bit_count() > EXHAUSTIVE_FREE_BOUND:
+def _placement_costs(
+    counts: PairCounts, k: int, members: tuple[int, ...], context: Mask
+) -> np.ndarray:
+    """``[T, j]``: the cost of placing ``members[j]`` above the members T
+    (packed as in `solver._other_bits`) plus ``context``; guarded first."""
+    if len(members) > EXHAUSTIVE_FREE_BOUND:
         raise GuardError(
-            "exhaustive witness search refused: "
-            f"{m} candidates minus {forced_in.bit_count()} forced-in and "
-            f"{forced_out.bit_count()} forced-out exceeds the bound of "
-            f"{EXHAUSTIVE_FREE_BOUND} (the maximization is NP-hard for k >= 4)"
-        )
-    validate_k(m, k)
-    table = BinomialPrefixTable(m, k)
-    lookup = table.as_array()
-    free = mask_members(full_mask(m) & ~(1 << c | 1 << d | forced_in | forced_out))
-    subsets = np.arange(1 << len(free), dtype=np.uint32)
-    advantage = np.zeros(len(subsets), dtype=np.int64)
-    fixed_members = forced_in
-    for ranking, count in profile.groups:
-        if ranking.prefers(c, d):
-            sign, pool = count, ranking.below_set(c)
-        else:
-            sign, pool = -count, ranking.below_set(d)
-        base = (pool & fixed_members).bit_count()
-        local = 0
-        for j, x in enumerate(free):
-            if pool >> x & 1:
-                local |= 1 << j
-        pools = np.bitwise_count(subsets & np.uint32(local)).astype(np.int64) + base
-        advantage += sign * lookup[pools]
-    best = int(np.argmax(advantage))
-    witness = 1 << c | 1 << d | forced_in
-    for j, x in enumerate(free):
-        if best >> j & 1:
-            witness |= 1 << x
-    return int(advantage[best]), witness
+            f"witness search refused: {len(members)} candidates, the pair included, exceed "
+            f"the bound of {EXHAUSTIVE_FREE_BOUND} (the maximization is NP-hard for k >= 4)")
+    dtype = _table_dtype(counts.n, counts.m, k)
+    table = _subset_sum_terms(counts, k, members, context, dtype).reshape(-1, len(members))
+    _subset_sums(table)
+    return table
+
+
+def _best_advantage(
+    table: np.ndarray, c: int, d: int, excluded: Mask = 0
+) -> tuple[int, Mask]:
+    """Maximal advantage of member c over member d of ``table`` on R + {c, d}
+    + context, R within the other members outside ``excluded``, and the first
+    R attaining it in subset-mask order (a mask of members).  Column j paired
+    with and without member x gives cost_j(R + x) - cost_j(R) in subset-mask
+    order of the members other than j and x; a half keeps the order's rest."""
+    def added(j, x):  # int64: the increments' difference can leave int32
+        pairs = table[:, j].reshape(-1, 2, 1 << x - (x > j))
+        return np.subtract(pairs[:, 1], pairs[:, 0], dtype=np.int64).reshape(-1)
+
+    gain = added(d, c) - added(c, d)
+    others = [x for x in range(table.shape[1]) if x != c and x != d]
+    for i in reversed(range(len(others))):
+        if excluded >> others[i] & 1:
+            gain = gain.reshape(-1, 2, 1 << i)[:, 0]
+    best = int(gain.argmax())  # into the flattened gains: R's subset mask
+    allowed = [x for x in others if not excluded >> x & 1]
+    return int(gain.flat[best]), sum(1 << x for i, x in enumerate(allowed) if best >> i & 1)
 
 
 def _row_masks(bits: np.ndarray) -> list[Mask]:
@@ -225,7 +215,8 @@ def kwise_digraph(
 
     At k = 2 an arc carries the positive pairwise margin and the pair is its
     witness.  At k = 3 all arcs come from one pass over the triple counts:
-    the greedy rule of `best_triple_advantage`, applied to every pair.
+    the greedy rule of `best_triple_advantage`, applied to every pair.  At
+    k >= 4 every pair is read off one table of placement costs.
     """
     m = profile.m
     validate_k(m, k)
@@ -236,18 +227,6 @@ def kwise_digraph(
             "exponential witness search (NP-hard for k >= 4); "
             "pass allow_exponential=True / --force-exponential to proceed"
         )
-    if k > 3:
-        found = [
-            (c, d, *best_advantage_exhaustive(profile, c, d, k))
-            for c in range(m) for d in range(m) if c != d
-        ]
-        found = [arc for arc in found if arc[2] > 0]
-        return KwiseDigraph(
-            m, k,
-            np.array([arc[:2] for arc in found], dtype=np.intp).reshape(-1, 2),
-            np.array([arc[2] for arc in found], dtype=np.int64),
-            _mask_rows([arc[3] for arc in found], m),
-        )
     counts = PairCounts.of(profile)
     weights = counts.above - counts.above.T
     if k == 3:
@@ -257,9 +236,16 @@ def kwise_digraph(
         gains = counts.joint - counts.joint.transpose(1, 0, 2)
         useful = gains > 0
         weights += np.maximum(gains, 0).sum(axis=2) - counts.above
+    elif k > 3:  # every pair off one table; a row holds the pair and its best R
+        table = _placement_costs(counts, k, tuple(range(m)), 0)
+        found = [(0, 0) if c == d else _best_advantage(table, c, d)
+                 for c in range(m) for d in range(m)]
+        weights = np.array([weight for weight, _ in found], np.int64).reshape(m, m)
+        rows = _mask_rows([rest for _, rest in found], m).reshape(m, m, m)
+        useful = rows | np.eye(m, dtype=bool)[:, None] | np.eye(m, dtype=bool)
     arc_at = np.nonzero(weights > 0)
     arcs = np.stack(arc_at, axis=1)
-    witnesses = useful[arc_at] if k == 3 else np.zeros((len(arcs), m), dtype=bool)
+    witnesses = useful[arc_at] if k >= 3 else np.zeros((len(arcs), m), dtype=bool)
     return KwiseDigraph(m, k, arcs, weights[arc_at], witnesses)
 
 
@@ -370,15 +356,18 @@ def refine_digraph(
     constraints and the arc removed when the maximum drops to zero or below.
     Removals can split components, so passes repeat until a fixed point.
 
-    A pass is one array expression over the intra-component arcs.  With the
-    gains ``g[c, d, x] = joint[c, d, x] - joint[d, c, x]`` of `kwise_digraph`,
-    the constrained 3-wise weight is the margin, plus g over the forced-in
-    candidates, plus the positive g over the free ones: the greedy rule of
-    `best_triple_advantage`.  At k = 2 the weight is the margin alone, so a
-    pass never removes an arc of `kwise_digraph`'s output, whose arcs all
-    have a positive margin; it only drops hand-built arcs that do not.  For
-    k >= 4 the same constraint rows go to `best_advantage_exhaustive`, one
-    arc at a time.  The result carries its component order.
+    A pass is one array expression over the intra-component arcs.  On
+    R + {c, d} + C, C the forced-in candidates, the advantage of c over d is
+    cost_d(R + c) - cost_d(R) - cost_c(R + d) + cost_c(R) in the DP's
+    placement costs above C.  At k <= 3 the increments are additive in R:
+    the 3-wise weight is the margin, plus ``g = joint[c, d] - joint[d, c]``
+    over the forced-in candidates, plus the positive g over the free ones
+    (`best_triple_advantage`); at k = 2 the margin alone, so a pass only
+    drops hand-built arcs.  At k >= 4 one table per component, the later
+    ones as context, gives each arc's best R outside its forced-out row, so
+    a component of more than `EXHAUSTIVE_FREE_BOUND` candidates is refused
+    even where unanimous dominators would leave fewer to search.  The
+    result carries its component order.
     """
     m, k = graph.m, graph.k
     _check_accumulation(profile.n, m, k)
@@ -392,6 +381,9 @@ def refine_digraph(
     # arcs that may lie inside a component; components only split, so this
     # set only shrinks
     inside = np.arange(len(source))
+    # k >= 4: one table per component and context, built at its first arc
+    costs = functools.cache(lambda part, below: _placement_costs(
+        counts, k, mask_members(part), below))
     while True:
         rank = _mask_rows(list(order.components), m).argmax(axis=0)
         inside = inside[rank[source[inside]] == rank[target[inside]]]
@@ -411,13 +403,10 @@ def refine_digraph(
             weight += (gains * forced_in).sum(axis=1)
             weight += (np.maximum(gains, 0) * free).sum(axis=1)
         elif k > 3:
-            weight = np.array([
-                _constrained_max(profile, k, *arc)
-                for arc in zip(
-                    c.tolist(), d.tolist(),
-                    _row_masks(forced_in), _row_masks(forced_out),
-                )
-            ], dtype=np.int64)
+            parts = [order.components[r] for r in own[:, 0].tolist()]
+            arcs = zip(c.tolist(), d.tolist(), parts, _row_masks(forced_in),
+                       _row_masks(forced_out))
+            weight = np.array([_constrained_max(costs, *arc) for arc in arcs], np.int64)
         dropped = weight <= 0
         if not dropped.any():
             break
@@ -429,11 +418,14 @@ def refine_digraph(
 
 
 def _constrained_max(
-    profile: Profile, k: int, c: int, d: int, forced_in: Mask, forced_out: Mask
+    costs, c: int, d: int, part: Mask, forced_in: Mask, forced_out: Mask
 ) -> int:
-    """One arc's constrained weight at k >= 4, by exhaustive search
+    """One arc's constrained weight at k >= 4, read off ``costs(part, forced_in)``
     (``perfbench/tracing.py`` counts these calls as arcs checked)."""
-    return best_advantage_exhaustive(profile, c, d, k, forced_in, forced_out)[0]
+    members = mask_members(part)
+    excluded = sum(1 << i for i, x in enumerate(members) if forced_out >> x & 1)
+    table = costs(part, forced_in)
+    return _best_advantage(table, members.index(c), members.index(d), excluded)[0]
 
 
 # ---------------------------------------------------------------------------

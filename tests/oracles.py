@@ -10,7 +10,16 @@ import math
 
 import numpy as np
 
-from kwise_kemeny import BinomialPrefixTable, Profile, mask_members, solver
+from kwise_kemeny import (
+    BinomialPrefixTable,
+    GuardError,
+    Profile,
+    full_mask,
+    mask_members,
+    solver,
+)
+from kwise_kemeny.core import Mask, validate_k
+from kwise_kemeny.majority import EXHAUSTIVE_FREE_BOUND, _check_forced
 from kwise_kemeny.solver import _layers, _other_bits, _subset_weights
 
 
@@ -55,6 +64,58 @@ def setwise_advantage(profile: Profile, subset: int, c: int, d: int, k: int) -> 
     return setwise_support(profile, subset, c, d, k, table) - setwise_support(
         profile, subset, d, c, k, table
     )
+
+
+def best_advantage_exhaustive(
+    profile: Profile,
+    c: int,
+    d: int,
+    k: int,
+    forced_in: Mask = 0,
+    forced_out: Mask = 0,
+) -> tuple[int, Mask]:
+    """Maximal k-wise advantage by enumerating every admissible contest set.
+
+    Deciding whether the maximum is positive is NP-hard for k >= 4, so the
+    number of free candidates is guarded; the search is exact within the
+    bound.  Ties resolve to the smallest witness in subset-mask order.
+    """
+    m = profile.m
+    if c == d:
+        raise ValueError("candidates must be distinct")
+    _check_forced(c, d, forced_in, forced_out)
+    if m - forced_in.bit_count() - forced_out.bit_count() > EXHAUSTIVE_FREE_BOUND:
+        raise GuardError(
+            "exhaustive witness search refused: "
+            f"{m} candidates minus {forced_in.bit_count()} forced-in and "
+            f"{forced_out.bit_count()} forced-out exceeds the bound of "
+            f"{EXHAUSTIVE_FREE_BOUND} (the maximization is NP-hard for k >= 4)"
+        )
+    validate_k(m, k)
+    table = BinomialPrefixTable(m, k)
+    lookup = table.as_array()
+    free = mask_members(full_mask(m) & ~(1 << c | 1 << d | forced_in | forced_out))
+    subsets = np.arange(1 << len(free), dtype=np.uint32)
+    advantage = np.zeros(len(subsets), dtype=np.int64)
+    fixed_members = forced_in
+    for ranking, count in profile.groups:
+        if ranking.prefers(c, d):
+            sign, pool = count, ranking.below_set(c)
+        else:
+            sign, pool = -count, ranking.below_set(d)
+        base = (pool & fixed_members).bit_count()
+        local = 0
+        for j, x in enumerate(free):
+            if pool >> x & 1:
+                local |= 1 << j
+        pools = np.bitwise_count(subsets & np.uint32(local)).astype(np.int64) + base
+        advantage += sign * lookup[pools]
+    best = int(np.argmax(advantage))
+    witness = 1 << c | 1 << d | forced_in
+    for j, x in enumerate(free):
+        if best >> j & 1:
+            witness |= 1 << x
+    return int(advantage[best]), witness
 
 
 def binary_moment_costs(counts, k, candidates, context, dtype):

@@ -16,7 +16,6 @@ from kwise_kemeny import (
     MallowsParams,
     Profile,
     Ranking,
-    best_advantage_exhaustive,
     brute_force_consensus,
     dp_consensus,
     enumerate_consensus,
@@ -36,7 +35,7 @@ from kwise_kemeny import (
 )
 from kwise_kemeny.majority import PairCounts, best_triple_advantage
 from conftest import arc_view, random_profile
-from oracles import setwise_advantage
+from oracles import best_advantage_exhaustive, setwise_advantage
 
 
 @contextlib.contextmanager

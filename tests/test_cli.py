@@ -548,6 +548,18 @@ class TestDigraph:
         assert code == 0
         assert json.loads(out)["k"] == 4
 
+    def test_k4_candidate_bound(self, capsys, tmp_path):
+        path = tmp_path / "m21.txt"
+        path.write_text(serialize_profile(impartial_culture(21, 3, 0)))
+        code, out, err = run(
+            capsys, "digraph", "--input", str(path), "--k", "4", "--force-exponential"
+        )
+        assert (code, out) == (3, "")
+        assert err == (
+            "refused: witness search refused: 21 candidates, the pair included, "
+            "exceed the bound of 20 (the maximization is NP-hard for k >= 4)\n"
+        )
+
     @pytest.mark.parametrize("text", [
         # 2^63 voters: more than int64 holds
         "4 9223372036854775808\n9223372036854775808: 1,2,3,4\n",
@@ -775,6 +787,56 @@ class TestBench:
         )
         assert (code, out) == (2, "")
         assert err.startswith("error: timeout must be at least 0 seconds")
+
+    @pytest.mark.parametrize("phis", ["inf", "nan", "0", "0.9,-1", "1.5"])
+    def test_phi_outside_unit_interval_is_input_error(self, capsys, phis):
+        code, out, err = run(
+            capsys, "bench", "--m-list", "4", "--k-list", "2", "--phi-list",
+            phis, "--n", "4", "--instances", "2",
+        )
+        assert (code, out) == (2, "")
+        values = [float(phi) for phi in phis.split(",")]
+        assert err == f"error: phi must lie in (0, 1], got {values}\n"
+
+    @pytest.mark.parametrize("ms", ["0", "-3", "4,0"])
+    def test_m_below_one_is_input_error(self, capsys, ms):
+        code, out, err = run(
+            capsys, "bench", "--m-list", ms, "--k-list", "2", "--phi-list",
+            "0.9", "--n", "4", "--instances", "2",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: every m must be at least 1")
+
+    def test_one_candidate_has_no_cells(self, capsys):
+        # k = m resolves to 1, which is dropped as a k above m is
+        code, out, err = run(
+            capsys, "bench", "--m-list", "1", "--phi-list", "0.9", "--n", "4",
+            "--instances", "2",
+        )
+        assert (code, out, err) == (
+            0, "m,k,phi,mode,avg_ms,max_ms,min_ms,avg_consensus,avg_largest_scc\n", ""
+        )
+
+
+# Flags that keep a run small; the flag under test comes after them and wins.
+SMALL_RUN = {
+    "bench": ("--m-list", "3", "--k-list", "2", "--phi-list", "1", "--n", "2",
+              "--instances", "1", "--modes", "dp"),
+    "sample": ("--m", "3", "--n", "2", "--phi", "1"),
+}
+
+
+@pytest.mark.parametrize("value", ["inf", "nan", "0", "-1", "1e300", "x"])
+@pytest.mark.parametrize("command, flag", [
+    ("bench", "--m-list"), ("bench", "--k-list"), ("bench", "--phi-list"),
+    ("bench", "--n"), ("bench", "--instances"),
+    ("sample", "--m"), ("sample", "--n"), ("sample", "--phi"),
+])
+def test_numeric_flags_refuse_without_traceback(capsys, command, flag, value):
+    # main returns instead of raising: an uncaught exception fails the test
+    code, out, err = run(capsys, command, *SMALL_RUN[command], flag, value)
+    assert (code, out) == (2, "")
+    assert "error:" in err
 
 
 class TestParser:

@@ -13,7 +13,6 @@ from kwise_kemeny import (
     PairCounts,
     Profile,
     Ranking,
-    best_advantage_exhaustive,
     dp_consensus,
     enumerate_consensus,
     full_mask,
@@ -33,7 +32,9 @@ from kwise_kemeny import (
 from kwise_kemeny.cli import main
 from kwise_kemeny.majority import (
     SccOrder,
+    _best_advantage,
     _mask_rows,
+    _placement_costs,
     _row_masks,
     best_triple_advantage,
 )
@@ -47,6 +48,7 @@ from conftest import (
     top_choice,
 )
 from oracles import (
+    best_advantage_exhaustive,
     prefers_by_positions,
     setwise_advantage,
     setwise_support,
@@ -424,6 +426,50 @@ class TestBestAdvantageExhaustive:
             )
 
 
+class TestPlacementCostAdvantage:
+    def test_reader_matches_exhaustive_search(self):
+        # the best advantage read off the placement costs of a random
+        # component above a random context, against the exhaustive search
+        # with forced_in = the context and forced_out = the rest plus the
+        # exclusions; with reversed ballots every contest set ties, and
+        # counts of 2^33 take int64 tables
+        rng = np.random.default_rng(66)
+        arcs = 0
+        while arcs < 300:
+            m = int(rng.integers(3, 9))
+            profile = random_profile(rng, m, int(rng.integers(1, 6)))
+            if rng.random() < 0.25:
+                profile = Profile(m, [
+                    *profile.groups,
+                    *((Ranking(r.order[::-1]), n) for r, n in profile.groups),
+                ])
+            elif rng.random() < 0.25:
+                profile = Profile(m, [(r, n << 33) for r, n in profile.groups])
+            counts = PairCounts(profile)
+            for k in sorted({2, 3, 4, m} - {m + 1}):
+                size = int(rng.integers(2, m + 1))
+                component = mask_of(rng.choice(m, size, replace=False).tolist())
+                context = int(rng.integers(0, 1 << m)) & ~component
+                members = mask_members(component)
+                table = _placement_costs(counts, k, members, context)
+                for i, j in itertools.permutations(range(size), 2):
+                    if rng.random() < 0.5:
+                        continue
+                    c, d = members[i], members[j]
+                    pair = mask_of([c, d])
+                    excluded = int(rng.integers(0, 1 << m) & rng.integers(0, 1 << m))
+                    excluded &= component & ~pair
+                    weight, rest = _best_advantage(table, i, j, mask_of(
+                        [x for x, y in enumerate(members) if excluded >> y & 1]))
+                    witness = pair | context | mask_of(
+                        [members[x] for x in mask_members(rest)])
+                    forced_out = full_mask(m) & ~(component | context) | excluded
+                    assert (weight, witness) == best_advantage_exhaustive(
+                        profile, c, d, k, forced_in=context, forced_out=forced_out
+                    )
+                    arcs += 1
+
+
 class TestKwiseDigraph:
     def test_k2_equals_pairwise(self):
         rng = np.random.default_rng(50)
@@ -614,6 +660,20 @@ class TestRefine:
         heavy = Profile(4, [(Ranking([0, 1, 2, 3]), 1 << 62), (Ranking([3, 2, 1, 0]), 1)])
         with pytest.raises(GuardError, match="64-bit accumulation"):
             refine_digraph(graph, heavy)
+
+    def test_k4_refinement_guards_the_component(self):
+        # one ballot ranks every x above x + 1, ..., 20, so every arc of the
+        # cycle 0 -> 2 -> 1 -> 3 -> 4 -> ... -> 20 -> 0 has a unanimous
+        # dominator of its pair besides the pair, which would leave at most
+        # 20 candidates to search; the component still holds 21
+        m = 21
+        profile = Profile(m, [(Ranking(range(m)), 1)])
+        cycle = [0, 2, 1, *range(3, m), 0]
+        graph = digraph_of(m, 4, {
+            (c, d): (1, mask_of([c, d])) for c, d in zip(cycle, cycle[1:])
+        })
+        with pytest.raises(GuardError, match="21 candidates, the pair included"):
+            refine_digraph(graph, profile)
 
     def test_refined_solve_keeps_optimum(self):
         rng = np.random.default_rng(60)
