@@ -580,8 +580,8 @@ class TestDigraph:
         assert err.startswith("refused: disagreement totals for n=")
 
 
-# SHA-256 of `digraph` stdout, JSON and DOT, on the six-candidate fixture and
-# on one sampled 12-candidate profile (Mallows, phi 0.8, 50 voters, seed 12).
+# SHA-256 of `digraph` stdout, JSON and DOT, on the six-candidate fixture, on
+# sampled profiles (DIGRAPH_SAMPLES) at k = 4, 5 and m, and on DOMINATED_TEXT.
 GOLDEN_DIGRAPHS = [
     ("six", "--k 2",
      "14b8592383a8d8e6a1d01e580427a55399b5ff27cd7ed3ed9450228f47e53448"),
@@ -613,6 +613,14 @@ GOLDEN_DIGRAPHS = [
      "0ce2621b51ba8827d91fde31717f5d960a1136966efd359ccfce9e25edb233a9"),
     ("dominated", "--k 4 --force-exponential --refine",
      "ed7272161e681f0daf8cbf63f8b59dc78390548b7b7bf3de664980662452548e"),
+    ("m12", "--k 12 --force-exponential",
+     "5fbcf7947db4c5bc0031adad5c14e17448a2c279f18d16e55cce0e43a0c31fb9"),
+    ("m8", "--k 8 --force-exponential --refine",
+     "b05df188b5f4b2dec744e1cb8d5f208fa770a9abac81bd42a8d84b34e7494479"),
+    ("m9", "--k 9 --force-exponential --refine",
+     "fb8417c4aedbf71516c9324bbd7e7d9dcb420f6b38ce44493d33ff0c31c9e7c2"),
+    ("m10", "--k 10 --force-exponential --refine",
+     "ac0a41e15b30173e6068c7cbea6bda4c9f9b38004506889528233de65bc1946a"),
 ]
 
 
