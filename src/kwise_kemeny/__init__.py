@@ -26,7 +26,6 @@ from .distance import (
     BinomialPrefixTable,
     kendall_tau,
     kwise_distance,
-    kwise_distance_naive,
     position_weighted_kendall_tau,
     profile_distance,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "BinomialPrefixTable",
     "kendall_tau",
     "kwise_distance",
-    "kwise_distance_naive",
     "position_weighted_kendall_tau",
     "profile_distance",
     "ConsensusResult",

@@ -3,25 +3,19 @@
 The k-wise Kendall tau distance between two rankings counts the subsets of
 candidates of size at most k whose top choice differs between the rankings
 (singletons and the empty set never disagree, so sizes 2..k matter).  For
-k = 2 this is the classic Kendall tau.  Two routes are provided: a direct
-enumeration over subsets (`kwise_distance_naive`, the reference oracle) and
-an O(m^3) closed form (`kwise_distance`) that counts, for every pair ordered
-oppositely by the two rankings, the subsets the pair tops together.
+k = 2 this is the classic Kendall tau.  `kwise_distance` is an O(m^3) closed
+form that counts, for every pair ordered oppositely by the two rankings, the
+subsets the pair tops together.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Sequence
 
 import numpy as np
 
-from .core import GuardError, Profile, Ranking, validate_k
-
-# Enumeration budget for the naive subset walk.
-_NAIVE_M_SMALL_K = 20
-_NAIVE_M_LARGE_K = 15
+from .core import Profile, Ranking, validate_k
 
 
 class BinomialPrefixTable:
@@ -77,27 +71,6 @@ def kendall_tau(r: Ranking, r2: Ranking) -> int:
         si = seq[i]
         for j in range(i + 1, m):
             if seq[j] < si:
-                count += 1
-    return count
-
-
-def kwise_distance_naive(r: Ranking, r2: Ranking, k: int) -> int:
-    """Reference oracle: enumerate every subset of size 2..k directly."""
-    m = _check_same_m(r, r2)
-    validate_k(m, k)
-    limit = _NAIVE_M_SMALL_K if k <= 5 else _NAIVE_M_LARGE_K
-    if m > limit:
-        raise GuardError(
-            f"naive subset enumeration refused: m={m} exceeds the bound "
-            f"(m <= {_NAIVE_M_SMALL_K} for k <= 5, m <= {_NAIVE_M_LARGE_K} otherwise)"
-        )
-    pos1, pos2 = r.inverse, r2.inverse
-    count = 0
-    for size in range(2, min(k, m) + 1):
-        for combo in itertools.combinations(range(m), size):
-            top1 = min(combo, key=pos1.__getitem__)
-            top2 = min(combo, key=pos2.__getitem__)
-            if top1 != top2:
                 count += 1
     return count
 

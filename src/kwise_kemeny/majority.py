@@ -63,6 +63,7 @@ from .solver import (
     ConsensusResult,
     SolveStats,
     _check_accumulation,
+    _product_costs,
     _subset_sum_terms,
     _subset_sums,
     _table_dtype,
@@ -154,12 +155,15 @@ def _placement_costs(
     counts: PairCounts, k: int, members: tuple[int, ...], context: Mask
 ) -> np.ndarray:
     """``[T, j]``: the cost of placing ``members[j]`` above the members T
-    (packed as in `solver._other_bits`) plus ``context``; guarded first."""
+    (packed as in `solver._other_bits`) plus ``context``; guarded first.
+    When every pool is a contest set, one product transform builds it."""
     if len(members) > EXHAUSTIVE_FREE_BOUND:
         raise GuardError(
             f"witness search refused: {len(members)} candidates, the pair included, exceed "
             f"the bound of {EXHAUSTIVE_FREE_BOUND} (the maximization is NP-hard for k >= 4)")
     dtype = _table_dtype(counts.n, counts.m, k)
+    if k >= len(members) + context.bit_count():
+        return _product_costs(counts, members, context, dtype).reshape(-1, len(members))
     table = _subset_sum_terms(counts, k, members, context, dtype).reshape(-1, len(members))
     _subset_sums(table)
     return table

@@ -16,6 +16,9 @@ for k >= 4 it is a truncated binomial sum that expands over subsets, so
 Yates' subset-sum (zeta) transforms of a histogram of the voters' rankings
 give every row in O(m^2 2^(m-1)) additions, whatever n is (on large tables,
 the lowest bits of the superset-sum by expanding each group's entries).
+When k >= nloc + |context|, as at k = m, every pool is a contest set, a
+voter's cost is a product over the pool's members, and one transform with
+the kernel [[1, 1], [1, 2]] replaces the superset- and subset-sums.
 
 The min walks blocks of states H | L, L the lowest 10 bits, each part in
 colex order by a cached layer plan (predecessor ranks, members;
@@ -377,6 +380,59 @@ def _subset_sum_terms(
 _BUFFER_BYTES = 1 << 19
 
 
+def _product_costs(
+    counts: PairCounts,
+    candidates: tuple[int, ...],
+    context: Mask,
+    dtype: type,
+) -> np.ndarray:
+    """The costs of :func:`_subset_sum_costs` when k >= nloc + b, state-major
+    and flat: ``[T, j]``, T packed as in :func:`_other_bits`.
+
+    Every pool is then a contest set, so H[t] = 2^t - 1 and
+
+        cost_j(T) = n 2^(|T| + b) - sum_g count_g 2^beta_g 2^|T & B_g|,
+
+    a sum of products over the bits of T: one factor per bit, 2 on the bits
+    of B (all of them for the first term), else 1.  Each group adds its
+    weight at B_hi | T_lo for every T_lo of its low bits
+    (:func:`_expanded_bits`), times 2^|T_lo & B_lo|, and one pass per high
+    bit with the kernel [[1, 1], [1, 2]] finishes the products.  Every
+    partial sum lies within n 2^(nloc - 1 + b), below the bound of
+    :func:`_table_dtype` at k >= 3.
+    """
+    nloc, bits = len(candidates), len(candidates) - 1
+    low = _expanded_bits(len(counts.counts), bits)
+    pos = counts.positions[:, list(candidates)]
+    masks = (pos[:, _other_bits(nloc)] > pos[:, :, None]) @ (1 << np.arange(bits))
+    ctx = counts.positions[:, mask_members(context)]
+    beta = (ctx[:, None, :] > pos[:, :, None]).sum(axis=2)
+    weights = (-counts.counts[:, None] << beta).astype(dtype)  # [g, j]
+    lows = np.arange(1 << low)
+    table = np.zeros((1 << bits, nloc), dtype)
+    # the first term: B all ones, the last 2^low rows, the same for every j
+    ones = np.int64(counts.n << context.bit_count()) << np.bitwise_count(lows)
+    table[-len(lows):] = ones.astype(dtype)[:, None]
+    # the groups' entries, as many members at a time as keep their indices
+    # and values within half the buffer (numpy's broadcasting buffers take
+    # about a quarter)
+    entries = len(weights) << low
+    step = max(1, _BUFFER_BYTES // (2 * entries * (8 + table.itemsize)))
+    for j in range(0, nloc, step):
+        part = masks[:, j : j + step, None]
+        spread = weights[:, j : j + step, None] << np.bitwise_count(part & lows)
+        index = part >> low << low | lows  # in place from here: the peak is
+        index *= nloc                      # one index and one value per entry
+        index += np.arange(j, j + part.shape[1])[:, None]
+        np.add.at(table.reshape(-1), index, spread)
+        del spread, index  # before the next batch's
+    for i in range(low, bits):
+        pairs = table.reshape(-1, 2, nloc << i)
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] += pairs[:, 0]
+    return table.reshape(-1)
+
+
 def _subset_sum_costs(
     counts: PairCounts,
     k: int,
@@ -386,8 +442,12 @@ def _subset_sum_costs(
 ) -> np.ndarray:
     """Cost runs for any k by subset-sum transforms, reading no ballot.
 
-    With B_g the local members that voter group g ranks below j and beta_g
-    its context members below j (:func:`_subset_weights`),
+    Two routes, picked by k, nloc and b = |context| alone.  At k >= nloc +
+    b every pool is a contest set, and one product transform gives the
+    costs (:func:`_product_costs`); the last pass moves each chunk's entries
+    into its rows and runs.  Below that, Yates' route: with B_g the local
+    members that voter group g ranks below j and beta_g its context members
+    below j (:func:`_subset_weights`),
 
         cost_j(T) = n H[|T| + b] - sum_{V subset of T} W_j(V)
                   = sum_{V subset of T} (n h(|V|, b) - W_j(V)),
@@ -402,14 +462,18 @@ def _subset_sum_costs(
     chunk's entries back into its rows and runs.
     """
     nloc = len(candidates)
-    cost = _subset_sum_terms(counts, k, candidates, context, dtype)
+    product = k >= nloc + context.bit_count()
+    if product:
+        cost = _product_costs(counts, candidates, context, dtype)
+    else:
+        cost = _subset_sum_terms(counts, k, candidates, context, dtype)
     low = min(nloc, _SMALL_PLAN)
     own, order, _, _ = _run_order(nloc, low)
     if nloc == low:  # one row, one chunk
-        _subset_sums(cost.reshape(-1, nloc))
+        if not product:
+            _subset_sums(cost.reshape(-1, nloc))
         cost[:] = cost.take(own)
         return cost
-    _subset_sums(cost.reshape(-1, nloc), first=low)
     # per entry of a chunk, where it comes from in the chunk's state-major
     # entries: the low members' costs over its two high parts, each high
     # member's over the low states
@@ -418,6 +482,13 @@ def _subset_sum_costs(
     rows[0] = own, own + (nloc << low - 1)
     runs[0] = order * nloc + np.arange(low, nloc)[:, None]
     chunks = cost.reshape(-1, len(source))
+    if product:
+        buffer = np.empty(len(source), dtype)
+        for chunk in chunks:
+            chunk.take(source, out=buffer, mode="clip")
+            chunk[:] = buffer
+        return cost
+    _subset_sums(cost.reshape(-1, nloc), first=low)
     # whole chunks within _BUFFER_BYTES and a quarter of the table, a power
     # of two (as len(chunks) is), so that every pass fills the buffer
     group = max(1, min(len(chunks) >> 2, _BUFFER_BYTES // chunks[0].nbytes))

@@ -6,6 +6,7 @@ against them.  The others are array routes the library replaced, kept so
 that the routes replacing them can be checked for equal results.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -18,9 +19,36 @@ from kwise_kemeny import (
     mask_members,
     solver,
 )
-from kwise_kemeny.core import Mask, validate_k
+from kwise_kemeny.core import Mask, Ranking, validate_k
+from kwise_kemeny.distance import _check_same_m
 from kwise_kemeny.majority import EXHAUSTIVE_FREE_BOUND, _check_forced
 from kwise_kemeny.solver import _layers, _other_bits, _subset_weights
+
+
+# Enumeration budget for the naive subset walk.
+_NAIVE_M_SMALL_K = 20
+_NAIVE_M_LARGE_K = 15
+
+
+def kwise_distance_naive(r: Ranking, r2: Ranking, k: int) -> int:
+    """The k-wise distance by enumerating every subset of size 2..k."""
+    m = _check_same_m(r, r2)
+    validate_k(m, k)
+    limit = _NAIVE_M_SMALL_K if k <= 5 else _NAIVE_M_LARGE_K
+    if m > limit:
+        raise GuardError(
+            f"naive subset enumeration refused: m={m} exceeds the bound "
+            f"(m <= {_NAIVE_M_SMALL_K} for k <= 5, m <= {_NAIVE_M_LARGE_K} otherwise)"
+        )
+    pos1, pos2 = r.inverse, r2.inverse
+    count = 0
+    for size in range(2, min(k, m) + 1):
+        for combo in itertools.combinations(range(m), size):
+            top1 = min(combo, key=pos1.__getitem__)
+            top2 = min(combo, key=pos2.__getitem__)
+            if top1 != top2:
+                count += 1
+    return count
 
 
 def _check_pair_in_subset(subset: int, winner: int, loser: int) -> None:

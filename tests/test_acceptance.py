@@ -22,7 +22,6 @@ from kwise_kemeny import (
     kendall_tau,
     kwise_digraph,
     kwise_distance,
-    kwise_distance_naive,
     mallows_sample,
     mask_members,
     partitioned_dp,
@@ -35,7 +34,7 @@ from kwise_kemeny import (
 )
 from kwise_kemeny.majority import PairCounts, best_triple_advantage
 from conftest import arc_view, random_profile
-from oracles import best_advantage_exhaustive, setwise_advantage
+from oracles import best_advantage_exhaustive, kwise_distance_naive, setwise_advantage
 
 
 @contextlib.contextmanager

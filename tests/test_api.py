@@ -37,7 +37,6 @@ PUBLIC = [
     "kendall_tau",
     "kwise_digraph",
     "kwise_distance",
-    "kwise_distance_naive",
     "load_profile",
     "mallows_sample",
     "mask_members",
@@ -90,6 +89,9 @@ DELETED = [
     ("solver", "_double_rows"),
     ("solver", "_run_index"),
     ("majority", "best_advantage_exhaustive"),
+    ("distance", "kwise_distance_naive"),
+    ("distance", "_NAIVE_M_SMALL_K"),
+    ("distance", "_NAIVE_M_LARGE_K"),
 ]
 
 # (module, function, parameter) triples removed from a signature

@@ -10,10 +10,10 @@ from kwise_kemeny import (
     Ranking,
     kendall_tau,
     kwise_distance,
-    kwise_distance_naive,
     position_weighted_kendall_tau,
     profile_distance,
 )
+from oracles import kwise_distance_naive
 
 R1 = Ranking([0, 1, 2])
 R2 = Ranking([0, 2, 1])

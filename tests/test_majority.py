@@ -18,7 +18,6 @@ from kwise_kemeny import (
     full_mask,
     kwise_digraph,
     kwise_distance,
-    kwise_distance_naive,
     mask_members,
     partitioned_dp,
     preprocess,
@@ -49,6 +48,7 @@ from conftest import (
 )
 from oracles import (
     best_advantage_exhaustive,
+    kwise_distance_naive,
     prefers_by_positions,
     setwise_advantage,
     setwise_support,

@@ -7,6 +7,7 @@ import weakref
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from kwise_kemeny import (
     BinomialPrefixTable,
@@ -400,18 +401,19 @@ class TestTableMemory:
 
     @pytest.mark.parametrize("m", [14, 18])
     def test_builder_temporaries(self, m):
-        # the k <= 3 builder's temporaries stay within the k >= 4 builder's
-        # buffer, well below the table: a table-sized temporary makes the
-        # heap page-fault in again between solves
+        # the temporaries of the k <= 3 builder and of the k = m product
+        # route stay within the k >= 4 builder's buffer, well below the
+        # table: a table-sized temporary makes the heap page-fault in again
+        # between solves
         profile = mallows_sample(MallowsParams(Ranking.identity(m), 1.0, 50, 1))
         counts = PairCounts(profile)
-        for k in (2, 3):
+        for k, build in ((2, _moment_costs), (3, _moment_costs), (m, _subset_sum_costs)):
             args = (counts, k, tuple(range(m)), 0, np.int32)
-            _moment_costs(*args)  # caches filled outside the measure
+            build(*args)  # caches filled outside the measure
             tracemalloc.start()
             try:
                 base = tracemalloc.get_traced_memory()[0]
-                table = _moment_costs(*args)
+                table = build(*args)
                 peak = tracemalloc.get_traced_memory()[1] - base
             finally:
                 tracemalloc.stop()
@@ -976,7 +978,8 @@ class TestCostRows:
         # every entry of both builders' tables against the binary oracles,
         # mapped through the plans of _blocks: nloc 1-14 with random
         # contexts, both dtypes, with the walk's low part at 10 bits and at
-        # 3 (high parts wider than the low part)
+        # 3 (high parts wider than the low part); k = nloc + |context| - 1
+        # takes Yates' route, k = nloc + |context| the product route
         rng = np.random.default_rng(45)
         for small in (solver._SMALL_PLAN, 3):
             monkeypatch.setattr(solver, "_SMALL_PLAN", small)
@@ -985,7 +988,8 @@ class TestCostRows:
                 counts = PairCounts(weighted_profile(rng, m, 5))
                 local = tuple(sorted(rng.choice(m, nloc, replace=False).tolist()))
                 context = int(rng.integers(0, 1 << m)) & ~mask_of(local)
-                for k in sorted({2, 3, 4, max(2, nloc)}):
+                pool = nloc + context.bit_count()
+                for k in sorted({2, 3, 4, max(2, nloc), max(2, pool - 1), max(2, pool)}):
                     routes = [_subset_sum_costs] + [_moment_costs] * (k <= 3)
                     oracle = binary_moment_costs if k <= 3 else dense_subset_sum_costs
                     for dtype in (np.int32, np.int64):
@@ -1019,8 +1023,10 @@ class TestCostRows:
 
     def test_expanded_low_bits_match_dense_route(self, monkeypatch):
         # nloc 1-14 with the low bits the size rule picks (up to 5 here),
-        # then with all of _LOW_BITS (the count above, equal to and below
-        # nloc - 1); a four-member context leaving at least three betas
+        # then with none and with all of _LOW_BITS (the count above, equal
+        # to and below nloc - 1), the walk's low part at 10 bits and at 3;
+        # a four-member context leaving at least three betas: k = m - 1
+        # takes Yates' route, k = m the product route
         rng = np.random.default_rng(44)
         cases = []
         for nloc in range(1, 15):
@@ -1032,13 +1038,14 @@ class TestCostRows:
                      for r, _ in profile.groups for j in local}
             assert len(betas) >= 3
             cases.append((PairCounts(profile), local, context))
-        for expand_all in (False, True):
-            if expand_all:
-                monkeypatch.setattr(solver, "_expanded_bits",
-                                    lambda groups, bits: min(solver._LOW_BITS, bits))
+        rule = solver._expanded_bits
+        for small, expand in itertools.product((solver._SMALL_PLAN, 3), (None, 0, solver._LOW_BITS)):
+            monkeypatch.setattr(solver, "_SMALL_PLAN", small)
+            monkeypatch.setattr(solver, "_expanded_bits", rule if expand is None else
+                                lambda groups, bits: min(expand, bits))
             for counts, local, context in cases:
                 m = counts.m
-                for k in (4, 5, m):
+                for k in sorted({4, 5, m - 1, m}):
                     for dtype in (np.int32, np.int64):
                         rows = _subset_sum_costs(counts, k, local, context, dtype)
                         assert rows.dtype == dtype
@@ -1049,6 +1056,26 @@ class TestCostRows:
                         _subset_sum_costs(counts, k, local, context, np.int64),
                         _moment_costs(counts, k, local, context, np.int64),
                     )
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(st.data())
+    def test_wide_counts_match_dense_route_and_brute_force(self, data):
+        # multiplicities up to 2^33 take the tables to int64; k from 4 to m
+        # takes either route on a random piece
+        m = data.draw(st.integers(4, 8))
+        count = st.integers(1, 9) | st.integers(1 << 28, 1 << 33)
+        groups = data.draw(st.lists(st.tuples(st.permutations(range(m)), count),
+                                    min_size=1, max_size=5))
+        profile = Profile(m, [(Ranking(order), count) for order, count in groups])
+        candidates = st.sets(st.integers(0, m - 1))
+        subset = mask_of(data.draw(candidates.filter(bool)))
+        context = mask_of(data.draw(candidates)) & ~subset
+        k = data.draw(st.integers(4, m))
+        counts, local = PairCounts(profile), mask_members(subset)
+        dtype = solver._table_dtype(counts.n, m, k)
+        expected = block_costs(dense_subset_sum_costs(counts, k, local, context, dtype))
+        assert np.array_equal(_subset_sum_costs(counts, k, local, context, dtype), expected)
+        assert dp_consensus(profile, k).optimum == brute_force_consensus(profile, k).optimum
 
     def test_expanded_bits_rule(self):
         # groups x 2^low stays within 1/16 of the rows; 50 voter groups at
