@@ -374,9 +374,10 @@ def _subset_sum_terms(
     return flat
 
 
-# The size of _subset_sum_costs' buffer.  A larger buffer, freed with the
-# table, lets the C allocator return the heap to the system between solves,
-# and the next table page-faults in again.
+# The size of _subset_sum_costs' buffer, and the bound on _product_costs'
+# scatter temporaries.  A larger buffer, freed with the table, lets the C
+# allocator return the heap to the system between solves, and the next
+# table page-faults in again.
 _BUFFER_BYTES = 1 << 19
 
 
@@ -395,11 +396,11 @@ def _product_costs(
 
     a sum of products over the bits of T: one factor per bit, 2 on the bits
     of B (all of them for the first term), else 1.  Each group adds its
-    weight at B_hi | T_lo for every T_lo of its low bits
-    (:func:`_expanded_bits`), times 2^|T_lo & B_lo|, and one pass per high
-    bit with the kernel [[1, 1], [1, 2]] finishes the products.  Every
-    partial sum lies within n 2^(nloc - 1 + b), below the bound of
-    :func:`_table_dtype` at k >= 3.
+    weight times 2^|T_lo & B_lo| at B_hi | T_lo for every T_lo over the low
+    bits (:func:`_expanded_bits`), and one pass per high bit with the
+    kernel [[1, 1], [1, 2]] finishes the products.  Every partial sum lies
+    within n 2^(nloc - 1 + b), below the bound of :func:`_table_dtype` at
+    k >= 3.
     """
     nloc, bits = len(candidates), len(candidates) - 1
     low = _expanded_bits(len(counts.counts), bits)
@@ -421,8 +422,9 @@ def _product_costs(
     for j in range(0, nloc, step):
         part = masks[:, j : j + step, None]
         spread = weights[:, j : j + step, None] << np.bitwise_count(part & lows)
-        index = part >> low << low | lows  # in place from here: the peak is
-        index *= nloc                      # one index and one value per entry
+        # in place from here: the peak is one index and one value per entry
+        index = part >> low << low | lows
+        index *= nloc
         index += np.arange(j, j + part.shape[1])[:, None]
         np.add.at(table.reshape(-1), index, spread)
         del spread, index  # before the next batch's
@@ -463,10 +465,8 @@ def _subset_sum_costs(
     """
     nloc = len(candidates)
     product = k >= nloc + context.bit_count()
-    if product:
-        cost = _product_costs(counts, candidates, context, dtype)
-    else:
-        cost = _subset_sum_terms(counts, k, candidates, context, dtype)
+    cost = (_product_costs(counts, candidates, context, dtype) if product
+            else _subset_sum_terms(counts, k, candidates, context, dtype))
     low = min(nloc, _SMALL_PLAN)
     own, order, _, _ = _run_order(nloc, low)
     if nloc == low:  # one row, one chunk

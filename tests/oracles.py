@@ -15,11 +15,12 @@ from kwise_kemeny import (
     BinomialPrefixTable,
     GuardError,
     Profile,
+    Ranking,
     full_mask,
     mask_members,
     solver,
 )
-from kwise_kemeny.core import Mask, Ranking, validate_k
+from kwise_kemeny.core import Mask, validate_k
 from kwise_kemeny.distance import _check_same_m
 from kwise_kemeny.majority import EXHAUSTIVE_FREE_BOUND, _check_forced
 from kwise_kemeny.solver import _layers, _other_bits, _subset_weights

@@ -1063,8 +1063,8 @@ class TestCostRows:
         # multiplicities up to 2^33 take the tables to int64; k from 4 to m
         # takes either route on a random piece
         m = data.draw(st.integers(4, 8))
-        count = st.integers(1, 9) | st.integers(1 << 28, 1 << 33)
-        groups = data.draw(st.lists(st.tuples(st.permutations(range(m)), count),
+        multiplicity = st.integers(1, 9) | st.integers(1 << 28, 1 << 33)
+        groups = data.draw(st.lists(st.tuples(st.permutations(range(m)), multiplicity),
                                     min_size=1, max_size=5))
         profile = Profile(m, [(Ranking(order), count) for order, count in groups])
         candidates = st.sets(st.integers(0, m - 1))
