@@ -775,7 +775,9 @@ class TestGoldenTables:
     # of .values: Mallows profiles (phi 0.8, n 50, seed m) over every
     # candidate at k = m (k = 4 at m = 1, the k >= 4 builder on one
     # candidate); nine of 14 candidates above a context of four at k = 14;
-    # and a multiplicity profile at m = 10 whose totals need int64
+    # a multiplicity profile at m = 10 whose totals need int64; and, at
+    # k = nloc + |context|, 14 of 16 candidates of such a profile above the
+    # other two
     DIGESTS = {
         "m1": "19ca6b713b85af5f2f3c24f810ca96c4f931c36d2852a67215c3ee8e35a6c57b",
         "m2": "0451cca9789e4ef7161c9fa45c95de0881edf043c9cc5e6b57b5da9dc672de6f",
@@ -783,9 +785,12 @@ class TestGoldenTables:
         "m10": "468ae93a12a860f1536ecb3843bf3ff01784e36f426e051a5da1debdcc9bc88e",
         "m11": "aca51f6531af720c31ac440abb58f3bad462081f041ef1f6df926a4d6b4ecb3c",
         "m14": "9365c063b85aa51b3362b3e2432d240a57fdb50215f96cde55ead1f056fcd644",
+        "m16": "99b98036690c561e70d261996bc92e73b0a0100dc16cde33faf052e32e422d97",
         "m18": "bdb48bfa9bba2b818182c1a1c480211f3196b727c6df1a93ffc262148a0459a1",
+        "m20": "6f940487c0e9d3450d98298de6b668bb439ebd91367b732df825a39e796a9e46",
         "context": "779a9fce8a741442552c54c4c3593b10ddc6ab020021cd2f1eafbd87514dd6e2",
         "int64": "6b3e65901d95dbbef79f90db3eb1468252ecdafb9987400c78349da6e8cea0d7",
+        "int64-context": "d0824b4b8cbd89d39aad5db9f97124c749441cb98c64d8bf31636140842370c6",
     }
 
     @staticmethod
@@ -798,6 +803,11 @@ class TestGoldenTables:
             profile = Profile(10, [(Ranking(rng.permutation(10)), int(rng.integers(1, 1 << 33)))
                                    for _ in range(7)])
             return build_dp_table(profile, 10)
+        if name == "int64-context":
+            rng = np.random.default_rng(16)
+            profile = Profile(16, [(Ranking(rng.permutation(16)), int(rng.integers(1, 1 << 33)))
+                                   for _ in range(7)])
+            return build_dp_table(profile, 16, mask_of(range(14)), mask_of(range(14, 16)))
         m = int(name[1:])
         profile = mallows_sample(MallowsParams(Ranking.identity(m), 0.8, 50, m))
         return build_dp_table(profile, 4 if m == 1 else m)
@@ -805,7 +815,7 @@ class TestGoldenTables:
     @pytest.mark.parametrize("name", list(DIGESTS))
     def test_tables_pinned(self, name):
         table = self.table(name)
-        assert table.cost.dtype == (np.int64 if name == "int64" else np.int32)
+        assert table.cost.dtype == (np.int64 if name.startswith("int64") else np.int32)
         digest = hashlib.sha256()
         for array in (table.cost, table.values):
             digest.update(f"{array.dtype.str} {array.shape}".encode())
