@@ -18,7 +18,7 @@ give every row in O(m^2 2^(m-1)) additions, whatever n is (on large tables,
 the lowest bits of the superset-sum by expanding each group's entries).
 When k >= nloc + |context|, as at k = m, every pool is a contest set, a
 voter's cost is a product over the pool's members, and one transform with
-the kernel [[1, 1], [1, 2]] replaces the superset- and subset-sums.
+the kernel [[1, 1], [1, 2]] replaces both sums, on cache-sized groups.
 
 The min walks blocks of states H | L, L the lowest 10 bits, each part in
 colex order by a cached layer plan (predecessor ranks, members;
@@ -30,8 +30,8 @@ over the low states, each low layer a contiguous slice of them.  The walk
 reads whole rows and runs by index.  The table is built chunk by chunk,
 each chunk holding the entries of 2^10 consecutive states of a state-major
 table: at k <= 3 chunk 0 is gathered and the others follow by doubling on
-whole chunks, at k >= 4 a last in-place pass moves each chunk of the
-state-major transforms into place.  The walk keeps values only: readback
+whole chunks, at k >= 4 each chunk of the state-major transforms moves
+into place as its group's last pass ends.  The walk keeps values only: readback
 and the optimum count follow argmin sets (:meth:`DpTable.choices`) down
 from the full set.
 Cost tables and DP values are int32 when n * sum_{i=2..k} C(m, i), which
@@ -374,10 +374,10 @@ def _subset_sum_terms(
     return flat
 
 
-# The size of _subset_sum_costs' buffer, and the bound on _product_costs'
-# scatter temporaries.  A larger buffer, freed with the table, lets the C
-# allocator return the heap to the system between solves, and the next
-# table page-faults in again.
+# The size of _subset_sum_costs' buffer, the bound on _product_costs'
+# scatter temporaries and the working set of its passes.  A larger buffer,
+# freed with the table, lets the C allocator return the heap to the system
+# between solves, and the next table page-faults in again.
 _BUFFER_BYTES = 1 << 19
 
 
@@ -386,9 +386,11 @@ def _product_costs(
     candidates: tuple[int, ...],
     context: Mask,
     dtype: type,
+    blocks: bool = False,
 ) -> np.ndarray:
-    """The costs of :func:`_subset_sum_costs` when k >= nloc + b, state-major
-    and flat: ``[T, j]``, T packed as in :func:`_other_bits`.
+    """The costs of :func:`_subset_sum_costs` when k >= nloc + b, flat:
+    state-major ``[T, j]``, T packed as in :func:`_other_bits`, or with
+    ``blocks`` in block order (:func:`_cost_regions`).
 
     Every pool is then a contest set, so H[t] = 2^t - 1 and
 
@@ -398,9 +400,12 @@ def _product_costs(
     of B (all of them for the first term), else 1.  Each group adds its
     weight times 2^|T_lo & B_lo| at B_hi | T_lo for every T_lo over the low
     bits (:func:`_expanded_bits`), and one pass per high bit with the
-    kernel [[1, 1], [1, 2]] finishes the products.  Every partial sum lies
-    within n 2^(nloc - 1 + b), below the bound of :func:`_table_dtype` at
-    k >= 3.
+    kernel [[1, 1], [1, 2]] finishes the products.  The passes commute, so
+    each stays in a group of 2^s chunks, the most within ``_BUFFER_BYTES``:
+    the bits from split = ``_SMALL_PLAN`` + s up s at a time on slabs of 2^s
+    rows one chunk wide, then the rest and the move a group at a time.
+    Every partial sum lies within n 2^(nloc - 1 + b), below the bound of
+    :func:`_table_dtype` at k >= 3.
     """
     nloc, bits = len(candidates), len(candidates) - 1
     low = _expanded_bits(len(counts.counts), bits)
@@ -410,15 +415,15 @@ def _product_costs(
     beta = (ctx[:, None, :] > pos[:, :, None]).sum(axis=2)
     weights = (-counts.counts[:, None] << beta).astype(dtype)  # [g, j]
     lows = np.arange(1 << low)
-    table = np.zeros((1 << bits, nloc), dtype)
+    flat = np.zeros(nloc << bits, dtype)
     # the first term: B all ones, the last 2^low rows, the same for every j
     ones = np.int64(counts.n << context.bit_count()) << np.bitwise_count(lows)
-    table[-len(lows):] = ones.astype(dtype)[:, None]
+    flat.reshape(-1, nloc)[-len(lows):] = ones.astype(dtype)[:, None]
     # the groups' entries, as many members at a time as keep their indices
-    # and values within half the buffer (numpy's broadcasting buffers take
-    # about a quarter)
+    # and values within half the buffer (the index expressions' broadcasting
+    # buffers take about a quarter); 1-D operands keep np.add.at fast
     entries = len(weights) << low
-    step = max(1, _BUFFER_BYTES // (2 * entries * (8 + table.itemsize)))
+    step = max(1, _BUFFER_BYTES // (2 * entries * (8 + flat.itemsize)))
     for j in range(0, nloc, step):
         part = masks[:, j : j + step, None]
         spread = weights[:, j : j + step, None] << np.bitwise_count(part & lows)
@@ -426,13 +431,38 @@ def _product_costs(
         index = part >> low << low | lows
         index *= nloc
         index += np.arange(j, j + part.shape[1])[:, None]
-        np.add.at(table.reshape(-1), index, spread)
+        np.add.at(flat, index.ravel(), spread.ravel())
         del spread, index  # before the next batch's
-    for i in range(low, bits):
-        pairs = table.reshape(-1, 2, nloc << i)
-        pairs[:, 0] += pairs[:, 1]
-        pairs[:, 1] += pairs[:, 0]
-    return table.reshape(-1)
+    chunk = nloc << _SMALL_PLAN
+    s = max(1, _BUFFER_BYTES // (chunk * flat.itemsize)).bit_length() - 1
+    split = min(bits, _SMALL_PLAN + s)
+    for first in range(max(low, split), bits, max(1, s)):
+        for slab in flat.reshape(-1, 1 << min(max(1, s), bits - first), nloc << first):
+            for c in range(0, slab.shape[1], chunk):
+                for i in range(slab.shape[0].bit_length() - 1):
+                    pairs = slab[:, c : c + chunk].reshape(-1, 2, 1 << i, chunk)
+                    pairs[:, 0] += pairs[:, 1]
+                    pairs[:, 1] += pairs[:, 0]
+    source, buffer = (_block_source(nloc), np.empty(chunk, dtype)) if blocks else (None, None)
+    for group in flat.reshape(-1, nloc << split):
+        for i in range(low, split):
+            pairs = group.reshape(-1, 2, nloc << i)
+            pairs[:, 0] += pairs[:, 1]
+            pairs[:, 1] += pairs[:, 0]
+        for part in group.reshape(-1, chunk) if blocks else ():
+            part.take(source, out=buffer, mode="clip")
+            part[:] = buffer
+    return flat
+
+
+def _block_source(nloc: int) -> np.ndarray:
+    """Where each entry of a block-order chunk comes from in its state-major order."""
+    own, order, _, _ = _run_order(nloc, _SMALL_PLAN)
+    source = np.empty(nloc << _SMALL_PLAN, np.intp)
+    rows, runs = _cost_regions(source, nloc)
+    rows[0] = own, own + (nloc << _SMALL_PLAN - 1)
+    runs[0] = order * nloc + np.arange(_SMALL_PLAN, nloc)[:, None]
+    return source
 
 
 def _subset_sum_costs(
@@ -446,10 +476,10 @@ def _subset_sum_costs(
 
     Two routes, picked by k, nloc and b = |context| alone.  At k >= nloc +
     b every pool is a contest set, and one product transform gives the
-    costs (:func:`_product_costs`); the last pass moves each chunk's entries
-    into its rows and runs.  Below that, Yates' route: with B_g the local
-    members that voter group g ranks below j and beta_g its context members
-    below j (:func:`_subset_weights`),
+    costs, each chunk moved into its rows and runs as its group's passes
+    end (:func:`_product_costs`).  Below that, Yates' route: with B_g the
+    local members that voter group g ranks below j and beta_g its context
+    members below j (:func:`_subset_weights`),
 
         cost_j(T) = n H[|T| + b] - sum_{V subset of T} W_j(V)
                   = sum_{V subset of T} (n h(|V|, b) - W_j(V)),
@@ -465,34 +495,23 @@ def _subset_sum_costs(
     """
     nloc = len(candidates)
     product = k >= nloc + context.bit_count()
-    cost = (_product_costs(counts, candidates, context, dtype) if product
-            else _subset_sum_terms(counts, k, candidates, context, dtype))
     low = min(nloc, _SMALL_PLAN)
-    own, order, _, _ = _run_order(nloc, low)
+    cost = (_product_costs(counts, candidates, context, dtype, nloc > low) if product
+            else _subset_sum_terms(counts, k, candidates, context, dtype))
     if nloc == low:  # one row, one chunk
         if not product:
             _subset_sums(cost.reshape(-1, nloc))
-        cost[:] = cost.take(own)
+        cost[:] = cost.take(_run_order(nloc, low)[0])
         return cost
-    # per entry of a chunk, where it comes from in the chunk's state-major
-    # entries: the low members' costs over its two high parts, each high
-    # member's over the low states
-    source = np.empty(nloc << low, np.intp)
-    rows, runs = _cost_regions(source, nloc)
-    rows[0] = own, own + (nloc << low - 1)
-    runs[0] = order * nloc + np.arange(low, nloc)[:, None]
-    chunks = cost.reshape(-1, len(source))
     if product:
-        buffer = np.empty(len(source), dtype)
-        for chunk in chunks:
-            chunk.take(source, out=buffer, mode="clip")
-            chunk[:] = buffer
         return cost
     _subset_sums(cost.reshape(-1, nloc), first=low)
+    chunks = cost.reshape(-1, nloc << low)
     # whole chunks within _BUFFER_BYTES and a quarter of the table, a power
     # of two (as len(chunks) is), so that every pass fills the buffer
     group = max(1, min(len(chunks) >> 2, _BUFFER_BYTES // chunks[0].nbytes))
     group = 1 << group.bit_length() - 1
+    source = _block_source(nloc)
     source += source // nloc * (group - 1) * nloc  # the same entries in the buffer
     buffer = np.empty((1 << low, group, nloc), dtype)
     for first in range(0, len(chunks), group):
@@ -664,15 +683,16 @@ def _layered_min(cost: np.ndarray, nloc: int) -> np.ndarray:
             for first in range(0, len(high_states), step):
                 rows = slice(first, first + step) if wide else ...
                 best = block[rows]
+                # clip: the plans' ranks are in range by construction
                 if c:  # a low member placed first
-                    left = (row[-1][rows].take(low_previous, axis=1) if wide
+                    left = (row[-1][rows].take(low_previous, axis=1, mode="clip") if wide
                             else row[-1][low_previous])
                     paid = (cost_rows[owners[0][rows], owners[1][rows], in_row] if wide
                             else cost[in_row])  # one row: the whole table
                     left += paid.reshape(left.shape)
                     np.minimum.reduce(left, axis=-2, out=best)
                 if a:  # a high member placed first
-                    up = above[c].take(high_previous[:, rows], axis=0)
+                    up = above[c].take(high_previous[:, rows], axis=0, mode="clip")
                     up += cost_runs[rests[:, rows], tops[:, rows],
                                     run_starts[c] : run_starts[c + 1]]
                     if c:

@@ -28,6 +28,7 @@ from kwise_kemeny import (
     solve,
     to_dot,
 )
+from kwise_kemeny import solver
 from kwise_kemeny.cli import main
 from kwise_kemeny.majority import (
     SccOrder,
@@ -427,13 +428,13 @@ class TestBestAdvantageExhaustive:
 
 
 class TestPlacementCostAdvantage:
-    def test_reader_matches_exhaustive_search(self):
-        # the best advantage read off the placement costs of a random
-        # component above a random context, against the exhaustive search
-        # with forced_in = the context and forced_out = the rest plus the
-        # exclusions; with reversed ballots every contest set ties, and
-        # counts of 2^33 take int64 tables
-        rng = np.random.default_rng(66)
+    @staticmethod
+    def check_reader(rng, ks, force=lambda size, dtype: None):
+        """The best advantage read off the placement costs of a random
+        component above a random context, against the exhaustive search
+        with forced_in = the context and forced_out = the rest plus the
+        exclusions, for 300 arcs; ``force(size, dtype)`` runs before each
+        table is built."""
         arcs = 0
         while arcs < 300:
             m = int(rng.integers(3, 9))
@@ -446,11 +447,12 @@ class TestPlacementCostAdvantage:
             elif rng.random() < 0.25:
                 profile = Profile(m, [(r, n << 33) for r, n in profile.groups])
             counts = PairCounts(profile)
-            for k in sorted({2, 3, 4, m} - {m + 1}):
+            for k in ks(m):
                 size = int(rng.integers(2, m + 1))
                 component = mask_of(rng.choice(m, size, replace=False).tolist())
                 context = int(rng.integers(0, 1 << m)) & ~component
                 members = mask_members(component)
+                force(size, solver._table_dtype(counts.n, m, k))
                 table = _placement_costs(counts, k, members, context)
                 for i, j in itertools.permutations(range(size), 2):
                     if rng.random() < 0.5:
@@ -468,6 +470,24 @@ class TestPlacementCostAdvantage:
                         profile, c, d, k, forced_in=context, forced_out=forced_out
                     )
                     arcs += 1
+
+    def test_reader_matches_exhaustive_search(self):
+        # k in {2, 3, 4, m}; with reversed ballots every contest set ties,
+        # and counts of 2^33 take int64 tables
+        self.check_reader(np.random.default_rng(66), lambda m: sorted({2, 3, 4, m} - {m + 1}))
+
+    @pytest.mark.parametrize("groups", ["chunk", "table"])
+    def test_reader_at_k_m_by_groups(self, monkeypatch, groups):
+        # the product route with chunks of 2^3 states and _BUFFER_BYTES at
+        # one chunk (every group one chunk, cross-group sweeps of one bit)
+        # or at the whole table (one group)
+        monkeypatch.setattr(solver, "_SMALL_PLAN", 3)
+
+        def force(size, dtype):
+            states = 3 if groups == "chunk" else size - 1
+            monkeypatch.setattr(solver, "_BUFFER_BYTES", (size << states) * np.dtype(dtype).itemsize)
+
+        self.check_reader(np.random.default_rng(67), lambda m: [m], force)
 
 
 class TestKwiseDigraph:

@@ -399,12 +399,13 @@ class TestTableMemory:
                 counts = 2 * 8 * math.comb(m, m // 2) if counted else 0
                 assert peak <= 4 * entries + counts + (1 << 20)
 
-    @pytest.mark.parametrize("m", [14, 18])
+    @pytest.mark.parametrize("m", [14, 18, 20])
     def test_builder_temporaries(self, m):
         # the temporaries of the k <= 3 builder and of the k = m product
         # route stay within the k >= 4 builder's buffer, well below the
         # table: a table-sized temporary makes the heap page-fault in again
-        # between solves
+        # between solves; at m = 18 and 20 the product route has
+        # cross-group sweeps
         profile = mallows_sample(MallowsParams(Ranking.identity(m), 1.0, 50, 1))
         counts = PairCounts(profile)
         for k, build in ((2, _moment_costs), (3, _moment_costs), (m, _subset_sum_costs)):
@@ -1035,8 +1036,11 @@ class TestCostRows:
         # nloc 1-14 with the low bits the size rule picks (up to 5 here),
         # then with none and with all of _LOW_BITS (the count above, equal
         # to and below nloc - 1), the walk's low part at 10 bits and at 3;
-        # a four-member context leaving at least three betas: k = m - 1
-        # takes Yates' route, k = m the product route
+        # above a four-member context leaving at least three betas (k = m - 1
+        # takes Yates' route, k = m the product route) and over all of m =
+        # nloc candidates; _BUFFER_BYTES at its default, at one chunk (every
+        # group one chunk, cross-group sweeps of one bit) and at the table
+        # (one group)
         rng = np.random.default_rng(44)
         cases = []
         for nloc in range(1, 15):
@@ -1047,20 +1051,26 @@ class TestCostRows:
             betas = {sum(r.prefers(j, x) for x in mask_members(context))
                      for r, _ in profile.groups for j in local}
             assert len(betas) >= 3
-            cases.append((PairCounts(profile), local, context))
-        rule = solver._expanded_bits
+            cases.append((PairCounts(profile), local, context, sorted({4, 5, m - 1, m})))
+            cases.append((PairCounts(weighted_profile(rng, nloc, 9)), tuple(range(nloc)), 0,
+                          sorted({4, max(4, nloc - 1), max(4, nloc)})))
+        checks = [(counts, local, context, k, dtype,
+                   dense_subset_sum_costs(counts, k, local, context, dtype))
+                  for counts, local, context, ks in cases for k in ks
+                  for dtype in (np.int32, np.int64)]
+        rule, default = solver._expanded_bits, solver._BUFFER_BYTES
         for small, expand in itertools.product((solver._SMALL_PLAN, 3), (None, 0, solver._LOW_BITS)):
             monkeypatch.setattr(solver, "_SMALL_PLAN", small)
             monkeypatch.setattr(solver, "_expanded_bits", rule if expand is None else
                                 lambda groups, bits: min(expand, bits))
-            for counts, local, context in cases:
-                m = counts.m
-                for k in sorted({4, 5, m - 1, m}):
-                    for dtype in (np.int32, np.int64):
-                        rows = _subset_sum_costs(counts, k, local, context, dtype)
-                        assert rows.dtype == dtype
-                        assert np.array_equal(binary_costs(rows), dense_subset_sum_costs(
-                            counts, k, local, context, dtype))
+            for counts, local, context, k, dtype, expected in checks:
+                nloc, size = len(local), np.dtype(dtype).itemsize
+                for buffer in (default, (nloc << small) * size, (nloc << nloc) * size):
+                    monkeypatch.setattr(solver, "_BUFFER_BYTES", buffer)
+                    rows = _subset_sum_costs(counts, k, local, context, dtype)
+                    assert rows.dtype == dtype
+                    assert np.array_equal(binary_costs(rows), expected)
+            for counts, local, context, _ in cases:
                 for k in (2, 3):
                     assert np.array_equal(
                         _subset_sum_costs(counts, k, local, context, np.int64),
