@@ -30,8 +30,8 @@ over the low states, each low layer a contiguous slice of them.  The walk
 reads whole rows and runs by index.  The table is built chunk by chunk,
 each chunk holding the entries of 2^10 consecutive states of a state-major
 table: at k <= 3 chunk 0 is gathered and the others follow by doubling on
-whole chunks, at k >= 4 each chunk of the state-major transforms moves
-into place as its group's last pass ends.  The walk keeps values only: readback
+whole chunks, at k >= 4 each chunk of the state-major transforms moves into
+place as its group's last pass ends.  The walk keeps values only: readback
 and the optimum count follow argmin sets (:meth:`DpTable.choices`) down
 from the full set.
 Cost tables and DP values are int32 when n * sum_{i=2..k} C(m, i), which
@@ -403,7 +403,7 @@ def _product_costs(
     kernel [[1, 1], [1, 2]] finishes the products.  The passes commute, so
     each stays in a group of 2^s chunks, the most within ``_BUFFER_BYTES``:
     the bits from split = ``_SMALL_PLAN`` + s up s at a time on slabs of 2^s
-    rows one chunk wide, then the rest and the move a group at a time.
+    rows one chunk wide, then the rest (and the move) a group at a time.
     Every partial sum lies within n 2^(nloc - 1 + b), below the bound of
     :func:`_table_dtype` at k >= 3.
     """
