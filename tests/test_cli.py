@@ -613,6 +613,8 @@ GOLDEN_DIGRAPHS = [
      "0ce2621b51ba8827d91fde31717f5d960a1136966efd359ccfce9e25edb233a9"),
     ("dominated", "--k 4 --force-exponential --refine",
      "ed7272161e681f0daf8cbf63f8b59dc78390548b7b7bf3de664980662452548e"),
+    ("m16", "--k 4 --force-exponential",
+     "59bb9dcd59ed051d1c62aeacb6fdb95193a8e54b353863bb700b10a065910396"),
     ("m12", "--k 12 --force-exponential",
      "5fbcf7947db4c5bc0031adad5c14e17448a2c279f18d16e55cce0e43a0c31fb9"),
     ("m8", "--k 8 --force-exponential --refine",
@@ -630,6 +632,7 @@ DIGRAPH_SAMPLES = {
     "m8": (8, 0.9, 50, 10),
     "m9": (9, 0.9, 50, 10),
     "m10": (10, 0.9, 50, 11),
+    "m16": (16, 0.8, 50, 16),
 }
 # At k = 4 the arc (c1, c5) lies in the component {c1, c4, c5}, and every
 # voter ranks c4 above c5: refinement must leave c4 out of its witnesses.

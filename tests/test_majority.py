@@ -478,16 +478,18 @@ class TestPlacementCostAdvantage:
 
     @pytest.mark.parametrize("groups", ["chunk", "table"])
     def test_reader_at_k_m_by_groups(self, monkeypatch, groups):
-        # the product route with chunks of 2^3 states and _BUFFER_BYTES at
-        # one chunk (every group one chunk, cross-group sweeps of one bit)
-        # or at the whole table (one group)
+        # Yates' route (k = m - 1) and the product route (k = m) with
+        # chunks of 2^3 states and _BUFFER_BYTES at one chunk (every group
+        # one chunk, cross-group sweeps of one bit) or at the whole table
+        # (one group)
         monkeypatch.setattr(solver, "_SMALL_PLAN", 3)
 
         def force(size, dtype):
             states = 3 if groups == "chunk" else size - 1
             monkeypatch.setattr(solver, "_BUFFER_BYTES", (size << states) * np.dtype(dtype).itemsize)
 
-        self.check_reader(np.random.default_rng(67), lambda m: [m], force)
+        self.check_reader(np.random.default_rng(67), lambda m: [m - 1, m] if m >= 5 else [m],
+                          force)
 
 
 class TestKwiseDigraph:

@@ -776,9 +776,10 @@ class TestGoldenTables:
     # of .values: Mallows profiles (phi 0.8, n 50, seed m) over every
     # candidate at k = m (k = 4 at m = 1, the k >= 4 builder on one
     # candidate); nine of 14 candidates above a context of four at k = 14;
-    # a multiplicity profile at m = 10 whose totals need int64; and, at
-    # k = nloc + |context|, 14 of 16 candidates of such a profile above the
-    # other two
+    # a multiplicity profile at m = 10 whose totals need int64; 14 of 16
+    # candidates of such a profile above the other two, at k = nloc +
+    # |context| and at k = 4 (several betas); and Yates' route over every
+    # candidate at k = m - 1, m = 16 and 18
     DIGESTS = {
         "m1": "19ca6b713b85af5f2f3c24f810ca96c4f931c36d2852a67215c3ee8e35a6c57b",
         "m2": "0451cca9789e4ef7161c9fa45c95de0881edf043c9cc5e6b57b5da9dc672de6f",
@@ -792,6 +793,9 @@ class TestGoldenTables:
         "context": "779a9fce8a741442552c54c4c3593b10ddc6ab020021cd2f1eafbd87514dd6e2",
         "int64": "6b3e65901d95dbbef79f90db3eb1468252ecdafb9987400c78349da6e8cea0d7",
         "int64-context": "d0824b4b8cbd89d39aad5db9f97124c749441cb98c64d8bf31636140842370c6",
+        "int64-k4": "a09a9128bf8ca37016eb958853104484a3ddc185f1529674e7f1feb0c59ed040",
+        "m16-k15": "59012d5b605058c8d35c2fd048e9a5d217cfc30f26c658472dd3ebaf2c8ee21e",
+        "m18-k17": "fcc90238b3878906d01bb69a319939dbe9b98d61e02f610dd34decd2c6fffc15",
     }
 
     @staticmethod
@@ -804,14 +808,16 @@ class TestGoldenTables:
             profile = Profile(10, [(Ranking(rng.permutation(10)), int(rng.integers(1, 1 << 33)))
                                    for _ in range(7)])
             return build_dp_table(profile, 10)
-        if name == "int64-context":
+        if name.startswith("int64-"):
             rng = np.random.default_rng(16)
             profile = Profile(16, [(Ranking(rng.permutation(16)), int(rng.integers(1, 1 << 33)))
                                    for _ in range(7)])
-            return build_dp_table(profile, 16, mask_of(range(14)), mask_of(range(14, 16)))
-        m = int(name[1:])
+            k = 16 if name == "int64-context" else 4
+            return build_dp_table(profile, k, mask_of(range(14)), mask_of(range(14, 16)))
+        m, _, k = name[1:].partition("-k")
+        m = int(m)
         profile = mallows_sample(MallowsParams(Ranking.identity(m), 0.8, 50, m))
-        return build_dp_table(profile, 4 if m == 1 else m)
+        return build_dp_table(profile, int(k) if k else 4 if m == 1 else m)
 
     @pytest.mark.parametrize("name", list(DIGESTS))
     def test_tables_pinned(self, name):
