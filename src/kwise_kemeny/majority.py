@@ -12,9 +12,10 @@ independently, so the maximizing set is found greedily in polynomial time;
 `kwise_digraph` applies that rule to all pairs in one array pass, and
 `best_triple_advantage`, the rule for one pair, is the tests' scalar
 reference.  For k >= 4 the maximization is NP-hard, and every set is tried
-on the subset DP's placement costs (`_placement_costs`): with cost_j(T) the
-cost of placing j above T plus a context C, the advantage of c over d on
-R + {c, d} + C is cost_d(R + c) - cost_d(R) - cost_c(R + d) + cost_c(R).
+on the subset DP's cost table, left state-major (`_placement_costs`): with
+cost_j(T) the cost of placing j above T plus a context C, the advantage of
+c over d on R + {c, d} + C is cost_d(R + c) - cost_d(R) - cost_c(R + d) +
+cost_c(R).
 At k <= 3 these increments are additive in R, which is the greedy rule.
 
 A topological order of the digraph's strongly connected components splits
@@ -63,9 +64,7 @@ from .solver import (
     ConsensusResult,
     SolveStats,
     _check_accumulation,
-    _product_costs,
-    _subset_sum_terms,
-    _subset_sums,
+    _subset_sum_costs,
     _table_dtype,
     brute_force_consensus,
     dp_consensus,
@@ -155,18 +154,15 @@ def _placement_costs(
     counts: PairCounts, k: int, members: tuple[int, ...], context: Mask
 ) -> np.ndarray:
     """``[T, j]``: the cost of placing ``members[j]`` above the members T
-    (packed as in `solver._other_bits`) plus ``context``; guarded first.
-    When every pool is a contest set, one product transform builds it."""
+    (packed as in `solver._other_bits`) plus ``context``, the DP's cost
+    table left state-major; guarded first."""
     if len(members) > EXHAUSTIVE_FREE_BOUND:
         raise GuardError(
             f"witness search refused: {len(members)} candidates, the pair included, exceed "
             f"the bound of {EXHAUSTIVE_FREE_BOUND} (the maximization is NP-hard for k >= 4)")
     dtype = _table_dtype(counts.n, counts.m, k)
-    if k >= len(members) + context.bit_count():
-        return _product_costs(counts, members, context, dtype).reshape(-1, len(members))
-    table = _subset_sum_terms(counts, k, members, context, dtype).reshape(-1, len(members))
-    _subset_sums(table)
-    return table
+    return _subset_sum_costs(counts, k, members, context, dtype, blocks=False).reshape(
+        -1, len(members))
 
 
 def _best_advantage(

@@ -18,7 +18,8 @@ give every row in O(m^2 2^(m-1)) additions, whatever n is (on large tables,
 the lowest bits of the superset-sum by expanding each group's entries).
 When k >= nloc + |context|, as at k = m, every pool is a contest set, a
 voter's cost is a product over the pool's members, and one transform with
-the kernel [[1, 1], [1, 2]] replaces both sums, on cache-sized groups.
+the kernel [[1, 1], [1, 2]] replaces both sums.  Every such transform runs
+one pass schedule, on cache-sized groups of chunks (:func:`_grouped_passes`).
 
 The min walks blocks of states H | L, L the lowest 10 bits, each part in
 colex order by a cached layer plan (predecessor ranks, members;
@@ -31,7 +32,7 @@ reads whole rows and runs by index.  The table is built chunk by chunk,
 each chunk holding the entries of 2^10 consecutive states of a state-major
 table: at k <= 3 chunk 0 is gathered and the others follow by doubling on
 whole chunks, at k >= 4 each chunk of the state-major transforms moves into
-place as its group's last pass ends.  The walk keeps values only: readback
+place as its group's passes end.  The walk keeps values only: readback
 and the optimum count follow argmin sets (:meth:`DpTable.choices`) down
 from the full set.
 Cost tables and DP values are int32 when n * sum_{i=2..k} C(m, i), which
@@ -307,15 +308,6 @@ def _moment_costs(
     return cost
 
 
-def _subset_sums(table: np.ndarray, supersets: bool = False, first: int = 0) -> None:
-    """In place, entry T of a state-major table becomes the sum over the
-    subsets (or supersets) of T: one doubling step per bit from ``first``."""
-    src, dst = (1, 0) if supersets else (0, 1)
-    for i in range(first, table.shape[0].bit_length() - 1):
-        pairs = table.reshape(-1, 2, table.shape[1] << i)
-        pairs[:, dst] += pairs[:, src]
-
-
 _LOW_BITS = 7
 
 
@@ -326,24 +318,65 @@ def _expanded_bits(groups: int, bits: int) -> int:
     return min(_LOW_BITS, max(0, bits - 4 - groups.bit_length()))
 
 
+# The working set of _grouped_passes and the bound on _product_terms'
+# scatter temporaries.  A larger temporary, freed with the table, lets the
+# C allocator return the heap to the system between solves, and the next
+# table page-faults in again.
+_BUFFER_BYTES = 1 << 19
+
+
+def _grouped_passes(flat: np.ndarray, nloc: int, first: int, kernel, blocks: bool) -> None:
+    """In place over a flat state-major ``[T, j]`` table, one doubling pass
+    per bit i of T from ``first``, on the rows (T, T | 2^i) as pairs:
+    ``pair[dst] += pair[src]`` for each ``(dst, src)`` of ``kernel``, so
+    ``((1, 0),)`` sums over subsets, ``((0, 1),)`` over supersets and
+    ``((0, 1), (1, 0))`` applies [[1, 1], [1, 2]].  The passes commute, so
+    each stays in a group of 2^s chunks of 2^b states, b = min(nloc - 1,
+    ``_SMALL_PLAN``), the most within ``_BUFFER_BYTES``: the bits from
+    split = ``_SMALL_PLAN`` + s up s at a time on slabs of 2^s rows one
+    chunk wide, then the rest a group at a time, after which, with
+    ``blocks``, each chunk moves into its rows and runs (:func:`_cost_regions`).
+    """
+    bits = nloc - 1
+    chunk = nloc << min(bits, _SMALL_PLAN)
+    s = max(1, _BUFFER_BYTES // (chunk * flat.itemsize)).bit_length() - 1
+    split = min(bits, _SMALL_PLAN + s)
+    for start in range(max(first, split), bits, max(1, s)):
+        for slab in flat.reshape(-1, 1 << min(max(1, s), bits - start), nloc << start):
+            for c in range(0, slab.shape[1], chunk):
+                for i in range(slab.shape[0].bit_length() - 1):
+                    pairs = slab[:, c : c + chunk].reshape(-1, 2, 1 << i, chunk)
+                    for dst, src in kernel:
+                        pairs[:, dst] += pairs[:, src]
+    source, buffer = (_block_source(nloc), np.empty(chunk, flat.dtype)) if blocks else (None, None)
+    for group in flat.reshape(-1, nloc << split):
+        for i in range(first, split):
+            pairs = group.reshape(-1, 2, nloc << i)
+            for dst, src in kernel:
+                pairs[:, dst] += pairs[:, src]
+        for part in group.reshape(-1, chunk) if blocks else ():
+            part.take(source, out=buffer, mode="clip")
+            part[:] = buffer
+
+
 def _subset_sum_terms(
     counts: PairCounts,
     k: int,
     candidates: tuple[int, ...],
     context: Mask,
     dtype: type,
+    low: int,
 ) -> np.ndarray:
     """The terms ``n h(|V|, b) - W_j(V)`` of :func:`_subset_sum_costs`,
     state-major and flat: ``[V, j]``, V packed as in :func:`_other_bits`.
 
     Per distinct beta, each group adds its count at B_hi | V for every V
-    within its low bits B_lo (:func:`_expanded_bits`), dense doubling passes
-    over the high bits finish the superset-sum, and it is scaled by h.
+    within its ``low`` bits B_lo, dense passes over the higher bits finish
+    the superset-sum (:func:`_grouped_passes`), and it is scaled by h.
     Every term is nonnegative (h(u, beta) grows with beta <= b), so the
     accumulation guard bounds each partial sum of their subset-sum.
     """
     nloc = len(candidates)
-    low = _expanded_bits(len(counts.counts), nloc - 1)
     h = _subset_weights(counts.m, k).astype(dtype)
     pos = counts.positions[:, list(candidates)]
     below = pos[:, _other_bits(nloc)] > pos[:, :, None]  # [g, j, bit]
@@ -366,7 +399,7 @@ def _subset_sum_terms(
             part[...] = 0
         chosen = beta[entry] == value
         np.add.at(part.reshape(-1), index[chosen], weights[chosen])
-        _subset_sums(part, supersets=True, first=low)
+        _grouped_passes(part.reshape(-1), nloc, low, ((0, 1),), False)  # superset sums
         part *= h[size, value, None]
         if i:
             total += part
@@ -374,23 +407,15 @@ def _subset_sum_terms(
     return flat
 
 
-# The size of _subset_sum_costs' buffer, the bound on _product_costs'
-# scatter temporaries and the working set of its passes.  A larger buffer,
-# freed with the table, lets the C allocator return the heap to the system
-# between solves, and the next table page-faults in again.
-_BUFFER_BYTES = 1 << 19
-
-
-def _product_costs(
+def _product_terms(
     counts: PairCounts,
     candidates: tuple[int, ...],
     context: Mask,
     dtype: type,
-    blocks: bool = False,
+    low: int,
 ) -> np.ndarray:
-    """The costs of :func:`_subset_sum_costs` when k >= nloc + b, flat:
-    state-major ``[T, j]``, T packed as in :func:`_other_bits`, or with
-    ``blocks`` in block order (:func:`_cost_regions`).
+    """The product transform's input when k >= nloc + b, flat and
+    state-major: ``[T, j]``, T packed as in :func:`_other_bits`.
 
     Every pool is then a contest set, so H[t] = 2^t - 1 and
 
@@ -398,17 +423,13 @@ def _product_costs(
 
     a sum of products over the bits of T: one factor per bit, 2 on the bits
     of B (all of them for the first term), else 1.  Each group adds its
-    weight times 2^|T_lo & B_lo| at B_hi | T_lo for every T_lo over the low
-    bits (:func:`_expanded_bits`), and one pass per high bit with the
-    kernel [[1, 1], [1, 2]] finishes the products.  The passes commute, so
-    each stays in a group of 2^s chunks, the most within ``_BUFFER_BYTES``:
-    the bits from split = ``_SMALL_PLAN`` + s up s at a time on slabs of 2^s
-    rows one chunk wide, then the rest (and the move) a group at a time.
-    Every partial sum lies within n 2^(nloc - 1 + b), below the bound of
-    :func:`_table_dtype` at k >= 3.
+    weight times 2^|T_lo & B_lo| at B_hi | T_lo for every T_lo over the
+    ``low`` bits; one pass per higher bit with the kernel [[1, 1], [1, 2]]
+    finishes the products (:func:`_subset_sum_costs`).  Every partial sum
+    lies within n 2^(nloc - 1 + b), below the bound of :func:`_table_dtype`
+    at k >= 3.
     """
     nloc, bits = len(candidates), len(candidates) - 1
-    low = _expanded_bits(len(counts.counts), bits)
     pos = counts.positions[:, list(candidates)]
     masks = (pos[:, _other_bits(nloc)] > pos[:, :, None]) @ (1 << np.arange(bits))
     ctx = counts.positions[:, mask_members(context)]
@@ -433,30 +454,13 @@ def _product_costs(
         index += np.arange(j, j + part.shape[1])[:, None]
         np.add.at(flat, index.ravel(), spread.ravel())
         del spread, index  # before the next batch's
-    chunk = nloc << _SMALL_PLAN
-    s = max(1, _BUFFER_BYTES // (chunk * flat.itemsize)).bit_length() - 1
-    split = min(bits, _SMALL_PLAN + s)
-    for first in range(max(low, split), bits, max(1, s)):
-        for slab in flat.reshape(-1, 1 << min(max(1, s), bits - first), nloc << first):
-            for c in range(0, slab.shape[1], chunk):
-                for i in range(slab.shape[0].bit_length() - 1):
-                    pairs = slab[:, c : c + chunk].reshape(-1, 2, 1 << i, chunk)
-                    pairs[:, 0] += pairs[:, 1]
-                    pairs[:, 1] += pairs[:, 0]
-    source, buffer = (_block_source(nloc), np.empty(chunk, dtype)) if blocks else (None, None)
-    for group in flat.reshape(-1, nloc << split):
-        for i in range(low, split):
-            pairs = group.reshape(-1, 2, nloc << i)
-            pairs[:, 0] += pairs[:, 1]
-            pairs[:, 1] += pairs[:, 0]
-        for part in group.reshape(-1, chunk) if blocks else ():
-            part.take(source, out=buffer, mode="clip")
-            part[:] = buffer
     return flat
 
 
 def _block_source(nloc: int) -> np.ndarray:
     """Where each entry of a block-order chunk comes from in its state-major order."""
+    if nloc <= _SMALL_PLAN:
+        return _run_order(nloc, nloc)[0]
     own, order, _, _ = _run_order(nloc, _SMALL_PLAN)
     source = np.empty(nloc << _SMALL_PLAN, np.intp)
     rows, runs = _cost_regions(source, nloc)
@@ -471,13 +475,15 @@ def _subset_sum_costs(
     candidates: tuple[int, ...],
     context: Mask,
     dtype: type,
+    blocks: bool = True,
 ) -> np.ndarray:
-    """Cost runs for any k by subset-sum transforms, reading no ballot.
+    """Cost runs for any k by subset-sum transforms, reading no ballot: in
+    block order (:func:`_cost_regions`), or without ``blocks`` state-major,
+    ``[T, j]`` with T packed as in :func:`_other_bits`.
 
     Two routes, picked by k, nloc and b = |context| alone.  At k >= nloc +
     b every pool is a contest set, and one product transform gives the
-    costs, each chunk moved into its rows and runs as its group's passes
-    end (:func:`_product_costs`).  Below that, Yates' route: with B_g the
+    costs (:func:`_product_terms`).  Below that, Yates' route: with B_g the
     local members that voter group g ranks below j and beta_g its context
     members below j (:func:`_subset_weights`),
 
@@ -485,42 +491,19 @@ def _subset_sum_costs(
                   = sum_{V subset of T} (n h(|V|, b) - W_j(V)),
         W_j(V) = sum_g count_g h(|V|, beta_g) [V subset of B_g],
 
-    by Vandermonde.  The terms (:func:`_subset_sum_terms`) fill the table's
-    own memory, state-major, and the subset-sum runs over its high bits in
-    place.  Each chunk of 2^low states then holds just the entries of one
-    chunk of the block order (:func:`_cost_regions`).  A few chunks at a
-    time go to a buffer, state-major across them, where the subset-sum
-    over the chunks' own bits runs on long rows; the last pass moves each
-    chunk's entries back into its rows and runs.
+    by Vandermonde: a subset-sum of the terms (:func:`_subset_sum_terms`).
+    Both expand the lowest bits per group (:func:`_expanded_bits`) and run
+    their dense passes by :func:`_grouped_passes`.
     """
     nloc = len(candidates)
-    product = k >= nloc + context.bit_count()
-    low = min(nloc, _SMALL_PLAN)
-    cost = (_product_costs(counts, candidates, context, dtype, nloc > low) if product
-            else _subset_sum_terms(counts, k, candidates, context, dtype))
-    if nloc == low:  # one row, one chunk
-        if not product:
-            _subset_sums(cost.reshape(-1, nloc))
-        cost[:] = cost.take(_run_order(nloc, low)[0])
-        return cost
-    if product:
-        return cost
-    _subset_sums(cost.reshape(-1, nloc), first=low)
-    chunks = cost.reshape(-1, nloc << low)
-    # whole chunks within _BUFFER_BYTES and a quarter of the table, a power
-    # of two (as len(chunks) is), so that every pass fills the buffer
-    group = max(1, min(len(chunks) >> 2, _BUFFER_BYTES // chunks[0].nbytes))
-    group = 1 << group.bit_length() - 1
-    source = _block_source(nloc)
-    source += source // nloc * (group - 1) * nloc  # the same entries in the buffer
-    buffer = np.empty((1 << low, group, nloc), dtype)
-    for first in range(0, len(chunks), group):
-        part = chunks[first : first + group]
-        buffer[:, : len(part)] = part.reshape(len(part), 1 << low, nloc).transpose(1, 0, 2)
-        _subset_sums(buffer.reshape(1 << low, -1))
-        for i, chunk in enumerate(part):
-            np.take(buffer.reshape(-1)[i * nloc :], source, out=chunk, mode="clip")
-    return cost
+    low = _expanded_bits(len(counts.counts), nloc - 1)
+    if k >= nloc + context.bit_count():
+        flat = _product_terms(counts, candidates, context, dtype, low)
+        _grouped_passes(flat, nloc, low, ((0, 1), (1, 0)), blocks)
+    else:
+        flat = _subset_sum_terms(counts, k, candidates, context, dtype, low)
+        _grouped_passes(flat, nloc, 0, ((1, 0),), blocks)  # subset sums
+    return flat
 
 
 # States per slice of a DP block, in whole rows: the walk's temporaries stay

@@ -402,10 +402,10 @@ class TestTableMemory:
     @pytest.mark.parametrize("m", [14, 18, 20])
     def test_builder_temporaries(self, m):
         # the temporaries of the k <= 3 builder and of the k = m product
-        # route stay within the k >= 4 builder's buffer, well below the
-        # table: a table-sized temporary makes the heap page-fault in again
-        # between solves; at m = 18 and 20 the product route has
-        # cross-group sweeps
+        # route stay within _BUFFER_BYTES, the working set of the k >= 4
+        # passes, well below the table: a table-sized temporary makes the
+        # heap page-fault in again between solves; at m = 18 and 20 the
+        # product route has cross-group sweeps
         profile = mallows_sample(MallowsParams(Ranking.identity(m), 1.0, 50, 1))
         counts = PairCounts(profile)
         for k, build in ((2, _moment_costs), (3, _moment_costs), (m, _subset_sum_costs)):
