@@ -581,7 +581,8 @@ class TestDigraph:
 
 
 # SHA-256 of `digraph` stdout, JSON and DOT, on the six-candidate fixture, on
-# sampled profiles (DIGRAPH_SAMPLES) at k = 4, 5 and m, and on DOMINATED_TEXT.
+# sampled profiles (DIGRAPH_SAMPLES) at k = 4, 5 and m, on DOMINATED_TEXT,
+# and refined at k = 2 and 3 on the m = 30 profiles of PRE_TEXTS.
 GOLDEN_DIGRAPHS = [
     ("six", "--k 2",
      "14b8592383a8d8e6a1d01e580427a55399b5ff27cd7ed3ed9450228f47e53448"),
@@ -623,6 +624,38 @@ GOLDEN_DIGRAPHS = [
      "fb8417c4aedbf71516c9324bbd7e7d9dcb420f6b38ce44493d33ff0c31c9e7c2"),
     ("m10", "--k 10 --force-exponential --refine",
      "ac0a41e15b30173e6068c7cbea6bda4c9f9b38004506889528233de65bc1946a"),
+    ("m30-13", "--k 2 --refine",
+     "dfc8c938dec7b69ad112a0dbe257cb363952a33020d1cae58ed41a0a9ed03076"),
+    ("m30-13", "--k 2 --refine --dot",
+     "d06e2c9e1d5251b695e43c9967b2c0257c6e548716986c7aa238581cc0ffd16d"),
+    ("m30-13", "--k 3 --refine",
+     "8990c08f2faa2b2f9996ca5430ed4d0fced8ffbe6cbe429d30cfdaf9eaac124a"),
+    ("m30-13", "--k 3 --refine --dot",
+     "887f133e39a3f51ebb7de65e9c3d0d181b602b89a750bea70eccad8478384715"),
+    ("m30-31", "--k 2 --refine",
+     "01a546faf1443c731da1a411373b13bd0875dc809d9cc5458ebb9ce4bc1eba70"),
+    ("m30-31", "--k 2 --refine --dot",
+     "f50fd0ab4c3743346db50bf60ba7d0fae9da6ab9f4a88ede428cf2a6cd18325f"),
+    ("m30-31", "--k 3 --refine",
+     "0f417682af18adfc818ee1d1e7e0ceb07bfb469a7b4d588a7d21888282d290b1"),
+    ("m30-31", "--k 3 --refine --dot",
+     "a78a33e1ccee7a5c9ab579e18035c0685073c4c2374e06585aa5f4875f563cc9"),
+    ("m30-49", "--k 2 --refine",
+     "5ab6934d9edf5921456b9e34eb3efbd9abb563a17da51da2f835de14022ef36e"),
+    ("m30-49", "--k 2 --refine --dot",
+     "a14e9046c0dbb2ed0b460e9fa1427a987a455b2c2597fe1ac9d50f937a62f5e9"),
+    ("m30-49", "--k 3 --refine",
+     "0ec61d34d53dfa29419bd88b2082af2b67e1a98ee2363789c1a64b2de3ea0f6e"),
+    ("m30-49", "--k 3 --refine --dot",
+     "1594f633be679b26f406f64841326138fb89407210f1452f18491a45bb39ee25"),
+    ("repeats30", "--k 2 --refine",
+     "353383640f012fe161722f84ea9988556bf7fe655df7851ad8b3ada5bff6a5ac"),
+    ("repeats30", "--k 2 --refine --dot",
+     "77141390f932ba6105d571d46404b198ad1638ed80bd41e51daa84c524b6d211"),
+    ("repeats30", "--k 3 --refine",
+     "9c86acbdcdeece940b0ab50566d1bdf49c562d8665d8b0e52fdac96e8c7163d0"),
+    ("repeats30", "--k 3 --refine --dot",
+     "45dfe11285651815e0de4d0601f5a13aa1edbc63b60ca35df6dabb71762679d2"),
 ]
 
 
@@ -645,6 +678,8 @@ def test_digraph_bytes_are_pinned(capsys, tmp_path, name, flags, digest):
         text = SIX_TEXT
     elif name == "dominated":
         text = DOMINATED_TEXT
+    elif name in PRE_TEXTS:
+        text = PRE_TEXTS[name]
     else:
         m, phi, n, seed = DIGRAPH_SAMPLES[name]
         text = serialize_profile(mallows_sample(MallowsParams(Ranking.identity(m), phi, n, seed)))
@@ -653,6 +688,98 @@ def test_digraph_bytes_are_pinned(capsys, tmp_path, name, flags, digest):
     code, out, err = run(capsys, "digraph", "--input", str(path), *flags.split())
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def _repeated_text(profile):
+    """``profile``'s ballots written twice, the second time in reverse
+    order and with count 1, the first with counts 1 to 3: the reader merges
+    each ballot's two lines into one group."""
+    ballots = [",".join(map(str, ranking.to_one_based())) for ranking, _ in profile.groups]
+    lines = [f"{1 + i % 3}: {ids}" for i, ids in enumerate(ballots)]
+    lines += [f"1: {ids}" for ids in reversed(ballots)]
+    total = sum(1 + i % 3 for i in range(len(ballots))) + len(ballots)
+    return "\n".join([f"{profile.m} {total}", *lines]) + "\n"
+
+
+def _mallows30(seed):
+    return mallows_sample(MallowsParams(Ranking.identity(30), 0.85, 50, seed))
+
+
+# m = 30, phi = 0.85, n = 50 Mallows profiles whose k = 3 refinement runs
+# five (seeds 13 and 31) or six (seed 49) passes, and the seed-31 ballots
+# written with repeats.
+PRE_TEXTS = {f"m30-{seed}": serialize_profile(_mallows30(seed)) for seed in (13, 31, 49)}
+PRE_TEXTS["repeats30"] = _repeated_text(_mallows30(31))
+
+# SHA-256 of `solve --mode pre-refined` stdout with `stats.millis` removed,
+# per flag set.
+PRE_FLAGS = ("", "--json", "--all --limit 5", "--all --limit 5 --json")
+GOLDEN_PRE_DIGESTS = {
+    ('m30-13', 2): (
+        "b84ebf81189e5b12e861313f2da87e92b2ca88d01cd80b1fa24886c703308273",
+        "b84ebf81189e5b12e861313f2da87e92b2ca88d01cd80b1fa24886c703308273",
+        "31d81bf74afb39f0d9099383418d28707846fe4ff4c47d19d6ed426880e59176",
+        "31d81bf74afb39f0d9099383418d28707846fe4ff4c47d19d6ed426880e59176",
+    ),
+    ('m30-13', 3): (
+        "192c3ea4afabe4ced90fefad49ec2d3d01085cf7d84976dae7d6850395e252cb",
+        "192c3ea4afabe4ced90fefad49ec2d3d01085cf7d84976dae7d6850395e252cb",
+        "bf7c3b2bab7aff5e2c915fe80b12bb19548614b686b99801531ae28e236c4d9d",
+        "bf7c3b2bab7aff5e2c915fe80b12bb19548614b686b99801531ae28e236c4d9d",
+    ),
+    ('m30-31', 2): (
+        "df0b9ffdee8906987b5a508dedbf3250395035365b5d0aad745ae9b28cd60401",
+        "df0b9ffdee8906987b5a508dedbf3250395035365b5d0aad745ae9b28cd60401",
+        "fcf63a0ff411b470ac669de96b1d82a709861d81c2dc4ab9735b2cf28d288c49",
+        "fcf63a0ff411b470ac669de96b1d82a709861d81c2dc4ab9735b2cf28d288c49",
+    ),
+    ('m30-31', 3): (
+        "2ada1b63fa261d96ba7f4dcfb598a22cae6a52d3af8af66fc64be108d7c0a224",
+        "2ada1b63fa261d96ba7f4dcfb598a22cae6a52d3af8af66fc64be108d7c0a224",
+        "5edede58d35ae324291f947637f7391e898b0bb1a946fb28b69a0fcf6cdeceda",
+        "5edede58d35ae324291f947637f7391e898b0bb1a946fb28b69a0fcf6cdeceda",
+    ),
+    ('m30-49', 2): (
+        "cd38fc2747bdb32cb615bdcd70008c508a87f6ed5b6f59c73b8327fc6e21520d",
+        "cd38fc2747bdb32cb615bdcd70008c508a87f6ed5b6f59c73b8327fc6e21520d",
+        "cd38fc2747bdb32cb615bdcd70008c508a87f6ed5b6f59c73b8327fc6e21520d",
+        "cd38fc2747bdb32cb615bdcd70008c508a87f6ed5b6f59c73b8327fc6e21520d",
+    ),
+    ('m30-49', 3): (
+        "35c9c034c77917bd1f26ae843cd6d10b127242f904821d504a37e9a077b40910",
+        "35c9c034c77917bd1f26ae843cd6d10b127242f904821d504a37e9a077b40910",
+        "35c9c034c77917bd1f26ae843cd6d10b127242f904821d504a37e9a077b40910",
+        "35c9c034c77917bd1f26ae843cd6d10b127242f904821d504a37e9a077b40910",
+    ),
+    ('repeats30', 2): (
+        "75d2833f1e1033f78c02d16e9da52e9cedd75e127395ea5aa779e90506eb945f",
+        "75d2833f1e1033f78c02d16e9da52e9cedd75e127395ea5aa779e90506eb945f",
+        "f6213f83dbc39cc022fbed7c3f5eff276e5d135f7babc8371adbe67bc939d944",
+        "f6213f83dbc39cc022fbed7c3f5eff276e5d135f7babc8371adbe67bc939d944",
+    ),
+    ('repeats30', 3): (
+        "893fa7b7655199b15203bf92482ab4d6be04ed412cf9f64224ccf504cc13cf08",
+        "893fa7b7655199b15203bf92482ab4d6be04ed412cf9f64224ccf504cc13cf08",
+        "893fa7b7655199b15203bf92482ab4d6be04ed412cf9f64224ccf504cc13cf08",
+        "893fa7b7655199b15203bf92482ab4d6be04ed412cf9f64224ccf504cc13cf08",
+    ),
+}
+
+
+@pytest.mark.parametrize("name, k", list(GOLDEN_PRE_DIGESTS))
+def test_pre_refined_bytes_are_pinned(capsys, tmp_path, name, k):
+    path = tmp_path / f"{name}.txt"
+    path.write_text(PRE_TEXTS[name])
+    digests = []
+    for flags in PRE_FLAGS:
+        code, out, err = run(
+            capsys, "solve", "--input", str(path), "--k", str(k), "--mode", "pre-refined",
+            *flags.split(),
+        )
+        assert (code, err) == (0, "")
+        out = re.sub(r', "millis": [-+0-9.eE]+', "", out)
+        digests.append(hashlib.sha256(out.encode()).hexdigest())
+    assert tuple(digests) == GOLDEN_PRE_DIGESTS[name, k]
 
 
 ONE_DIGRAPH = (

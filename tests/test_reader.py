@@ -153,6 +153,8 @@ class TestValidFiles:
     def test_int_spellings(self):
         # int() accepts a sign, underscores and non-ASCII digits
         assert_same("2 11\n+1: 2, 1\n1_0: ١,2\n")
+        # tabs and spaces around ids, which int() strips
+        assert_same("3 3\n1:  1 , 2 , 3\n2: 3,\t2 ,1\n")
 
     def test_counts_beyond_int64(self):
         big = 1 << 63
@@ -176,6 +178,10 @@ BAD_BALLOTS = [
     "2: 1:2,3",  # second colon
     "2:",  # no ranking
     "2: 1,2,99999999999999999999",  # id beyond int64
+    "2: 1,2\n2: 3,1,2,1",  # ragged rows whose field total is a multiple of m
+    "2: 1,2,3,",  # trailing comma
+    "2: 1,2\t3",  # a tab inside a field
+    "2:  1 , 3 , 1 ",  # spaces around every id
 ]
 
 
@@ -202,6 +208,8 @@ class TestMalformedFiles:
             "0 1\n1: 1\n",
             "2 5\n2: 2,1\n\n3 : 1,2\n2: 1\n",  # ragged after valid rows
             "2 3\n99999999999999999999: 1,2\n",  # count beyond int64
+            "3 3\n1: 1,2\n1: 1,2,3,1\n1: 3,2,1\n",  # ragged, 3 fields a row on average
+            "1: 2,1,3\n1: 1,2\n1: 3,2,1,3\n",  # the same in a .soc file
         ],
     )
     def test_file_errors(self, text):
