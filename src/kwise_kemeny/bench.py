@@ -17,7 +17,7 @@ import csv
 import io
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -126,7 +126,7 @@ class ExperimentReport:
                 "rng": self.rng,
                 "version": self.version,
             },
-            "cells": [asdict(cell) for cell in self.cells],
+            "cells": [vars(cell) for cell in self.cells],  # flat fields: no deep copy
         }
         return json.dumps(payload, indent=2) + "\n"
 

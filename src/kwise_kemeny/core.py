@@ -10,7 +10,8 @@ one-candidate profile contests nothing and takes any k >= 2.
 All types here are immutable after construction (``PairCounts`` builds its
 triple counts once, on first use) and safe to share between threads.
 Rankings and profiles hold only what the library itself reads; the tests
-keep their own restriction and relabelling helpers.
+keep their own restriction and relabelling helpers.  A profile holds arrays
+(orders, positions, counts); ``Profile.groups`` is built on first read.
 """
 
 from __future__ import annotations
@@ -158,10 +159,13 @@ class Profile:
 
     Identical rankings are merged and groups are kept in a canonical
     (lexicographic) order, so structurally equal profiles compare equal.
-    ``n`` is the number of voters.
+    ``n`` is the number of voters.  A profile holds its groups as arrays:
+    the orders, their inverses (the int64 position matrix that
+    :class:`PairCounts` reads) and the counts as Python ints; ``groups``,
+    the (``Ranking``, count) pairs, is built on first read.
     """
 
-    __slots__ = ("m", "groups", "n", "_positions")
+    __slots__ = ("m", "n", "_orders", "_positions", "_counts", "_groups")
 
     def __init__(self, m: int, groups: Iterable[tuple[Ranking, int]]):
         m = int(m)
@@ -180,12 +184,17 @@ class Profile:
         if not merged:
             raise ValueError("profile must contain at least one voter")
         canonical = tuple(sorted(merged.items(), key=lambda g: g[0].order))
-        object.__setattr__(self, "m", m)
-        object.__setattr__(self, "groups", canonical)
-        object.__setattr__(self, "n", sum(merged.values()))
-        positions = np.array([ranking.inverse for ranking, _ in canonical], np.int64)
-        positions.flags.writeable = False
-        object.__setattr__(self, "_positions", positions)
+        self._set(np.array([ranking.order for ranking, _ in canonical]),
+                  [count for _, count in canonical], canonical)
+
+    def _set(self, orders: np.ndarray, counts: list[int], groups=None) -> "Profile":
+        positions = np.empty(orders.shape, np.int64)  # the inverses, by one scatter
+        positions[np.arange(len(orders))[:, None], orders] = np.arange(orders.shape[1])
+        orders.flags.writeable = positions.flags.writeable = False
+        values = (orders.shape[1], sum(counts), orders, positions, tuple(counts), groups)
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+        return self
 
     def __setattr__(self, name, value):  # immutable
         raise AttributeError("Profile is immutable")
@@ -197,30 +206,27 @@ class Profile:
     @classmethod
     def _of_orders(cls, orders: np.ndarray, counts: Sequence[int]) -> "Profile":
         """The profile of the rows of a (ballots, m) matrix of checked
-        permutations with positive ``counts``: rows sorted as lists into
-        canonical order, equal neighbours merged with their counts summed as
-        Python ints (exact beyond 2^63), inverses from one scatter; the
-        groups' inverses are also kept as an int64 position matrix."""
-        positions = np.empty(orders.shape, np.int64)
-        positions[np.arange(len(orders))[:, None], orders] = np.arange(orders.shape[1])
-        rows, inverses = orders.tolist(), positions.tolist()
-        merged: list[list] = []  # [order, inverse, count, row] per distinct row
-        for i in sorted(range(len(rows)), key=rows.__getitem__):
-            if merged and merged[-1][0] == rows[i]:
-                merged[-1][2] += counts[i]
-            else:
-                merged.append([rows[i], inverses[i], counts[i], i])
-        profile = object.__new__(cls)
-        object.__setattr__(profile, "m", orders.shape[1])
-        object.__setattr__(profile, "groups", tuple([
-            (Ranking._of_permutation(tuple(order), tuple(inverse)), count)
-            for order, inverse, count, _ in merged
-        ]))
-        object.__setattr__(profile, "n", sum(counts))
-        positions = positions[[row for *_, row in merged]]
-        positions.flags.writeable = False
-        object.__setattr__(profile, "_positions", positions)
-        return profile
+        permutations with positive ``counts``: rows put in canonical order by
+        sorting them as big-endian byte strings, equal neighbours merged with
+        their counts summed as Python ints (exact beyond 2^63)."""
+        keys = orders.astype(">u4").view(f"S{4 * orders.shape[1]}").ravel()
+        order = keys.argsort(kind="stable")
+        keys, counts = keys[order], [counts[i] for i in order.tolist()]
+        new = np.concatenate(([True], keys[1:] != keys[:-1]))  # unlike the row before
+        for i in reversed(np.flatnonzero(~new).tolist()):  # fold repeats into it
+            counts[i - 1] += counts.pop(i)
+        return object.__new__(cls)._set(orders[order[new]], counts)
+
+    @property
+    def groups(self) -> tuple[tuple[Ranking, int], ...]:
+        """The (ranking, count) groups in canonical order."""
+        if self._groups is None:
+            object.__setattr__(self, "_groups", tuple([
+                (Ranking._of_permutation(tuple(order), tuple(inverse)), count)
+                for order, inverse, count in zip(
+                    self._orders.tolist(), self._positions.tolist(), self._counts)
+            ]))
+        return self._groups
 
     def __eq__(self, other) -> bool:
         return (
@@ -233,7 +239,7 @@ class Profile:
         return hash((self.m, self.groups))
 
     def __repr__(self) -> str:
-        return f"Profile(m={self.m}, n={self.n}, groups={len(self.groups)})"
+        return f"Profile(m={self.m}, n={self.n}, groups={len(self._counts)})"
 
 
 class PairCounts:
@@ -244,15 +250,16 @@ class PairCounts:
     counts voters preferring c to both d and x (so ``joint[c, x, x]`` is
     ``above[c, x]``), built on first use.  ``counts`` are the profile's group
     multiplicities and ``positions[g, c]`` is the position of candidate c in
-    group g; ``prefers[g, c, x]`` is 1 where group g ranks c above x, in a
-    dtype whose products with the counts are exact.
+    group g, both read off the profile's arrays (never its ``groups``);
+    ``prefers[g, c, x]`` is 1 where group g ranks c above x, in a dtype
+    whose products with the counts are exact.
     """
 
     __slots__ = ("m", "n", "counts", "positions", "prefers", "above", "_joint")
 
     def __init__(self, profile: Profile):
-        m, groups = profile.m, profile.groups
-        counts = np.array([count for _, count in groups], dtype=np.int64)
+        m = profile.m
+        counts = np.array(profile._counts, dtype=np.int64)
         positions = profile._positions
         n = profile.n
         prefers, weights = self._prefers(positions, counts, n)
@@ -384,18 +391,27 @@ def _read_ballots(
     ``count: i1,...,im`` lines ``ballots``; ``m`` is None for a .soc file,
     whose first line sets it.
 
-    The rankings are converted by one numpy call, which parses each id as
-    ``int`` does and refuses ragged rows; widths and permutations are then
-    checked as arrays.
+    Stripped rankings of ASCII digits and commas, with as many fields on
+    every line and none empty, are parsed by one ``np.fromstring`` call (ids
+    past int64 saturate); any others by numpy's conversion of the split
+    fields, which parses each id as ``int`` does and refuses ragged rows.
+    Widths and permutations are then checked as arrays.
     """
     if not ballots:
         return np.empty((0, 0), np.int64), []
     fields = [line.partition(":") for _, line in ballots]
+    rests = [rest.strip() for _, _, rest in fields]
     try:
         counts = [int(head) for head, _, _ in fields]
-        orders = np.array([rest.split(",") for _, _, rest in fields], np.int64) - 1
+        text = ",".join(rests).encode()
+        if (len({rest.count(",") for rest in rests}) == 1  # no empty field below
+                and not text.translate(None, b"0123456789,") and b",," not in b",%s," % text):
+            orders = np.fromstring(text, np.int64, sep=",").reshape(len(rests), -1)
+        else:
+            orders = np.array([rest.split(",") for rest in rests], np.int64)
     except (ValueError, OverflowError):  # a bad field, a ragged row, an id >= 2^63
         _raise_ballot_error(ballots, m)
+    orders -= 1
     width = orders.shape[1]
     if (
         (m is None or width == m)

@@ -31,10 +31,12 @@ A `KwiseDigraph` holds its arcs as arrays at every k: the (c, d) pairs in
 ascending order, their weights, and one boolean row per arc whose members,
 with the pair, form the arc's witness.  Both steps read only these arrays.
 `scc_decompose` runs Kosaraju's searches on one successor and one
-predecessor bitmask per vertex.  A refinement pass is one array expression
-over the intra-component arcs: at k = 3 it reads the gains tensor
-``joint[c, d, x] - joint[d, c, x]`` that `kwise_digraph` also uses, at k = 2
-only the margins, and for k >= 4 one table of placement costs per component.
+predecessor bitmask per vertex, then Kahn's algorithm on the components.  A
+refinement pass is one array expression over the intra-component arcs: at
+k = 3 it reads rows of the gains ``joint[c, d, x] - joint[d, c, x]`` that
+`kwise_digraph` also uses, at k = 2 only the margins, and for k >= 4 one
+table of placement costs per component; the order changes only when a
+component splits.
 
 `solve` is the single entry point that dispatches on the solve mode
 (`brute`, `dp`, `pre`, `pre-refined`); the CLI and the bench harness both
@@ -107,6 +109,12 @@ class SccOrder:
     @property
     def largest(self) -> int:
         return max(mask.bit_count() for mask in self.components)
+
+    @functools.cached_property
+    def _rank(self) -> np.ndarray:
+        """``_rank[c]``: the position of c's component."""
+        m = sum(map(int.bit_count, self.components))
+        return _mask_rows(list(self.components), m).argmax(axis=0)
 
 
 def _check_forced(c: int, d: int, forced_in: Mask, forced_out: Mask) -> None:
@@ -230,12 +238,11 @@ def kwise_digraph(
     counts = PairCounts.of(profile)
     weights = counts.above - counts.above.T
     if k == 3:
-        # gains[c, d, x]: what x adds to c's 3-wise advantage over d (the
+        # useful[c, d, x]: what x adds to c's 3-wise advantage over d (the
         # additivity `best_triple_advantage` uses), kept where positive;
         # gains[c, d, c] = -above[d, c] never is; x = d adds above[c, d], taken back
-        gains = counts.joint - counts.joint.transpose(1, 0, 2)
-        useful = gains > 0
-        weights += np.maximum(gains, 0).sum(axis=2) - counts.above
+        useful = counts.joint - counts.joint.transpose(1, 0, 2)
+        weights += np.maximum(useful, 0, out=useful).sum(axis=2) - counts.above
     elif k > 3:  # every pair off one table; a row holds the pair and its best R
         table = _placement_costs(counts, k, tuple(range(m)), 0)
         found = [(0, 0) if c == d else _best_advantage(table, c, d)
@@ -245,7 +252,7 @@ def kwise_digraph(
         useful = rows | np.eye(m, dtype=bool)[:, None] | np.eye(m, dtype=bool)
     arc_at = np.nonzero(weights > 0)
     arcs = np.stack(arc_at, axis=1)
-    witnesses = useful[arc_at] if k >= 3 else np.zeros((len(arcs), m), dtype=bool)
+    witnesses = useful[arc_at] > 0 if k >= 3 else np.zeros((len(arcs), m), dtype=bool)
     return KwiseDigraph(m, k, arcs, weights[arc_at], witnesses)
 
 
@@ -261,25 +268,30 @@ def scc_decompose(graph: KwiseDigraph) -> SccOrder:
     iff every pair of consecutive components is joined by an arc, i.e. the
     condensation admits a single topological order.
     """
-    return _components(graph.m, graph.arcs)
+    return _kahn(_strong(*_masks(graph.m, graph.arcs)))
 
 
-def _components(m: int, pairs: np.ndarray) -> SccOrder:
-    """`scc_decompose` of the digraph with arcs ``pairs`` on m vertices.
+def _masks(m: int, pairs: np.ndarray) -> tuple[list[Mask], list[Mask]]:
+    """The successors and the predecessors of each vertex, as masks."""
+    adjacent = np.zeros((m, m), dtype=bool)
+    adjacent[pairs[:, 0], pairs[:, 1]] = True
+    return _row_masks(adjacent), _row_masks(adjacent.T)
+
+
+def _strong(
+    successors: list[Mask], predecessors: list[Mask]
+) -> list[tuple[Mask, Mask, Mask]]:
+    """(lowest member, members, inflow) of each strongly connected component.
 
     Kosaraju's two searches run on bitmasks: the successors and the
     predecessors of each vertex are one mask each, so a step of either
     search handles a vertex, not an arc.  The second search also collects
-    each component's predecessors as a mask, which is all Kahn's algorithm
-    needs of the condensation.
+    each component's predecessors as a mask, its inflow, which is all
+    Kahn's algorithm needs of the condensation.
     """
-    adjacent = np.zeros((m, m), dtype=bool)
-    adjacent[pairs[:, 0], pairs[:, 1]] = True
-    successors = _row_masks(adjacent)
-    predecessors = _row_masks(adjacent.T)
     # first search: vertices in the order their depth-first visits finish
     finished: list[int] = []
-    unvisited = full_mask(m)
+    unvisited = full_mask(len(successors))
     while unvisited:
         low = unvisited & -unvisited
         unvisited ^= low
@@ -294,8 +306,8 @@ def _components(m: int, pairs: np.ndarray) -> SccOrder:
                 finished.append(path.pop())
     # second search, latest finish first: the unassigned vertices that
     # reach a root form its component
-    waiting: list[tuple[Mask, Mask, Mask]] = []  # (lowest member, members, inflow)
-    unassigned = full_mask(m)
+    found: list[tuple[Mask, Mask, Mask]] = []
+    unassigned = full_mask(len(successors))
     for root in reversed(finished):
         if not unassigned >> root & 1:
             continue
@@ -310,9 +322,14 @@ def _components(m: int, pairs: np.ndarray) -> SccOrder:
             component |= new
             frontier |= new
         unassigned ^= component
-        waiting.append((component & -component, component, inflow & ~component))
-    # Kahn: pop components in smallest-member order; one with an unplaced
-    # predecessor waits on the lowest such vertex until that is placed
+        found.append((component & -component, component, inflow & ~component))
+    return found
+
+
+def _kahn(waiting: list[tuple[Mask, Mask, Mask]]) -> SccOrder:
+    """The components `_strong` found, in Kahn's order: pop components in
+    smallest-member order; one with an unplaced predecessor waits on the
+    lowest such vertex until that is placed."""
     heapq.heapify(waiting)
     parked: dict[Mask, list[tuple[Mask, Mask, Mask]]] = {}
     ordered: list[tuple[Mask, Mask]] = []
@@ -366,53 +383,64 @@ def refine_digraph(
     drops hand-built arcs.  At k >= 4 one table per component, the later
     ones as context, gives each arc's best R outside its forced-out row, so
     a component of more than `EXHAUSTIVE_FREE_BOUND` candidates is refused
-    even where unanimous dominators would leave fewer to search.  The
-    result carries its component order.
+    even where unanimous dominators would leave fewer to search.  A pass
+    that drops arcs clears them from the vertex bitmasks and reruns
+    Kosaraju's searches: no split component is the fixed point, else Kahn's
+    algorithm gives the next order, which the result carries.
     """
     m, k = graph.m, graph.k
     _check_accumulation(profile.n, m, k)
     counts = PairCounts.of(profile)
-    if order is None:
-        order = _components(m, graph.arcs)
+    successors, predecessors = _masks(m, graph.arcs)  # a pass clears dropped arcs
+    order = order or _kahn(_strong(successors, predecessors))
     source, target = graph.arcs.T
-    dominated = counts.above == counts.n  # [x, c]: every voter prefers x to c
-    every = np.arange(m)
     keep = np.ones(len(source), dtype=bool)
-    # arcs that may lie inside a component; components only split, so this
-    # set only shrinks
-    inside = np.arange(len(source))
+    # the arcs inside a component, and which of them a pass checks: those
+    # not dropped and still inside one (components only split)
+    inside = np.flatnonzero(order._rank[source] == order._rank[target])
+    c, d = source[inside], target[inside]
+    alive = np.ones(len(inside), dtype=bool)
+    dominated = counts.above.T == counts.n  # [c, x]: every voter prefers x to c
+    dominators = dominated[c] | dominated[d]  # forced out, unless in the pair
+    margin = counts.above[c, d] - counts.above[d, c]
+    if k == 3:  # g, and the positive g of the candidates that may be free
+        gains = counts.joint[c, d] - counts.joint[d, c]  # g[c, d, c] <= 0
+        free = np.where(dominators | (np.arange(m) == d[:, None]), 0, np.maximum(gains, 0))
     # k >= 4: one table per component and context, built at its first arc
     costs = functools.cache(lambda part, below: _placement_costs(
         counts, k, mask_members(part), below))
     while True:
-        rank = _mask_rows(list(order.components), m).argmax(axis=0)
-        inside = inside[rank[source[inside]] == rank[target[inside]]]
-        c, d = source[inside], target[inside]
+        rank = order._rank
         own = rank[c][:, None]
-        pair = (every == c[:, None]) | (every == d[:, None])
         forced_in = rank > own
-        forced_out = ((rank < own) | dominated[:, c].T | dominated[:, d].T) & ~pair
-        if (forced_in & forced_out).any():
+        if (forced_in & dominators).any():
             raise InternalCheckError(
                 "refinement constraints overlap; digraph inconsistent"
             )
-        weight = counts.above[c, d] - counts.above[d, c]
+        weight = margin
         if k == 3:
-            gains = counts.joint[c, d] - counts.joint[d, c]
-            free = ~(forced_in | forced_out | pair)  # g[c, d, d] is above[c, d]
-            weight += (gains * forced_in).sum(axis=1)
-            weight += (np.maximum(gains, 0) * free).sum(axis=1)
+            weight = margin + (gains * forced_in + free * (rank == own)).sum(axis=1)
         elif k > 3:
-            parts = [order.components[r] for r in own[:, 0].tolist()]
-            arcs = zip(c.tolist(), d.tolist(), parts, _row_masks(forced_in),
-                       _row_masks(forced_out))
-            weight = np.array([_constrained_max(costs, *arc) for arc in arcs], np.int64)
-        dropped = weight <= 0
+            at = np.flatnonzero(alive)
+            parts = [order.components[r] for r in own[at, 0].tolist()]
+            forced_out = ((rank < own) | dominators) & ~np.eye(m, dtype=bool)[[c, d]].any(axis=0)
+            arcs = zip(c[at].tolist(), d[at].tolist(), parts, _row_masks(forced_in[at]),
+                       _row_masks(forced_out[at]))
+            weight = np.ones(len(c), np.int64)
+            weight[at] = [_constrained_max(costs, *arc) for arc in arcs]
+        dropped = (weight <= 0) & alive
         if not dropped.any():
             break
         keep[inside[dropped]] = False
-        inside = inside[~dropped]
-        order = _components(m, graph.arcs.compress(keep, axis=0))
+        for x, y in zip(c[dropped].tolist(), d[dropped].tolist()):
+            successors[x] &= ~(1 << y)
+            predecessors[y] &= ~(1 << x)
+        parts = _strong(successors, predecessors)
+        if len(parts) == len(order.components):
+            break  # no component split: the order, and so every weight, stays
+        order = _kahn(parts)
+        alive &= ~dropped & (order._rank[c] == order._rank[d])
+        dominators[~alive] = False  # a pass checks no other arc
     parts = (graph.arcs, graph.weights, graph.witnesses)
     return KwiseDigraph(m, k, *(part.compress(keep, axis=0) for part in parts), order)
 
@@ -453,11 +481,9 @@ def preprocess(
 ) -> tuple[KwiseDigraph, SccOrder]:
     """Build the k-wise majority digraph and its component order."""
     graph = kwise_digraph(profile, k, allow_exponential=allow_exponential)
-    order = scc_decompose(graph)
-    if refine:
-        graph = refine_digraph(graph, profile, order)
-        order = graph.order
-    return graph, order
+    if refine:  # refinement orders the components itself
+        graph = refine_digraph(graph, profile)
+    return graph, graph.order or scc_decompose(graph)
 
 
 def solve(

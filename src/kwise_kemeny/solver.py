@@ -817,21 +817,23 @@ def _elapsed_ms(started: float) -> float:
 
 def _small_costs(
     counts: PairCounts, k: int, components: tuple[Mask, ...]
-) -> tuple[list, dict]:
-    """Closed forms for the components of one or two candidates.
-
-    ``alone[c]`` is the cost of placing c above the later components: a
-    voter group ranking t of their b members below c pays ``H[b] - H[t]``.
-    ``over[c]``, for c in a component of two, is the cost of placing c
-    above its partner as well (one more member in the pool).
+) -> tuple[int, list]:
+    """Closed forms for the components of one or two candidates, singles in
+    one array pass and pairs in another: their summed optimum, and per
+    component its optimal orders, peel-lexicographic (the lower id first),
+    or None for a larger one.  ``alone[c]`` places c above the later
+    components: a voter group ranking t of their b members below c pays
+    ``H[b] - H[t]``; the pair {x, y} costs ``over[x] + alone[y]`` in the
+    order (x, y), ``over[x]`` placing x above y as well.
     """
-    rank, partner = [0] * counts.m, {}
+    rank, singles, pairs, pieces = [0] * counts.m, [], [], []
     for i, mask in enumerate(components):
         members = mask_members(mask)
         for c in members:
             rank[c] = i
-        if len(members) == 2:
-            partner[members[0]], partner[members[1]] = members[::-1]
+        singles += members if len(members) == 1 else ()
+        pairs += [(i, *members)] if len(members) == 2 else []
+        pieces.append([members] if len(members) == 1 else None)
     later = np.less.outer(rank, rank)  # later[c, x]: x in a later component
     # below[c, g]: members of later components that group g ranks below c
     prefers = counts.prefers.transpose(1, 0, 2)
@@ -839,13 +841,18 @@ def _small_costs(
     H = _subset_weights(counts.m, k)[0]
     size = later.sum(axis=1)
     alone = counts.n * H[size] - H[below.astype(np.intp)] @ counts.counts
-    over = {}
-    if partner:
-        paired = np.array(list(partner))
-        below = below[paired] + prefers[paired, :, list(partner.values())]
-        paid = counts.n * H[size[paired] + 1] - H[below.astype(np.intp)] @ counts.counts
-        over = dict(zip(partner, paid.tolist()))
-    return alone.tolist(), over
+    optimum = int(alone[singles].sum())
+    if pairs:  # over[x] for every pair, then over[y]
+        index, x, y = np.array(pairs).T
+        ends, partners = np.concatenate((x, y)), np.concatenate((y, x))
+        below = below[ends] + prefers[ends, :, partners]
+        over = counts.n * H[size[ends] + 1] - H[below.astype(np.intp)] @ counts.counts
+        first, second = over[: len(x)] + alone[y], over[len(x) :] + alone[x]
+        best = np.minimum(first, second)
+        optimum += int(best.sum())
+        for i, a, b, f, s in np.stack((index, x, y, first == best, second == best), 1).tolist():
+            pieces[i] = [(a, b)] * f + [(b, a)] * s
+    return optimum, pieces
 
 
 def solve_components(
@@ -884,35 +891,26 @@ def solve_components(
     # before any table: the largest component's size, k and the totals
     _check_solvable(m, profile.n, k, largest)
 
-    optimum = states = 0
+    optimum = states = placed = 0
     count = 1
-    pieces: list[list[tuple[int, ...]]] = []
-    later = union  # candidates of the components not yet solved
+    pieces: list = [None] * len(components)  # each piece's optimal orders
     with PairCounts.shared(profile) as counts:
         if any(mask.bit_count() <= 2 for mask in components):
-            alone, over = _small_costs(counts, k, components)
-        for component in components:
-            later ^= component
-            if component.bit_count() <= 2:  # one or two orders, in closed form
-                x, y = (component & -component).bit_length() - 1, component.bit_length() - 1
-                if x == y:
-                    best, orders = alone[x], [(x,)]
-                else:  # peel-lexicographic: the lower id first
-                    first, second = over[x] + alone[y], over[y] + alone[x]
-                    best = min(first, second)
-                    orders = [(x, y)] * (first == best) + [(y, x)] * (second == best)
-                optimum += best
-                states += 1 << component.bit_count()
+            optimum, pieces = _small_costs(counts, k, components)
+        for i, component in enumerate(components):
+            placed |= component
+            orders = pieces[i]
+            if orders is None:
+                table = build_dp_table(profile, k, component, union ^ placed)
+                optimum += table.optimum
+                choices = functools.cache(table.choices)  # shared by count and readback
+                if count_optima:
+                    count *= count_table_optima(table, choices)
+                orders = enumerate_table_orders(table, limit or 1, choices)
+            else:  # one or two orders, in closed form
                 count *= len(orders)
-                pieces.append(orders[: limit or 1])
-                continue
-            table = build_dp_table(profile, k, component, later)
-            optimum += table.optimum
-            states += len(table.values)
-            choices = functools.cache(table.choices)  # shared by count and readback
-            if count_optima:
-                count *= count_table_optima(table, choices)
-            pieces.append(enumerate_table_orders(table, limit or 1, choices))
+            states += 1 << component.bit_count()
+            pieces[i] = orders[: limit or 1]
     rankings = tuple([
         Ranking([c for piece in combo for c in piece])
         for combo in itertools.islice(itertools.product(*pieces), limit or 1)
