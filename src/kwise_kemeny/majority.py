@@ -48,7 +48,7 @@ from __future__ import annotations
 import functools
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -240,7 +240,7 @@ def kwise_digraph(
     if k == 3:
         # useful[c, d, x]: what x adds to c's 3-wise advantage over d (the
         # additivity `best_triple_advantage` uses), kept where positive;
-        # gains[c, d, c] = -above[d, c] never is; x = d adds above[c, d], taken back
+        # useful[c, d, c] = -above[d, c] never is; x = d adds above[c, d], taken back
         useful = counts.joint - counts.joint.transpose(1, 0, 2)
         weights += np.maximum(useful, 0, out=useful).sum(axis=2) - counts.above
     elif k > 3:  # every pair off one table; a row holds the pair and its best R
@@ -394,12 +394,13 @@ def refine_digraph(
     successors, predecessors = _masks(m, graph.arcs)  # a pass clears dropped arcs
     order = order or _kahn(_strong(successors, predecessors))
     source, target = graph.arcs.T
-    keep = np.ones(len(source), dtype=bool)
     # the arcs inside a component, and which of them a pass checks: those
     # not dropped and still inside one (components only split)
     inside = np.flatnonzero(order._rank[source] == order._rank[target])
+    if not len(inside):  # no arc to check
+        return replace(graph, order=order)
     c, d = source[inside], target[inside]
-    alive = np.ones(len(inside), dtype=bool)
+    keep, alive = np.ones(len(source), dtype=bool), np.ones(len(inside), dtype=bool)
     dominated = counts.above.T == counts.n  # [c, x]: every voter prefers x to c
     dominators = dominated[c] | dominated[d]  # forced out, unless in the pair
     margin = counts.above[c, d] - counts.above[d, c]
@@ -414,9 +415,7 @@ def refine_digraph(
         own = rank[c][:, None]
         forced_in = rank > own
         if (forced_in & dominators).any():
-            raise InternalCheckError(
-                "refinement constraints overlap; digraph inconsistent"
-            )
+            raise InternalCheckError("refinement constraints overlap; digraph inconsistent")
         weight = margin
         if k == 3:
             weight = margin + (gains * forced_in + free * (rank == own)).sum(axis=1)
