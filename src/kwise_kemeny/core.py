@@ -10,15 +10,17 @@ one-candidate profile contests nothing and takes any k >= 2.
 All types here are immutable after construction (``PairCounts`` builds its
 triple counts once, on first use) and safe to share between threads.
 Rankings and profiles hold only what the library itself reads; the tests
-keep their own restriction and relabelling helpers.  A profile holds arrays
-(orders, positions, counts); ``Profile.groups`` is built on first read.
+keep their own helpers (restriction, relabelling, a profile of unit-count
+rankings).  A profile holds arrays (orders, positions, counts) in one
+canonical order, whichever way it was built; ``Profile.groups`` is built on
+first read.
 """
 
 from __future__ import annotations
 
 import contextlib
 import contextvars
-from typing import Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -127,9 +129,6 @@ class Ranking:
     def to_one_based(self) -> tuple[int, ...]:
         return tuple([c + 1 for c in self.order])
 
-    def prefers(self, c: int, other: int) -> bool:
-        return self.inverse[c] < self.inverse[other]
-
     def below_set(self, candidate: int) -> Mask:
         """Bitmask of candidates ranked strictly below ``candidate``."""
         mask = 0
@@ -159,10 +158,12 @@ class Profile:
 
     Identical rankings are merged and groups are kept in a canonical
     (lexicographic) order, so structurally equal profiles compare equal.
-    ``n`` is the number of voters.  A profile holds its groups as arrays:
-    the orders, their inverses (the int64 position matrix that
-    :class:`PairCounts` reads) and the counts as Python ints; ``groups``,
-    the (``Ranking``, count) pairs, is built on first read.
+    The constructor, the file readers and the samplers all reach that order
+    by one sort and fold (:meth:`_set`).  ``n`` is the number of voters.  A
+    profile holds its groups as arrays: the orders, their inverses (the
+    int64 position matrix that :class:`PairCounts` reads) and the counts as
+    Python ints; ``groups``, the (``Ranking``, count) pairs, is built on
+    first read.
     """
 
     __slots__ = ("m", "n", "_orders", "_positions", "_counts", "_groups")
@@ -171,7 +172,7 @@ class Profile:
         m = int(m)
         if m < 1:
             raise ValueError("candidate count must be at least 1")
-        merged: dict[Ranking, int] = {}
+        orders, counts = [], []
         for ranking, count in groups:
             if ranking.m != m:
                 raise ValueError(
@@ -180,18 +181,28 @@ class Profile:
             count = int(count)
             if count < 1:
                 raise ValueError("group count must be positive")
-            merged[ranking] = merged.get(ranking, 0) + count
-        if not merged:
+            orders.append(ranking.order)
+            counts.append(count)
+        if not counts:
             raise ValueError("profile must contain at least one voter")
-        canonical = tuple(sorted(merged.items(), key=lambda g: g[0].order))
-        self._set(np.array([ranking.order for ranking, _ in canonical]),
-                  [count for _, count in canonical], canonical)
+        self._set(np.array(orders, np.int64), counts)
 
-    def _set(self, orders: np.ndarray, counts: list[int], groups=None) -> "Profile":
+    def _set(self, orders: np.ndarray, counts: Sequence[int]) -> "Profile":
+        """Hold the rows of a (ballots, m) matrix of checked permutations
+        with positive ``counts``: rows put in canonical order by sorting them
+        as big-endian byte strings, equal neighbours merged with their counts
+        summed as Python ints (exact beyond 2^63)."""
+        keys = orders.astype(">u4").view(f"S{4 * orders.shape[1]}").ravel()
+        order = keys.argsort(kind="stable")
+        keys, counts = keys[order], [counts[i] for i in order.tolist()]
+        new = np.concatenate(([True], keys[1:] != keys[:-1]))  # unlike the row before
+        for i in reversed(np.flatnonzero(~new).tolist()):  # fold repeats into it
+            counts[i - 1] += counts.pop(i)
+        orders = orders[order[new]]
         positions = np.empty(orders.shape, np.int64)  # the inverses, by one scatter
         positions[np.arange(len(orders))[:, None], orders] = np.arange(orders.shape[1])
         orders.flags.writeable = positions.flags.writeable = False
-        values = (orders.shape[1], sum(counts), orders, positions, tuple(counts), groups)
+        values = (orders.shape[1], sum(counts), orders, positions, tuple(counts), None)
         for name, value in zip(self.__slots__, values):
             object.__setattr__(self, name, value)
         return self
@@ -200,22 +211,10 @@ class Profile:
         raise AttributeError("Profile is immutable")
 
     @classmethod
-    def from_rankings(cls, m: int, rankings: Iterable[Ranking]) -> "Profile":
-        return cls(m, [(r, 1) for r in rankings])
-
-    @classmethod
     def _of_orders(cls, orders: np.ndarray, counts: Sequence[int]) -> "Profile":
-        """The profile of the rows of a (ballots, m) matrix of checked
-        permutations with positive ``counts``: rows put in canonical order by
-        sorting them as big-endian byte strings, equal neighbours merged with
-        their counts summed as Python ints (exact beyond 2^63)."""
-        keys = orders.astype(">u4").view(f"S{4 * orders.shape[1]}").ravel()
-        order = keys.argsort(kind="stable")
-        keys, counts = keys[order], [counts[i] for i in order.tolist()]
-        new = np.concatenate(([True], keys[1:] != keys[:-1]))  # unlike the row before
-        for i in reversed(np.flatnonzero(~new).tolist()):  # fold repeats into it
-            counts[i - 1] += counts.pop(i)
-        return object.__new__(cls)._set(orders[order[new]], counts)
+        """The profile of the rows of ``orders`` with ``counts``, as
+        :meth:`_set` takes them, built without ``Ranking`` objects."""
+        return object.__new__(cls)._set(orders, counts)
 
     @property
     def groups(self) -> tuple[tuple[Ranking, int], ...]:
@@ -327,13 +326,14 @@ _held_counts: contextvars.ContextVar[tuple[Profile, PairCounts] | None] = (
 # ---------------------------------------------------------------------------
 # profile file format
 #
-# Text format (UTF-8): first non-comment line "m n"; each following
-# non-comment line "count: i1,i2,...,im" with 1-based candidate indices,
-# most preferred first.  Lines starting with "#" are comments.
+# Text format (UTF-8, with or without a byte-order mark): first non-comment
+# line "m n"; each following non-comment line "count: i1,i2,...,im" with
+# 1-based candidate indices, most preferred first.  Lines starting with "#"
+# are comments.
 #
 # Both readers take the header and comment lines one by one, then read the
-# ballot lines as one array.  Only when the array fails a check are the
-# ballot lines checked one by one, to report the first bad line.
+# ballot lines by two routes: as one array, or, where the array route
+# refuses them, line by line up to the first bad line.
 
 
 def parse_profile(text: str) -> Profile:
@@ -391,47 +391,41 @@ def _read_ballots(
     ``count: i1,...,im`` lines ``ballots``; ``m`` is None for a .soc file,
     whose first line sets it.
 
-    Stripped rankings of ASCII digits and commas, with as many fields on
-    every line and none empty, are parsed by one ``np.fromstring`` call (ids
-    past int64 saturate); any others by numpy's conversion of the split
-    fields, which parses each id as ``int`` does and refuses ragged rows.
-    Widths and permutations are then checked as arrays.
+    Once spaces and tabs around each field are stripped, rankings of ASCII
+    digits and commas, with as many fields on every line and none empty,
+    are parsed by one ``np.fromstring`` call (ids past int64 saturate), and
+    their widths and permutations are checked as arrays.  Ballots that this
+    screen or these checks refuse are read line by line, each id as ``int``
+    parses it, and the first malformed line raises its error.
     """
     if not ballots:
         return np.empty((0, 0), np.int64), []
     fields = [line.partition(":") for _, line in ballots]
     rests = [rest.strip() for _, _, rest in fields]
-    try:
+    text = ",".join(rests).encode()
+    if b" " in text or b"\t" in text:
+        text = b",".join([field.strip(b" \t") for field in text.split(b",")])
+    with contextlib.suppress(ValueError):  # a count that int() refuses
         counts = [int(head) for head, _, _ in fields]
-        text = ",".join(rests).encode()
-        if (len({rest.count(",") for rest in rests}) == 1  # no empty field below
+        if (min(counts) >= 1 and len({rest.count(",") for rest in rests}) == 1  # not ragged
                 and not text.translate(None, b"0123456789,") and b",," not in b",%s," % text):
-            orders = np.fromstring(text, np.int64, sep=",").reshape(len(rests), -1)
-        else:
-            orders = np.array([rest.split(",") for rest in rests], np.int64)
-    except (ValueError, OverflowError):  # a bad field, a ragged row, an id >= 2^63
-        _raise_ballot_error(ballots, m)
-    orders -= 1
-    width = orders.shape[1]
-    if (
-        (m is None or width == m)
-        and min(counts) >= 1
-        and (np.sort(orders, axis=1) == np.arange(width)).all()
-    ):
-        return orders, counts
-    _raise_ballot_error(ballots, m)
-
-
-def _raise_ballot_error(ballots: list[tuple[int, str]], m: int | None) -> NoReturn:
-    """Raise the error of the first malformed line of ``ballots``, which
-    the array checks refused."""
+            orders = np.fromstring(text, np.int64, sep=",").reshape(len(rests), -1) - 1
+            width = orders.shape[1]
+            if (m is None or width == m) and (np.sort(orders, axis=1) == np.arange(width)).all():
+                return orders, counts
+    counts, rows = [], []
     for line_no, line in ballots:
-        m = _check_ballot_line(line, line_no, m)
-    raise InternalCheckError("ballot lines pass the line checks but not the array checks")
+        count, ids = _check_ballot_line(line, line_no, m)
+        m = len(ids)
+        counts.append(count)
+        rows.append(ids)
+    return np.array(rows, np.int64), counts
 
 
-def _check_ballot_line(line: str, line_no: int, expect_m: int | None) -> int:
-    """The ranking length of one ballot line, checked."""
+def _check_ballot_line(
+    line: str, line_no: int, expect_m: int | None
+) -> tuple[int, list[int]]:
+    """The count and the 0-based ids of one ballot line, checked."""
     head, sep, rest = line.partition(":")
     if not sep:
         raise ProfileParseError(f"expected 'count: ranking', got {line!r}", line_no)
@@ -451,7 +445,7 @@ def _check_ballot_line(line: str, line_no: int, expect_m: int | None) -> int:
         )
     if sorted(ids) != list(range(len(ids))):
         raise ProfileParseError(f"not a permutation of 1..{len(ids)}: {rest.strip()}", line_no)
-    return len(ids)
+    return count, ids
 
 
 def serialize_profile(profile: Profile) -> str:
@@ -465,7 +459,7 @@ def serialize_profile(profile: Profile) -> str:
 
 def load_profile(path: str) -> Profile:
     """Read a profile file; ``.soc`` files use the PrefLib reader."""
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8-sig") as handle:  # a byte-order mark is dropped
         text = handle.read()
     if str(path).endswith(".soc"):
         return parse_soc(text)

@@ -64,7 +64,6 @@ from .core import (
 )
 from .solver import (
     ConsensusResult,
-    SolveStats,
     _check_accumulation,
     _subset_sum_costs,
     _table_dtype,
@@ -360,9 +359,7 @@ def _kahn(waiting: list[tuple[Mask, Mask, Mask]]) -> SccOrder:
 # refinement
 
 
-def refine_digraph(
-    graph: KwiseDigraph, profile: Profile, order: SccOrder | None = None
-) -> KwiseDigraph:
+def refine_digraph(graph: KwiseDigraph, profile: Profile) -> KwiseDigraph:
     """Drop intra-component arcs whose constrained advantage is not positive.
 
     For an arc (c, d) inside a component, a witness set realizable in a
@@ -392,7 +389,7 @@ def refine_digraph(
     _check_accumulation(profile.n, m, k)
     counts = PairCounts.of(profile)
     successors, predecessors = _masks(m, graph.arcs)  # a pass clears dropped arcs
-    order = order or _kahn(_strong(successors, predecessors))
+    order = _kahn(_strong(successors, predecessors))
     source, target = graph.arcs.T
     # the arcs inside a component, and which of them a pass checks: those
     # not dropped and still inside one (components only split)
@@ -521,9 +518,7 @@ def solve(
         _, order = preprocess(profile, k, mode == "pre-refined", allow_exponential)
         result = partitioned_dp(profile, k, order, limit)
     millis = (time.perf_counter() - started) * 1000.0
-    stats = SolveStats(result.stats.states, millis, result.stats.largest_component)
-    return ConsensusResult(result.optimum, result.rankings, result.count,
-                           result.truncated, stats)
+    return replace(result, stats=replace(result.stats, millis=millis))
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ from kwise_kemeny import (
     mask_members,
     parse_profile,
 )
+from oracles import from_rankings
 
 # 100 voters, 3 candidates: the Condorcet winner (c2) tops only 3 ballots
 # while c1 tops 49, so pairwise and setwise aggregation pull apart.
@@ -36,7 +37,7 @@ def six_profile() -> Profile:
 
 
 def random_profile(rng: np.random.Generator, m: int, n: int) -> Profile:
-    return Profile.from_rankings(m, [Ranking(rng.permutation(m)) for _ in range(n)])
+    return from_rankings(m, [Ranking(rng.permutation(m)) for _ in range(n)])
 
 
 @pytest.fixture

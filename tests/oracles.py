@@ -26,6 +26,21 @@ from kwise_kemeny.majority import EXHAUSTIVE_FREE_BOUND, _check_forced
 from kwise_kemeny.solver import _layers, _other_bits, _subset_weights
 
 
+def from_rankings(m: int, rankings) -> Profile:
+    """The profile of ``rankings``, one voter each."""
+    return Profile(m, [(ranking, 1) for ranking in rankings])
+
+
+def dict_merged_groups(groups) -> tuple:
+    """The canonical (ranking, count) groups of ``groups`` as ``Profile``
+    built them before it sorted order matrices: identical rankings merged
+    in a dict, the merged groups sorted by their order tuples."""
+    merged = {}
+    for ranking, count in groups:
+        merged[ranking] = merged.get(ranking, 0) + count
+    return tuple(sorted(merged.items(), key=lambda group: group[0].order))
+
+
 # Enumeration budget for the naive subset walk.
 _NAIVE_M_SMALL_K = 20
 _NAIVE_M_LARGE_K = 15
@@ -81,7 +96,7 @@ def setwise_support(
     rest = subset & ~(1 << winner | 1 << loser)
     total = 0
     for ranking, count in profile.groups:
-        if ranking.prefers(winner, loser):
+        if ranking.inverse[winner] < ranking.inverse[loser]:
             pool = (ranking.below_set(winner) & rest).bit_count()
             total += count * table.prefix_below(pool)
     return total
@@ -128,7 +143,7 @@ def best_advantage_exhaustive(
     advantage = np.zeros(len(subsets), dtype=np.int64)
     fixed_members = forced_in
     for ranking, count in profile.groups:
-        if ranking.prefers(c, d):
+        if ranking.inverse[c] < ranking.inverse[d]:
             sign, pool = count, ranking.below_set(c)
         else:
             sign, pool = -count, ranking.below_set(d)

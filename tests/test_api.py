@@ -92,12 +92,16 @@ DELETED = [
     ("distance", "kwise_distance_naive"),
     ("distance", "_NAIVE_M_SMALL_K"),
     ("distance", "_NAIVE_M_LARGE_K"),
+    ("core", "Ranking.prefers"),
+    ("core", "Profile.from_rankings"),
+    ("core", "_raise_ballot_error"),
 ]
 
 # (module, function, parameter) triples removed from a signature
 DELETED_PARAMETERS = [
     ("solver", "build_dp_table", "count_optima"),
     ("solver", "_layered_min", "count_optima"),
+    ("majority", "refine_digraph", "order"),
 ]
 
 # (module, name) pairs kept in their module but no longer exported

@@ -103,6 +103,21 @@ class TestSolve:
         assert payload["stats"]["states"] == 8
         assert payload["stats"]["millis"] >= 0
 
+    @pytest.mark.parametrize("name, text", [
+        ("tension.txt", TENSION_TEXT),
+        ("toy.soc", "# FILE NAME: toy.soc\n49: 1,2,3\n48: 3,2,1\n3: 2,3,1\n"),
+    ], ids=["native", "soc"])
+    def test_byte_order_mark_accepted(self, capsys, tmp_path, name, text):
+        plain, marked = tmp_path / name, tmp_path / f"bom-{name}"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        outputs = []
+        for path in (plain, marked):
+            code, out, err = run(capsys, "solve", "--input", str(path), "--k", "3")
+            outputs.append((code, re.sub(r', "millis": [-+0-9.eE]+', "", out), err))
+        assert outputs[0] == outputs[1]
+        assert outputs[1][0] == 0
+
     def test_modes_agree(self, capsys, tension_file):
         optima = {}
         for mode in ("brute", "dp", "pre", "pre-refined"):

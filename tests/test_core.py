@@ -14,6 +14,7 @@ from kwise_kemeny import (
     serialize_profile,
 )
 from conftest import mask_of, restrict, restrict_profile, top_choice
+from oracles import dict_merged_groups
 
 rankings = st.integers(1, 7).flatmap(
     lambda m: st.permutations(range(m)).map(Ranking)
@@ -149,10 +150,12 @@ class TestProfile:
             if trial % 3 == 0:
                 counts[0] = (1 << 64) + 7  # beyond int64, merged exactly
             built = Profile._of_orders(orders, counts)
-            expected = Profile(m, [(Ranking(o), c) for o, c in zip(orders, counts)])
-            assert built == expected
-            assert built.n == expected.n == sum(counts)
-            for (got, _), (want, _) in zip(built.groups, expected.groups):
+            groups = [(Ranking(o), c) for o, c in zip(orders, counts)]
+            expected = dict_merged_groups(groups)
+            assert built.groups == expected
+            assert Profile(m, groups) == built
+            assert built.n == sum(counts)
+            for (got, _), (want, _) in zip(built.groups, expected):
                 assert type(got.order[0]) is int
                 assert got.inverse == want.inverse
                 assert hash(got) == hash(want)

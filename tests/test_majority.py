@@ -49,6 +49,7 @@ from conftest import (
 )
 from oracles import (
     best_advantage_exhaustive,
+    from_rankings,
     kwise_distance_naive,
     prefers_by_positions,
     setwise_advantage,
@@ -250,7 +251,7 @@ class TestPairCounts:
             for c, d, x in itertools.product(range(m), repeat=3):
                 expected = sum(
                     n for r, n in profile.groups
-                    if r.prefers(c, d) and r.prefers(c, x)
+                    if r.inverse[c] < min(r.inverse[d], r.inverse[x])
                 )
                 assert counts.joint[c, d, x] == expected
                 if d == x:
@@ -291,7 +292,7 @@ class TestPairwiseDigraph:
         assert all(weight == 7 for weight, _ in arc_view(graph).values())
 
     def test_balanced_profile_has_no_arcs(self):
-        profile = Profile.from_rankings(
+        profile = from_rankings(
             3, [Ranking([0, 1, 2]), Ranking([2, 1, 0])]
         )
         assert arc_view(kwise_digraph(profile, 2)) == {}
@@ -414,7 +415,7 @@ class TestBestAdvantageExhaustive:
         assert witness == mask_of([2, 3, 4, 5])
 
     def test_guard_on_free_candidates(self):
-        profile = Profile.from_rankings(23, [Ranking(range(23))])
+        profile = from_rankings(23, [Ranking(range(23))])
         with pytest.raises(GuardError, match="NP-hard"):
             best_advantage_exhaustive(profile, 0, 1, 4)
 
@@ -542,7 +543,7 @@ class TestKwiseDigraph:
         # Opposite voters cancel pairwise, but a third candidate can still
         # lift a triple advantage: only (c1,c2) and (c3,c2) reach weight 1,
         # and their zero-weight reversals are excluded.
-        profile = Profile.from_rankings(
+        profile = from_rankings(
             3, [Ranking([0, 1, 2]), Ranking([2, 1, 0])]
         )
         graph = kwise_digraph(profile, 3)
@@ -568,7 +569,7 @@ class TestSccDecompose:
         assert not order.order_unique
 
     def test_full_cycle_single_component(self):
-        profile = Profile.from_rankings(
+        profile = from_rankings(
             3, [Ranking([0, 1, 2]), Ranking([1, 2, 0]), Ranking([2, 0, 1])]
         )
         order = scc_decompose(kwise_digraph(profile, 2))
@@ -757,7 +758,7 @@ class TestRefineOracle:
 
     def test_non_positive_margin_dropped_at_k2(self):
         # c1 ties c2 and c3 two to two; c2 beats c3 three to one
-        profile = Profile.from_rankings(
+        profile = from_rankings(
             3, [Ranking(order) for order in ([0, 1, 2], [2, 1, 0], [0, 1, 2], [1, 2, 0])]
         )
         graph = digraph_of(3, 2, {
@@ -802,7 +803,7 @@ class TestRefineOracle:
                     refine_digraph(graph, profile)
                 raised += 1
                 continue
-            refined = refine_digraph(graph, profile, scc_decompose(graph))
+            refined = refine_digraph(graph, profile)
             assert arc_view(refined) == arc_view(expected)
             assert refined.order == order
             kept += 1
@@ -824,7 +825,7 @@ class TestPartitionedDp:
         assert result.rankings[0].to_one_based() in consistent
 
     def test_single_component_equals_dp(self):
-        profile = Profile.from_rankings(
+        profile = from_rankings(
             3, [Ranking([0, 1, 2]), Ranking([1, 2, 0]), Ranking([2, 0, 1])]
         )
         order = scc_decompose(kwise_digraph(profile, 2))

@@ -155,6 +155,8 @@ class TestValidFiles:
         assert_same("2 11\n+1: 2, 1\n1_0: ١,2\n")
         # tabs and spaces around ids, which int() strips
         assert_same("3 3\n1:  1 , 2 , 3\n2: 3,\t2 ,1\n")
+        # the same around an id past int64
+        assert_same("3 3\n1:\t1 , 2 ,\t99999999999999999999\n2: 3, 2, 1\n")
 
     def test_counts_beyond_int64(self):
         big = 1 << 63
@@ -182,6 +184,8 @@ BAD_BALLOTS = [
     "2: 1,2,3,",  # trailing comma
     "2: 1,2\t3",  # a tab inside a field
     "2:  1 , 3 , 1 ",  # spaces around every id
+    "2: 1 ,2 3",  # a space inside a field next to a stripped one
+    "2: 1, ,3",  # a field left empty after stripping
 ]
 
 

@@ -42,6 +42,7 @@ from oracles import (
     binary_moment_costs,
     block_costs,
     dense_subset_sum_costs,
+    from_rankings,
     second_walk_count,
 )
 
@@ -253,7 +254,7 @@ class TestBruteForce:
         assert result.rankings == (Ranking([3, 1, 0, 2]),)
 
     def test_guard(self):
-        profile = Profile.from_rankings(9, [Ranking(range(9))])
+        profile = from_rankings(9, [Ranking(range(9))])
         with pytest.raises(GuardError, match="m <= 8"):
             brute_force_consensus(profile, 2)
 
@@ -303,7 +304,7 @@ class TestDpConsensus:
         assert dp_consensus(profile, 2).rankings[0] == Ranking([0])
 
     def test_m_cap(self):
-        profile = Profile.from_rankings(31, [Ranking(range(31))])
+        profile = from_rankings(31, [Ranking(range(31))])
         with pytest.raises(GuardError, match="cap"):
             dp_consensus(profile, 3)
 
@@ -838,7 +839,7 @@ class TestEnumerate:
         assert result.rankings[0].to_one_based() == (1, 2, 3)
 
     def test_opposite_pair_ties(self):
-        profile = Profile.from_rankings(2, [Ranking([0, 1]), Ranking([1, 0])])
+        profile = from_rankings(2, [Ranking([0, 1]), Ranking([1, 0])])
         result = enumerate_consensus(profile, 2)
         assert result.count == 2
         assert set(result.rankings) == {Ranking([0, 1]), Ranking([1, 0])}
@@ -856,7 +857,7 @@ class TestEnumerate:
 
     def test_truncation(self):
         # two opposite voters make every ranking optimal at k = 2
-        profile = Profile.from_rankings(
+        profile = from_rankings(
             4, [Ranking([0, 1, 2, 3]), Ranking([3, 2, 1, 0])]
         )
         result = enumerate_consensus(profile, 2, limit=10)
@@ -893,7 +894,7 @@ class TestSolveComponents:
         assert result.stats.states == 4 + 8 + 2
 
     def test_component_guard_messages(self):
-        profile = Profile.from_rankings(32, [Ranking(range(32))])
+        profile = from_rankings(32, [Ranking(range(32))])
         with pytest.raises(GuardError, match="a subset of 31 candidates"):
             solve_components(profile, 3, (full_mask(31), 1 << 31))
         with pytest.raises(GuardError, match="m=32 exceeds the 2\\^m state cap"):
@@ -963,7 +964,7 @@ class TestCostRows:
         # members below a placed candidate, with 4 <= k < the pool size
         profile = weighted_profile(rng, 8, 9)
         context = mask_of([5, 6, 7])
-        below = {sum(r.prefers(j, x) for x in (5, 6, 7))
+        below = {sum(r.inverse[j] < r.inverse[x] for x in (5, 6, 7))
                  for r, _ in profile.groups for j in range(5)}
         assert len(below) > 2
         cases.append((profile, full_mask(8) & ~context, context))
@@ -1054,7 +1055,7 @@ class TestCostRows:
             profile = weighted_profile(rng, m, 9)
             local = tuple(sorted(rng.choice(m, nloc, replace=False).tolist()))
             context = full_mask(m) & ~mask_of(local)
-            betas = {sum(r.prefers(j, x) for x in mask_members(context))
+            betas = {sum(r.inverse[j] < r.inverse[x] for x in mask_members(context))
                      for r, _ in profile.groups for j in local}
             assert len(betas) >= 3
             cases.append((PairCounts(profile), local, context, sorted({4, 5, m - 1, m})))
